@@ -15,7 +15,7 @@ reproduces the corrected sentence exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .m2 import EditSpan
 
@@ -25,12 +25,10 @@ INSERT = "insert"
 DELETE = "delete"
 TRANSPOSE = "transpose"
 
-# tie-break preference, best first
-_PREFERENCE = {MATCH: 0, SUBSTITUTE: 1, TRANSPOSE: 2, DELETE: 3, INSERT: 4}
 
+class AlignmentOp(NamedTuple):
+    """One alignment operation; a named tuple because align() builds many."""
 
-@dataclass(frozen=True)
-class AlignmentOp:
     kind: str
     src_start: int
     src_end: int
@@ -70,53 +68,54 @@ def align(
     if trg_lemmas is not None and len(trg_lemmas) != m:
         raise ValueError("trg_lemmas does not parallel trg")
 
+    # The table's backtrace always takes a shared suffix as matches: a free
+    # match costs no more than deleting, inserting or transposing into it.
+    # So the suffix skips the table and leads the reversed operation list.
+    ops: list[AlignmentOp] = []
+    while n and m and src[n - 1] == trg[m - 1]:
+        ops.append(AlignmentOp(MATCH, n - 1, n, m - 1, m))
+        n, m = n - 1, m - 1
+
     src_lower = [t.lower() for t in src]
     trg_lower = [t.lower() for t in trg]
+    lemma_ties = src_lemmas is not None and trg_lemmas is not None
 
     # cost[i][j]: best cost aligning src[:i] with trg[:j]; choice records the op.
-    cost = [[0] * (m + 1) for _ in range(n + 1)]
-    choice = [[MATCH] * (m + 1) for _ in range(n + 1)]
+    # A transposition can never tie a match or substitution and win, because
+    # both come first in the preference order, so only a strictly lower cost
+    # replaces them; deletion and insertion likewise only win when cheaper.
+    cost = [list(range(m + 1))]
+    choice = [[MATCH] + [INSERT] * m]
     for i in range(1, n + 1):
-        cost[i][0] = i
-        choice[i][0] = DELETE
-    for j in range(1, m + 1):
-        cost[0][j] = j
-        choice[0][j] = INSERT
-
-    for i in range(1, n + 1):
+        s, s_lower = src[i - 1], src_lower[i - 1]
+        s_lemma = src_lemmas[i - 1] if lemma_ties else None
+        s_prev_lower = src_lower[i - 2] if i >= 2 else None
+        above, above2 = cost[i - 1], cost[i - 2] if i >= 2 else None
+        row, row_choice = [i], [DELETE]
         for j in range(1, m + 1):
-            if src[i - 1] == trg[j - 1]:
-                best = cost[i - 1][j - 1]
-                op = MATCH
+            diagonal = above[j - 1]
+            if s == trg[j - 1]:
+                best, op = diagonal, MATCH
+            elif s_lower == trg_lower[j - 1] or (lemma_ties and s_lemma == trg_lemmas[j - 1]):
+                best, op = diagonal + 1, SUBSTITUTE
             else:
-                if src_lower[i - 1] == trg_lower[j - 1] or (
-                    src_lemmas is not None
-                    and trg_lemmas is not None
-                    and src_lemmas[i - 1] == trg_lemmas[j - 1]
-                ):
-                    best = cost[i - 1][j - 1] + 1
-                else:
-                    best = cost[i - 1][j - 1] + 2
-                op = SUBSTITUTE
+                best, op = diagonal + 2, SUBSTITUTE
             if (
-                i >= 2
-                and j >= 2
-                and src_lower[i - 2] == trg_lower[j - 1]
-                and src_lower[i - 1] == trg_lower[j - 2]
+                j >= 2
+                and s_prev_lower == trg_lower[j - 1]
+                and s_lower == trg_lower[j - 2]
+                and above2[j - 2] + 1 < best
             ):
-                transpose = cost[i - 2][j - 2] + 1
-                if transpose < best or (transpose == best and _PREFERENCE[op] > _PREFERENCE[TRANSPOSE]):
-                    best, op = transpose, TRANSPOSE
-            delete = cost[i - 1][j] + 1
-            if delete < best:
-                best, op = delete, DELETE
-            insert = cost[i][j - 1] + 1
-            if insert < best:
-                best, op = insert, INSERT
-            cost[i][j] = best
-            choice[i][j] = op
+                best, op = above2[j - 2] + 1, TRANSPOSE
+            if above[j] + 1 < best:
+                best, op = above[j] + 1, DELETE
+            if row[j - 1] + 1 < best:
+                best, op = row[j - 1] + 1, INSERT
+            row.append(best)
+            row_choice.append(op)
+        cost.append(row)
+        choice.append(row_choice)
 
-    ops: list[AlignmentOp] = []
     i, j = n, m
     while i > 0 or j > 0:
         op = choice[i][j]
@@ -136,30 +135,6 @@ def align(
     return ops
 
 
-def op_cost(
-    op: AlignmentOp,
-    src: Sequence[str],
-    trg: Sequence[str],
-    src_lemmas: Sequence[str] | None = None,
-    trg_lemmas: Sequence[str] | None = None,
-) -> int:
-    """Cost of a single alignment operation under the align() cost model."""
-    if op.kind == MATCH:
-        return 0
-    if op.kind in (DELETE, INSERT, TRANSPOSE):
-        return 1
-    s, t = src[op.src_start], trg[op.trg_start]
-    if s.lower() == t.lower():
-        return 1
-    if (
-        src_lemmas is not None
-        and trg_lemmas is not None
-        and src_lemmas[op.src_start] == trg_lemmas[op.trg_start]
-    ):
-        return 1
-    return 2
-
-
 def merge(ops: Sequence[AlignmentOp], src: Sequence[str], trg: Sequence[str]) -> list[Edit]:
     """Collapse maximal non-match runs into edits.
 
@@ -167,20 +142,16 @@ def merge(ops: Sequence[AlignmentOp], src: Sequence[str], trg: Sequence[str]) ->
     always separates two edits), and never empty on both sides.
     """
     edits: list[Edit] = []
-    run: list[AlignmentOp] = []
-
-    def close() -> None:
-        if run:
-            src_start, src_end = run[0].src_start, run[-1].src_end
-            trg_start, trg_end = run[0].trg_start, run[-1].trg_end
-            span = EditSpan(src_start, src_end, tuple(trg[trg_start:trg_end]))
-            edits.append(Edit(span, tuple(src[src_start:src_end]), trg_start))
-            run.clear()
-
-    for op in ops:
-        if op.kind == MATCH:
-            close()
-        else:
-            run.append(op)
-    close()
+    first = last = None
+    # a trailing None closes the final run like a match would
+    for op in [*ops, None]:
+        if op is not None and op.kind != MATCH:
+            if first is None:
+                first = op
+            last = op
+        elif first is not None:
+            src_start, src_end = first.src_start, last.src_end
+            span = EditSpan(src_start, src_end, tuple(trg[first.trg_start : last.trg_end]))
+            edits.append(Edit(span, tuple(src[src_start:src_end]), first.trg_start))
+            first = None
     return edits

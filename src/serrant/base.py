@@ -12,10 +12,14 @@ from the head tags), ADP surfaces as PREP, and CCONJ/SCONJ surface as CONJ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .alignment import Edit
-from .errors import AnnotationMissingError, ConfigurationError
-from .ud import AnnotatedSentence, Token, span_head
+from .errors import ConfigurationError
+from .ud import Token
+
+if TYPE_CHECKING:
+    from .combine import EditContext
 
 SPELL = "SPELL"
 ORTH = "ORTH"
@@ -52,9 +56,6 @@ class BaseType:
 def surface_tag(upos: str) -> str:
     """Map a UPOS tag to its surface name at the base stage."""
     return _SURFACE_TAG.get(upos, upos)
-
-
-Wordlist = frozenset
 
 
 def load_wordlist(text: str) -> frozenset[str]:
@@ -103,34 +104,24 @@ def detect_spelling(edit: Edit, wordlist: frozenset[str]) -> bool:
     return edit_distance(source, correction) <= limit
 
 
-def classify_base(
-    edit: Edit,
-    src_sentence: AnnotatedSentence | None,
-    trg_sentence: AnnotatedSentence | None,
-    wordlist: frozenset[str] | None = None,
-) -> BaseType:
+def classify_base(ctx: EditContext, wordlist: frozenset[str] | None = None) -> BaseType:
     """Assign the first-stage category of an edit.
 
-    When ``wordlist`` is None the spelling rule is skipped.  Annotations are
-    required for whichever sides of the edit are non-empty.
+    When ``wordlist`` is None the spelling rule is skipped.
     """
-    src_tokens = _side_tokens(edit.span.start, edit.span.end, src_sentence, "source")
-    trg_tokens = _side_tokens(edit.cor_start, edit.cor_end, trg_sentence, "correction")
+    src_tokens, trg_tokens = ctx.src_tokens, ctx.trg_tokens
 
     # insertions and deletions type by the surviving side alone
     if not src_tokens or not trg_tokens:
-        side = trg_tokens or src_tokens
-        if not side:
-            raise ValueError("edit is empty on both sides")
-        tags = {surface_tag(t.upos) for t in side}
+        tags = {surface_tag(t.upos) for t in trg_tokens or src_tokens}
         if len(tags) == 1:
             return BaseType(POS, tags.pop())
         return BaseType(OTHER)
 
-    if detect_orthography(edit):
+    if detect_orthography(ctx.edit):
         return BaseType(ORTH)
 
-    if wordlist is not None and detect_spelling(edit, wordlist):
+    if wordlist is not None and detect_spelling(ctx.edit, wordlist):
         return BaseType(SPELL)
 
     if len(src_tokens) == 1 and len(trg_tokens) == 1:
@@ -139,13 +130,8 @@ def classify_base(
     # multi-token replacement with one shared tag across both sides
     tags = {surface_tag(t.upos) for t in src_tokens} | {surface_tag(t.upos) for t in trg_tokens}
     if len(tags) == 1:
-        src_head = span_head(src_sentence, edit.span.start, edit.span.end)
-        trg_head = span_head(trg_sentence, edit.cor_start, edit.cor_end)
-        if (
-            src_head.upos in ("VERB", "AUX")
-            and trg_head.upos in ("VERB", "AUX")
-            and src_head.feats.get("Tense") != trg_head.feats.get("Tense")
-        ):
+        src_head, trg_head = ctx.src_head, ctx.trg_head
+        if _both_verbal(src_head, trg_head) and _differ(src_head, trg_head, "Tense"):
             return BaseType(VERB_TENSE)
         return BaseType(POS, tags.pop())
 
@@ -184,13 +170,3 @@ def _both_verbal(src: Token, trg: Token) -> bool:
 
 def _differ(src: Token, trg: Token, feature: str) -> bool:
     return src.feats.get(feature) != trg.feats.get(feature)
-
-
-def _side_tokens(
-    start: int, end: int, sentence: AnnotatedSentence | None, which: str
-) -> tuple[Token, ...]:
-    if start == end:
-        return ()
-    if sentence is None:
-        raise AnnotationMissingError(f"no annotation for the {which} sentence")
-    return sentence.tokens[start:end]

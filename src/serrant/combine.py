@@ -4,6 +4,12 @@ The result is an operation prefix (``M`` missing, ``U`` unnecessary, ``R``
 replacement), a body, and optional suffixes, rendered as
 ``<OP>:<Body>[:<Suffix>...]``.
 
+This module also owns the per-edit facts.  :func:`build_context` slices the
+annotated tokens of each side once, finds each non-empty side's span head
+once, and rejects edits that are empty or lack an annotation; the base
+cascade, the SErCl classifier and :func:`combine` all read that one
+:class:`EditContext`.
+
 Bodies come from the base category unless one of the combination rules
 swaps in the SErCl pair:
 
@@ -40,8 +46,9 @@ from dataclasses import dataclass
 from . import base as base_types
 from .alignment import Edit
 from .base import BaseType
-from .sercl import ARROW_ASCII, SerclType, display_tag, render_side
-from .ud import AnnotatedSentence, span_head
+from .errors import AnnotationMissingError
+from .sercl import ARROW_ASCII, SerclType, display_tag, render
+from .ud import AnnotatedSentence, Token, span_head
 
 MODAL_FORMS = frozenset({"can", "could", "may", "might", "shall", "should", "will", "would", "must"})
 UNRELIABLE_TAGS = frozenset({"INTJ", "NUM", "SYM", "X", "PUNCT"})
@@ -75,18 +82,18 @@ _PAIR = "pair"
 
 @dataclass(frozen=True)
 class EditContext:
-    """Everything the combination rules see about the edit besides its types."""
+    """The one per-edit view every classifier reads: the edit, the annotated
+    tokens on each side, and each side's span head (None for an absent side)."""
 
-    sentence_initial: bool
-    src_forms: tuple[str, ...]
-    trg_forms: tuple[str, ...]
-    src_lemmas: tuple[str, ...]
-    trg_lemmas: tuple[str, ...]
-    src_head_upos: str | None
-    trg_head_upos: str | None
-    src_head_lemma: str | None
-    trg_head_lemma: str | None
-    multi_word: bool
+    edit: Edit
+    src_tokens: tuple[Token, ...]
+    trg_tokens: tuple[Token, ...]
+    src_head: Token | None
+    trg_head: Token | None
+
+    @property
+    def sentence_initial(self) -> bool:
+        return self.edit.span.start == 0
 
 
 @dataclass(frozen=True)
@@ -105,41 +112,37 @@ def build_context(
     src_sentence: AnnotatedSentence | None,
     trg_sentence: AnnotatedSentence | None,
 ) -> EditContext:
-    src_tokens = (
-        src_sentence.tokens[edit.span.start : edit.span.end] if src_sentence is not None else ()
-    )
-    trg_tokens = (
-        trg_sentence.tokens[edit.cor_start : edit.cor_end] if trg_sentence is not None else ()
-    )
-    src_head = (
-        span_head(src_sentence, edit.span.start, edit.span.end)
-        if src_sentence is not None and edit.span.end > edit.span.start
-        else None
-    )
-    trg_head = (
-        span_head(trg_sentence, edit.cor_start, edit.cor_end)
-        if trg_sentence is not None and edit.cor_end > edit.cor_start
-        else None
-    )
-    return EditContext(
-        sentence_initial=edit.span.start == 0,
-        src_forms=tuple(t.form for t in src_tokens),
-        trg_forms=tuple(t.form for t in trg_tokens),
-        src_lemmas=tuple(t.lemma for t in src_tokens),
-        trg_lemmas=tuple(t.lemma for t in trg_tokens),
-        src_head_upos=src_head.upos if src_head is not None else None,
-        trg_head_upos=trg_head.upos if trg_head is not None else None,
-        src_head_lemma=src_head.lemma if src_head is not None else None,
-        trg_head_lemma=trg_head.lemma if trg_head is not None else None,
-        multi_word=len(src_tokens) > 1 or len(trg_tokens) > 1,
-    )
+    """Slice both sides of the edit and find each non-empty side's head.
+
+    Raises:
+        ValueError: for an edit empty on both sides.
+        AnnotationMissingError: when the sentence carrying a non-empty side
+            was not supplied.
+    """
+    src_start, src_end = edit.span.start, edit.span.end
+    trg_start, trg_end = edit.cor_start, edit.cor_end
+    if src_start == src_end and trg_start == trg_end:
+        raise ValueError("edit is empty on both sides")
+    src_tokens, src_head = _side(src_sentence, src_start, src_end, "source")
+    trg_tokens, trg_head = _side(trg_sentence, trg_start, trg_end, "corrected")
+    return EditContext(edit, src_tokens, trg_tokens, src_head, trg_head)
+
+
+def _side(
+    sentence: AnnotatedSentence | None, start: int, end: int, which: str
+) -> tuple[tuple[Token, ...], Token | None]:
+    if start == end:
+        return (), None
+    if sentence is None:
+        raise AnnotationMissingError(f"no annotation for the {which} sentence")
+    return sentence.tokens[start:end], span_head(sentence, start, end)
 
 
 def combine(base: BaseType, sercl: SerclType, ctx: EditContext) -> SerrantType:
     """Produce the final type from both classifications and the edit context."""
-    if not ctx.src_forms:
+    if not ctx.src_tokens:
         op = MISSING
-    elif not ctx.trg_forms:
+    elif not ctx.trg_tokens:
         op = UNNECESSARY
     else:
         op = REPLACEMENT
@@ -147,22 +150,18 @@ def combine(base: BaseType, sercl: SerclType, ctx: EditContext) -> SerrantType:
     kind, body, qualified = _pick_body(base, sercl, ctx)
 
     suffixes: list[str] = []
-    if (
-        kind == _TAG
-        and op == REPLACEMENT
-        and ctx.src_head_lemma is not None
-        and ctx.trg_head_lemma is not None
-        and ctx.src_head_lemma != ctx.trg_head_lemma
-    ):
+    if kind == _TAG and op == REPLACEMENT and ctx.src_head.lemma != ctx.trg_head.lemma:
         suffixes.append(WORD_CHOICE)
-    if ctx.multi_word and kind in (_TAG, _PAIR) and not qualified:
+    multi_word = len(ctx.src_tokens) > 1 or len(ctx.trg_tokens) > 1
+    if multi_word and kind in (_TAG, _PAIR) and not qualified:
         suffixes.append(MULTI_WORD)
     return SerrantType(op, body, tuple(suffixes))
 
 
 def _pick_body(base: BaseType, sercl: SerclType, ctx: EditContext) -> tuple[str, str, bool]:
     category = base.category
-    s, t = ctx.src_head_upos, ctx.trg_head_upos
+    s = ctx.src_head.upos if ctx.src_head is not None else None
+    t = ctx.trg_head.upos if ctx.trg_head is not None else None
 
     if category == base_types.OTHER:
         if _unreliable(s, t):
@@ -205,15 +204,13 @@ def _pick_body(base: BaseType, sercl: SerclType, ctx: EditContext) -> tuple[str,
         return (_TAG, display_tag(base.pos_payload), False)
 
     if category == base_types.VERB_TENSE:
-        if _tense_anchored(ctx.src_forms, ctx.src_lemmas) and _tense_anchored(
-            ctx.trg_forms, ctx.trg_lemmas
-        ):
+        if _tense_anchored(ctx.src_tokens) and _tense_anchored(ctx.trg_tokens):
             return _named(base_types.VERB_TENSE)
         if (
-            len(ctx.src_forms) == 1
-            and len(ctx.trg_forms) == 1
-            and ctx.src_forms[0].lower() in MODAL_FORMS
-            and ctx.trg_forms[0].lower() in MODAL_FORMS
+            len(ctx.src_tokens) == 1
+            and len(ctx.trg_tokens) == 1
+            and ctx.src_tokens[0].form.lower() in MODAL_FORMS
+            and ctx.trg_tokens[0].form.lower() in MODAL_FORMS
         ):
             return (_NAMED, "Modal", False)
         return _sercl_body(sercl)
@@ -231,19 +228,17 @@ def _unreliable(s: str | None, t: str | None) -> bool:
     return s in UNRELIABLE_TAGS or t in UNRELIABLE_TAGS
 
 
-def _tense_anchored(forms: tuple[str, ...], lemmas: tuple[str, ...]) -> bool:
-    return any(lemma in TENSE_LEMMAS for lemma in lemmas) or any(
-        form.lower() == "will" for form in forms
-    )
+def _tense_anchored(tokens: tuple[Token, ...]) -> bool:
+    return any(t.lemma in TENSE_LEMMAS or t.form.lower() == "will" for t in tokens)
 
 
 def _sercl_body(sercl: SerclType) -> tuple[str, str, bool]:
     left, right = sercl.left, sercl.right
     # the M/U prefix already records an absent side; keep only the real tag
-    if left.tag is None or right.tag is None:
-        side = left if right.tag is None else right
-        return (_TAG, render_side(side), bool(side.qualifiers))
-    if sercl.collapsed:
-        return (_TAG, render_side(left), bool(left.qualifiers))
-    text = f"{render_side(left)}{ARROW_ASCII}{render_side(right)}"
-    return (_PAIR, text, bool(left.qualifiers or right.qualifiers))
+    if left.tag is None:
+        left = right
+    elif right.tag is None:
+        right = left
+    shown = SerclType(left, right)
+    kind = _TAG if shown.collapsed else _PAIR
+    return (kind, render(shown), bool(left.qualifiers or right.qualifiers))

@@ -21,7 +21,7 @@ from pathlib import Path
 from .alignment import Edit, align, merge
 from .base import classify_base, load_wordlist
 from .combine import SerrantType, build_context, combine
-from .errors import AttachmentError, ConfigurationError, IngestionError
+from .errors import AttachmentError, ConfigurationError, IngestionError, M2ValidationError
 from .m2 import M2Edit, M2Record, apply_edits, parse_m2, read_parallel
 from .sercl import ARROW_ASCII, GRANULARITIES, GRANULARITY_UPOS, classify_sercl
 from .ud import AnnotatedSentence, attach, fallback_annotate, parse_conllu
@@ -58,10 +58,8 @@ def classify_edit(
     granularity: str = GRANULARITY_UPOS,
 ) -> SerrantType:
     """Type a single edit: base category, SErCl pair, then combination."""
-    base = classify_base(edit, src_sentence, trg_sentence, wordlist)
-    sercl = classify_sercl(edit, src_sentence, trg_sentence, granularity)
     ctx = build_context(edit, src_sentence, trg_sentence)
-    return combine(base, sercl, ctx)
+    return combine(classify_base(ctx, wordlist), classify_sercl(ctx, granularity), ctx)
 
 
 def run(config: PipelineConfig, inputs: PipelineInputs) -> list[M2Record]:
@@ -224,6 +222,11 @@ def _retype_record(
     real_positions = [i for i, e in enumerate(record.edits) if not e.span.is_noop]
     by_annotator: dict[int, list[int]] = {}
     for position in real_positions:
+        span = record.edits[position].span
+        if span.start == span.end and not span.correction:
+            raise M2ValidationError(
+                record_index, f"edit {span.start} {span.end} is empty on both sides"
+            )
         by_annotator.setdefault(record.edits[position].annotator_id, []).append(position)
 
     if cor_sentence is not None and len(by_annotator) > 1:
@@ -235,7 +238,10 @@ def _retype_record(
     new_edits = list(record.edits)
     for positions in by_annotator.values():
         spans = [record.edits[p].span for p in positions]
-        cor_tokens, cor_starts = apply_edits(record.source_tokens, spans)
+        try:
+            cor_tokens, cor_starts = apply_edits(record.source_tokens, spans)
+        except ValueError as exc:
+            raise M2ValidationError(record_index, str(exc)) from None
         if cor_sentence is not None:
             try:
                 trg_sentence = attach(cor_sentence, cor_tokens)

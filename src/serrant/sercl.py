@@ -16,10 +16,10 @@ is no second head to disagree with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .alignment import Edit
-from .errors import AnnotationMissingError
-from .ud import AnnotatedSentence, span_head
+if TYPE_CHECKING:
+    from .combine import EditContext
 
 GRANULARITY_UPOS = "upos"
 GRANULARITY_UPOS_FEATS = "upos+feats"
@@ -105,36 +105,15 @@ def render(sercl: SerclType, arrow: str = ARROW_ASCII) -> str:
     return f"{render_side(sercl.left)}{arrow}{render_side(sercl.right)}"
 
 
-def classify_sercl(
-    edit: Edit,
-    src_sentence: AnnotatedSentence | None,
-    trg_sentence: AnnotatedSentence | None,
-    granularity: str = GRANULARITY_UPOS,
-) -> SerclType:
+def classify_sercl(ctx: EditContext, granularity: str = GRANULARITY_UPOS) -> SerclType:
     """Type an edit by its span heads.
 
     Raises:
-        ValueError: for an edit empty on both sides or an unknown
-            granularity.
-        AnnotationMissingError: when the sentence carrying a non-empty side
-            was not supplied.
+        ValueError: for an unknown granularity.
     """
     if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity {granularity!r}")
-    has_src = edit.span.end > edit.span.start
-    has_trg = edit.cor_end > edit.cor_start
-    if not has_src and not has_trg:
-        raise ValueError("edit is empty on both sides")
-
-    src_head = trg_head = None
-    if has_src:
-        if src_sentence is None:
-            raise AnnotationMissingError("no annotation for the source sentence")
-        src_head = span_head(src_sentence, edit.span.start, edit.span.end)
-    if has_trg:
-        if trg_sentence is None:
-            raise AnnotationMissingError("no annotation for the corrected sentence")
-        trg_head = span_head(trg_sentence, edit.cor_start, edit.cor_end)
+    src_head, trg_head = ctx.src_head, ctx.trg_head
 
     left_quals: tuple[str, ...] = ()
     right_quals: tuple[str, ...] = ()

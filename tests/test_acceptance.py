@@ -27,6 +27,7 @@ import itertools
 import random
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from conftest import GOLDEN_FLAGSHIP, GOLDEN_RULES, write_golden_corpus
 from oracles import (
@@ -50,6 +51,7 @@ from serrant.pipeline import (
 )
 from serrant.report import FORMAT_JSON, FORMAT_TSV, emit_report, type_distribution
 from serrant.sercl import GRANULARITIES, SerclSide, SerclType, classify_sercl
+from serrant.ud import Token
 from synthgen import (
     VOCAB,
     SyntheticCorpus,
@@ -353,10 +355,31 @@ def _classified(orig_entries, cor_entries, granularity):
     cases = []
     for edit in merge(ops, src_forms, trg_forms):
         final = classify_edit(edit, src_sentence, trg_sentence, None, granularity)
-        base = classify_base(edit, src_sentence, trg_sentence, None)
         ctx = build_context(edit, src_sentence, trg_sentence)
-        cases.append((edit, final, base, ctx))
+        base = classify_base(ctx, None)
+        cases.append((edit, final, base, _facts(ctx)))
     return cases
+
+
+def _facts(ctx):
+    """The per-edit facts the laws below read, flattened from a context."""
+    return SimpleNamespace(
+        sentence_initial=ctx.sentence_initial,
+        src_forms=tuple(token.form for token in ctx.src_tokens),
+        trg_forms=tuple(token.form for token in ctx.trg_tokens),
+        src_head_upos=ctx.src_head.upos if ctx.src_head is not None else None,
+        trg_head_upos=ctx.trg_head.upos if ctx.trg_head is not None else None,
+        src_head_lemma=ctx.src_head.lemma if ctx.src_head is not None else None,
+        trg_head_lemma=ctx.trg_head.lemma if ctx.trg_head is not None else None,
+    )
+
+
+def _built_context(sentence_initial, src_tokens, trg_tokens):
+    """A hand-built context whose heads are the first token of each side."""
+    start = 0 if sentence_initial else 1
+    span = EditSpan(start, start + len(src_tokens), tuple(t.form for t in trg_tokens))
+    edit = Edit(span, tuple(t.form for t in src_tokens), start)
+    return EditContext(edit, src_tokens, trg_tokens, src_tokens[0], trg_tokens[0])
 
 
 def _case_flip_pair(rng):
@@ -542,17 +565,11 @@ def test_criterion_5_classifier_laws():
         src_form = rng.choice(_PROPER_ENTRIES)
         trg_form = rng.choice(_PROPER_ENTRIES)
         multi = rng.random() < 0.3
-        ctx = EditContext(
-            sentence_initial=rng.random() < 0.5,
-            src_forms=(src_form,),
-            trg_forms=(trg_form, "cat") if multi else (trg_form,),
-            src_lemmas=(src_form.lower(),),
-            trg_lemmas=(trg_form.lower(), "cat") if multi else (trg_form.lower(),),
-            src_head_upos="PROPN",
-            trg_head_upos="PROPN",
-            src_head_lemma=src_form.lower(),
-            trg_head_lemma=trg_form.lower(),
-            multi_word=multi,
+        trg_tokens = (Token(0, trg_form, trg_form.lower(), "PROPN"),)
+        ctx = _built_context(
+            rng.random() < 0.5,
+            (Token(0, src_form, src_form.lower(), "PROPN"),),
+            trg_tokens + (Token(1, "cat", "cat", "NOUN"),) if multi else trg_tokens,
         )
         final = combine(
             BaseType("OTHER"),
@@ -577,17 +594,8 @@ def test_criterion_5_classifier_laws():
         else:
             s, t = rng.sample(morph_tags, 2)
         form = rng.choice(_PLAIN_ENTRIES)
-        ctx = EditContext(
-            sentence_initial=rng.random() < 0.5,
-            src_forms=(form,),
-            trg_forms=(form,),
-            src_lemmas=(form,),
-            trg_lemmas=(form,),
-            src_head_upos=s,
-            trg_head_upos=t,
-            src_head_lemma=form,
-            trg_head_lemma=form,
-            multi_word=False,
+        ctx = _built_context(
+            rng.random() < 0.5, (Token(0, form, form, s),), (Token(0, form, form, t),)
         )
         final = combine(
             BaseType("MORPH"),
@@ -635,7 +643,7 @@ def test_criterion_5_classifier_laws():
         for granularity in GRANULARITIES:
             side_checked += 1
             left_sides = [
-                classify_sercl(edit, source_sentence, corrected, granularity).left
+                classify_sercl(build_context(edit, source_sentence, corrected), granularity).left
                 for edit, corrected in variants
             ]
             if left_sides[0].tag != left_sides[1].tag:

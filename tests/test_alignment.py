@@ -8,7 +8,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import canonical_pattern, enumerated_min_cost, recursive_min_cost
+from oracles import canonical_pattern, enumerated_min_cost, ops_cost, recursive_min_cost
 from serrant.alignment import (
     DELETE,
     INSERT,
@@ -17,7 +17,6 @@ from serrant.alignment import (
     TRANSPOSE,
     align,
     merge,
-    op_cost,
 )
 from serrant.m2 import apply_edits
 
@@ -27,7 +26,7 @@ def kinds(ops):
 
 
 def total_cost(ops, src, trg, src_lemmas=None, trg_lemmas=None):
-    return sum(op_cost(op, src, trg, src_lemmas, trg_lemmas) for op in ops)
+    return ops_cost(ops, src, trg, src_lemmas, trg_lemmas)
 
 
 def test_identical_sequences_match_throughout():

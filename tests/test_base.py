@@ -25,6 +25,7 @@ from serrant.base import (
     load_wordlist,
     surface_tag,
 )
+from serrant.combine import build_context
 from serrant.errors import AnnotationMissingError, ConfigurationError
 from serrant.m2 import EditSpan
 from synthgen import Entry, annotate_entries
@@ -54,7 +55,7 @@ def one_to_one(src_entry: Entry, trg_entry: Entry, wordlist=None) -> BaseType:
     context_src = [("we", "we", "PRON", ""), src_entry, ("now", "now", "ADV", "")]
     context_trg = [("we", "we", "PRON", ""), trg_entry, ("now", "now", "ADV", "")]
     edit, src, trg = make_edit(context_src, context_trg, 1, 2, 1, 2)
-    return classify_base(edit, src, trg, wordlist)
+    return classify_base(build_context(edit, src, trg), wordlist)
 
 
 def test_surface_tag_folding():
@@ -139,7 +140,7 @@ def test_one_sided_edit_types_by_surviving_tag():
         1,
         1,
     )
-    assert classify_base(edit, src, trg) == BaseType(POS, "DET")
+    assert classify_base(build_context(edit, src, trg)) == BaseType(POS, "DET")
 
 
 def test_one_sided_edit_folds_surface_tags():
@@ -151,7 +152,7 @@ def test_one_sided_edit_folds_surface_tags():
         1,
         2,
     )
-    assert classify_base(edit, src, trg) == BaseType(POS, "PREP")
+    assert classify_base(build_context(edit, src, trg)) == BaseType(POS, "PREP")
 
 
 def test_one_sided_mixed_tags_fall_back_to_other():
@@ -163,7 +164,7 @@ def test_one_sided_mixed_tags_fall_back_to_other():
         1,
         1,
     )
-    assert classify_base(edit, src, trg) == BaseType(OTHER)
+    assert classify_base(build_context(edit, src, trg)) == BaseType(OTHER)
 
 
 def test_one_sided_conjunction_fold():
@@ -175,7 +176,7 @@ def test_one_sided_conjunction_fold():
         1,
         1,
     )
-    assert classify_base(edit, src, trg) == BaseType(POS, "CONJ")
+    assert classify_base(build_context(edit, src, trg)) == BaseType(POS, "CONJ")
 
 
 def test_orthography_beats_everything_downstream():
@@ -278,7 +279,7 @@ def test_multi_token_verbal_tense_change():
         0,
         1,
     )
-    assert classify_base(edit, src, trg) == BaseType(VERB_TENSE)
+    assert classify_base(build_context(edit, src, trg)) == BaseType(VERB_TENSE)
 
 
 def test_multi_token_shared_tag_without_tense_change():
@@ -290,7 +291,7 @@ def test_multi_token_shared_tag_without_tense_change():
         0,
         1,
     )
-    assert classify_base(edit, src, trg) == BaseType(POS, "NOUN")
+    assert classify_base(build_context(edit, src, trg)) == BaseType(POS, "NOUN")
 
 
 def test_multi_token_mixed_tags_are_other():
@@ -302,16 +303,16 @@ def test_multi_token_mixed_tags_are_other():
         0,
         2,
     )
-    assert classify_base(edit, src, trg) == BaseType(OTHER)
+    assert classify_base(build_context(edit, src, trg)) == BaseType(OTHER)
 
 
 def test_missing_annotation_is_an_error():
     edit = _bare_edit(["a"], ["b"])
     with pytest.raises(AnnotationMissingError):
-        classify_base(edit, None, annotate_entries([("b", "b", "NOUN", "")]))
+        classify_base(build_context(edit, None, annotate_entries([("b", "b", "NOUN", "")])))
 
 
 def test_empty_edit_is_rejected():
     edit = Edit(span=EditSpan(0, 0, ()), src_tokens=(), cor_start=0)
     with pytest.raises(ValueError):
-        classify_base(edit, None, None)
+        classify_base(build_context(edit, None, None))

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import serrant
 
 from conftest import GOLDEN_FLAGSHIP, golden_wordlist_words, write_golden_corpus
 from serrant.cli import main
@@ -167,3 +173,36 @@ def test_malformed_m2_is_exit_1(tmp_path, capsys):
     bad.write_text("A 0 1|||X|||y|||REQUIRED|||-NONE-|||0\n", encoding="utf-8")
     assert main(["stats", "--m2", str(bad)]) == 1
     assert "serrant:" in capsys.readouterr().err
+
+
+def run_module(*args):
+    """Run ``python -m serrant`` in a fresh interpreter; returns the finished process."""
+    env = dict(os.environ)
+    src = str(Path(serrant.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "serrant", *args], capture_output=True, text=True, env=env
+    )
+
+
+def test_python_dash_m_help():
+    done = run_module("--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: serrant")
+
+
+@pytest.mark.parametrize(
+    "m2",
+    [
+        "S The cat sat\nA 1 1|||X||||||REQUIRED|||-NONE-|||0\n",
+        "S a b c d\nA 0 2|||X|||x|||REQUIRED|||-NONE-|||0\nA 1 3|||X|||y|||REQUIRED|||-NONE-|||0\n",
+    ],
+    ids=["empty-edit", "overlapping-spans"],
+)
+def test_retype_rejects_unappliable_edits(tmp_path, m2):
+    path = tmp_path / "in.m2"
+    path.write_text(m2, encoding="utf-8")
+    done = run_module("retype", "--m2", str(path))
+    assert done.returncode == 1
+    assert done.stderr.startswith("serrant: record 0: ")
+    assert "Traceback" not in done.stderr

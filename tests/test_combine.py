@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
+from serrant.alignment import Edit
 from serrant.base import (
     MORPH,
     ORTH,
@@ -20,6 +23,7 @@ from serrant.combine import (
     build_context,
     combine,
 )
+from serrant.m2 import EditSpan
 from serrant.pipeline import classify_edit
 from serrant.sercl import (
     ARROW_UNICODE,
@@ -27,6 +31,7 @@ from serrant.sercl import (
     SerclSide,
     SerclType,
 )
+from serrant.ud import Token
 from test_base import WORDLIST, make_edit
 
 
@@ -50,20 +55,20 @@ def context(
     trg_head_upos="NOUN",
     src_head_lemma="x",
     trg_head_lemma="y",
-    multi_word=False,
 ):
-    return EditContext(
-        sentence_initial=sentence_initial,
-        src_forms=tuple(src_forms),
-        trg_forms=tuple(trg_forms),
-        src_lemmas=tuple(src_lemmas if src_lemmas is not None else src_forms),
-        trg_lemmas=tuple(trg_lemmas if trg_lemmas is not None else trg_forms),
-        src_head_upos=src_head_upos,
-        trg_head_upos=trg_head_upos,
-        src_head_lemma=src_head_lemma,
-        trg_head_lemma=trg_head_lemma,
-        multi_word=multi_word,
-    )
+    def side(forms, lemmas, head_upos, head_lemma):
+        lemmas = lemmas if lemmas is not None else forms
+        tokens = tuple(
+            Token(i, form, lemma, head_upos) for i, (form, lemma) in enumerate(zip(forms, lemmas))
+        )
+        head = Token(0, forms[0], head_lemma, head_upos) if head_upos is not None else None
+        return tokens, head
+
+    start = 0 if sentence_initial else 1
+    edit = Edit(EditSpan(start, start + len(src_forms), tuple(trg_forms)), tuple(src_forms), start)
+    src_tokens, src_head = side(src_forms, src_lemmas, src_head_upos, src_head_lemma)
+    trg_tokens, trg_head = side(trg_forms, trg_lemmas, trg_head_upos, trg_head_lemma)
+    return EditContext(edit, src_tokens, trg_tokens, src_head, trg_head)
 
 
 def pair(left, right):
@@ -138,7 +143,6 @@ def test_other_base_double_propn_collapses():
         trg_head_upos="PROPN",
         src_head_lemma="york",
         trg_head_lemma="boston",
-        multi_word=True,
     )
     got = combine(base, sercl, ctx)
     assert got == SerrantType("R", "Propn", ("WC", "MW"))
@@ -558,7 +562,6 @@ def test_word_choice_orders_before_multi_word():
         trg_head_upos="NOUN",
         src_head_lemma="door",
         trg_head_lemma="hatch",
-        multi_word=True,
     )
     assert combine(base, sercl, ctx) == SerrantType("R", "Noun", ("WC", "MW"))
 
@@ -587,12 +590,12 @@ def test_build_context_shapes():
     )
     ctx = build_context(edit, src, trg)
     assert not ctx.sentence_initial
-    assert ctx.src_forms == ("eat",)
-    assert ctx.trg_forms == ("ate",)
-    assert ctx.src_lemmas == ("eat",)
-    assert ctx.src_head_upos == "VERB"
-    assert ctx.trg_head_lemma == "eat"
-    assert not ctx.multi_word
+    assert tuple(t.form for t in ctx.src_tokens) == ("eat",)
+    assert tuple(t.form for t in ctx.trg_tokens) == ("ate",)
+    assert tuple(t.lemma for t in ctx.src_tokens) == ("eat",)
+    assert ctx.src_head.upos == "VERB"
+    assert ctx.trg_head.lemma == "eat"
+    assert not (len(ctx.src_tokens) > 1 or len(ctx.trg_tokens) > 1)
 
 
 def test_sentence_initial_flag():
@@ -605,6 +608,38 @@ def test_sentence_initial_flag():
         1,
     )
     assert build_context(edit, src, trg).sentence_initial
+
+
+def test_classify_edit_finds_each_head_once(monkeypatch):
+    real = importlib.import_module("serrant.ud").span_head
+    calls = []
+
+    def counting(sentence, start, end):
+        calls.append((sentence, start, end))
+        return real(sentence, start, end)
+
+    # every module that imported the function, not only combine, so that a
+    # second lookup anywhere on the classify path is counted too
+    for name in ("serrant.ud", "serrant.base", "serrant.sercl", "serrant.combine"):
+        module = importlib.import_module(name)
+        if getattr(module, "span_head", None) is real:
+            monkeypatch.setattr(module, "span_head", counting)
+    assert importlib.import_module("serrant.combine").span_head is counting
+    we = ("we", "we", "PRON", "")
+    eat = ("eat", "eat", "VERB", "Tense=Pres")
+    ate = ("ate", "eat", "VERB", "Tense=Past")
+    the = ("the", "the", "DET", "")
+    cases = [
+        ([we, eat], [we, ate], (1, 2, 1, 2), [("src", 1, 2), ("trg", 1, 2)]),
+        ([we, eat, the], [we, eat], (2, 3, 2, 2), [("src", 2, 3)]),
+        ([we, eat], [we, eat, the], (2, 2, 2, 3), [("trg", 2, 3)]),
+    ]
+    for src_entries, trg_entries, span, want in cases:
+        edit, src, trg = make_edit(src_entries, trg_entries, *span)
+        calls.clear()
+        classify_edit(edit, src, trg, WORDLIST, GRANULARITY_UPOS_FEATS)
+        sides = {id(src): "src", id(trg): "trg"}
+        assert [(sides[id(sentence)], start, end) for sentence, start, end in calls] == want
 
 
 def test_unknown_base_category_is_impossible():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from serrant.combine import build_context
 from serrant.errors import AnnotationMissingError
 from serrant.sercl import (
     ARROW_UNICODE,
@@ -66,7 +67,7 @@ def test_replacement_pairs_the_two_heads():
         0,
         1,
     )
-    got = classify_sercl(edit, src, trg)
+    got = classify_sercl(build_context(edit, src, trg))
     assert got == SerclType(SerclSide("NOUN"), SerclSide("PROPN"))
     assert not got.collapsed
     assert render(got) == "Noun->Propn"
@@ -81,7 +82,7 @@ def test_same_tags_collapse():
         0,
         1,
     )
-    got = classify_sercl(edit, src, trg)
+    got = classify_sercl(build_context(edit, src, trg))
     assert got.collapsed
     assert render(got) == "Verb"
 
@@ -95,7 +96,7 @@ def test_deletion_keeps_only_the_source_side():
         1,
         1,
     )
-    got = classify_sercl(edit, src, trg)
+    got = classify_sercl(build_context(edit, src, trg))
     assert got == SerclType(SerclSide("VERB"), SerclSide(None))
 
 
@@ -108,7 +109,7 @@ def test_insertion_keeps_only_the_correction_side():
         1,
         2,
     )
-    got = classify_sercl(edit, src, trg)
+    got = classify_sercl(build_context(edit, src, trg))
     assert got == SerclType(SerclSide(None), SerclSide("VERB"))
 
 
@@ -122,7 +123,7 @@ def test_multi_token_side_uses_span_head():
         0,
         1,
     )
-    got = classify_sercl(edit, src, trg)
+    got = classify_sercl(build_context(edit, src, trg))
     assert got == SerclType(SerclSide("VERB"), SerclSide("VERB"))
     assert got.collapsed
 
@@ -136,7 +137,7 @@ def test_feats_granularity_qualifies_with_differing_shared_features():
         0,
         1,
     )
-    got = classify_sercl(edit, src, trg, GRANULARITY_UPOS_FEATS)
+    got = classify_sercl(build_context(edit, src, trg), GRANULARITY_UPOS_FEATS)
     assert got == SerclType(SerclSide("NOUN", ("singular",)), SerclSide("NOUN", ("plural",)))
     assert not got.collapsed
     assert render(got) == "Noun:singular->Noun:plural"
@@ -152,7 +153,7 @@ def test_feats_granularity_ignores_one_sided_features():
         0,
         1,
     )
-    got = classify_sercl(edit, src, trg, GRANULARITY_UPOS_FEATS)
+    got = classify_sercl(build_context(edit, src, trg), GRANULARITY_UPOS_FEATS)
     assert got.collapsed
     assert render(got) == "Verb"
 
@@ -166,7 +167,7 @@ def test_feats_granularity_orders_qualifiers_by_feature_name():
         0,
         1,
     )
-    got = classify_sercl(edit, src, trg, GRANULARITY_UPOS_FEATS)
+    got = classify_sercl(build_context(edit, src, trg), GRANULARITY_UPOS_FEATS)
     # Number sorts before Tense
     assert got.left.qualifiers == ("singular", "past")
     assert got.right.qualifiers == ("plural", "present")
@@ -181,7 +182,7 @@ def test_feats_granularity_never_qualifies_one_sided_edits():
         1,
         1,
     )
-    got = classify_sercl(edit, src, trg, GRANULARITY_UPOS_FEATS)
+    got = classify_sercl(build_context(edit, src, trg), GRANULARITY_UPOS_FEATS)
     assert got == SerclType(SerclSide("VERB"), SerclSide(None))
 
 
@@ -194,7 +195,7 @@ def test_upos_granularity_drops_qualifiers():
         0,
         1,
     )
-    got = classify_sercl(edit, src, trg, GRANULARITY_UPOS)
+    got = classify_sercl(build_context(edit, src, trg), GRANULARITY_UPOS)
     assert got.collapsed
     assert render(got) == "Noun"
 
@@ -210,25 +211,25 @@ def test_source_side_is_independent_of_the_correction():
         edit, src, trg = make_edit(
             [("drive", "drive", "VERB", "")], trg_entries, 0, 1, 0, 1
         )
-        lefts.add(classify_sercl(edit, src, trg).left)
+        lefts.add(classify_sercl(build_context(edit, src, trg)).left)
     assert lefts == {SerclSide("VERB")}
 
 
 def test_empty_edit_is_rejected():
     edit, src, trg = make_edit([("a", "a", "DET", "")], [("a", "a", "DET", "")], 0, 0, 0, 0)
     with pytest.raises(ValueError):
-        classify_sercl(edit, src, trg)
+        classify_sercl(build_context(edit, src, trg))
 
 
 def test_unknown_granularity_is_rejected():
     edit, src, trg = make_edit([("a", "a", "DET", "")], [("an", "a", "DET", "")], 0, 1, 0, 1)
     with pytest.raises(ValueError):
-        classify_sercl(edit, src, trg, "chars")
+        classify_sercl(build_context(edit, src, trg), "chars")
 
 
 def test_missing_annotation_is_an_error():
     edit, src, trg = make_edit([("a", "a", "DET", "")], [("an", "a", "DET", "")], 0, 1, 0, 1)
     with pytest.raises(AnnotationMissingError):
-        classify_sercl(edit, None, trg)
+        classify_sercl(build_context(edit, None, trg))
     with pytest.raises(AnnotationMissingError):
-        classify_sercl(edit, src, None)
+        classify_sercl(build_context(edit, src, None))
