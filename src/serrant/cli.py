@@ -59,7 +59,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_annotation_flags(classify)
     _add_output_flags(classify)
     classify.add_argument("--annotator", type=int, default=0, help="annotator id for emitted edits")
-    classify.add_argument("--jobs", type=int, default=1, help="worker processes")
+    classify.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes: the corpus is cut into about four shards per worker,"
+        " and each worker parses, attaches and types its own (output is identical"
+        " for any count)",
+    )
     classify.set_defaults(handler=_run_classify)
 
     retype = sub.add_parser("retype", help="recompute the type labels of an M2 file")
@@ -105,16 +112,19 @@ def _config(args: argparse.Namespace, mode: str) -> PipelineConfig:
 
 def _run_classify(args: argparse.Namespace) -> int:
     config = _config(args, MODE_CLASSIFY)
-    inputs = PipelineInputs(
-        original=Path(args.orig).read_text(encoding="utf-8"),
-        corrected=Path(args.cor).read_text(encoding="utf-8"),
-    )
+    inputs = PipelineInputs(original=_read_verbatim(args.orig), corrected=_read_verbatim(args.cor))
     if args.jobs != 1:
         records = classify_corpus_parallel(config, inputs, args.jobs)
     else:
         records = run(config, inputs)
     _write_outputs(records, args)
     return 0
+
+
+def _read_verbatim(path: str) -> str:
+    """Read a text file keeping its line ends, so ``read_parallel`` applies its own line rules."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        return handle.read()
 
 
 def _run_retype(args: argparse.Namespace) -> int:

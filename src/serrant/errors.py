@@ -10,7 +10,15 @@ from __future__ import annotations
 
 
 class SerrantError(Exception):
-    """Base class for all input and processing errors."""
+    """Base class for all input and processing errors.
+
+    Errors cross process boundaries (``--jobs`` workers), so every subclass
+    pickles as its class, its message and its attributes, whatever its
+    constructor takes.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args, self.__dict__)
 
 
 class M2ParseError(SerrantError):
@@ -58,3 +66,10 @@ class AnnotationMissingError(SerrantError):
 
 class ConfigurationError(SerrantError):
     """The run configuration is invalid or incomplete."""
+
+
+def _restore(cls: type[SerrantError], args: tuple, state: dict) -> SerrantError:
+    error = cls.__new__(cls)
+    error.args = args
+    error.__dict__.update(state)
+    return error

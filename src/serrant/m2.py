@@ -22,6 +22,7 @@ input, while ``parse_m2(emit_m2(records))`` always returns equal records.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -194,20 +195,47 @@ def _validate_record(record: M2Record, index: int) -> None:
 
 
 def read_parallel(original: str, corrected: str) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Pair up two whitespace-tokenised one-sentence-per-line texts.
+    """Pair up two one-sentence-per-line texts, tokenised on spaces.
+
+    Lines split on ``\\n`` only, each losing one trailing ``\\r``, and
+    tokens on runs of the space character, as in M2 and CoNLL-U.
 
     Raises:
-        IngestionError: when the two texts have different line counts; the
-            message reports both counts.
+        IngestionError: when a line holds any other whitespace or line
+            break character (the message names the side, the 1-based line
+            and the character), or when the two texts have different line
+            counts (the message reports both counts).
     """
-    orig_lines = original.splitlines()
-    cor_lines = corrected.splitlines()
+    orig_lines = _text_lines(original, "original")
+    cor_lines = _text_lines(corrected, "corrected")
     if len(orig_lines) != len(cor_lines):
         raise IngestionError(
             f"parallel texts differ in length: {len(orig_lines)} original lines"
             f" vs {len(cor_lines)} corrected lines"
         )
+    # with no other whitespace left, str.split() splits on runs of spaces
     return [(tuple(o.split()), tuple(c.split())) for o, c in zip(orig_lines, cor_lines)]
+
+
+# whitespace other than the space and the line break
+_OTHER_SPACE = re.compile(r"[^\S \n]")
+
+
+def _text_lines(text: str, side: str) -> list[str]:
+    if "\r" in text:  # drop one "\r" before each line end, the end of the text included
+        text = text.replace("\r\n", "\n")
+        if text.endswith("\r"):
+            text = text[:-1] + "\n"
+    bad = _OTHER_SPACE.search(text)
+    if bad is not None:
+        line = text.count("\n", 0, bad.start()) + 1
+        raise IngestionError(
+            f"{side} text line {line}: unsupported whitespace character U+{ord(bad.group()):04X}"
+        )
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def apply_edits(

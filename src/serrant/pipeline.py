@@ -10,21 +10,40 @@ sentences by position, and checked token-by-token against the surface), and
 from the built-in fallback annotator otherwise.  In retype mode the
 corrected sentence is synthesised by applying each annotator's edits before
 annotations are looked up.
+
+``classify`` works on shards: contiguous runs of sentence pairs with the
+CoNLL-U lines that annotate them.  A serial run types the whole corpus as
+one shard; :func:`classify_corpus_parallel` hands smaller shards to worker
+processes.  ``retype`` always runs in one process.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from .alignment import Edit, align, merge
 from .base import classify_base, load_wordlist
 from .combine import SerrantType, build_context, combine
-from .errors import AttachmentError, ConfigurationError, IngestionError, M2ValidationError
+from .errors import (
+    AttachmentError,
+    ConfigurationError,
+    IngestionError,
+    M2ValidationError,
+    SerrantError,
+)
 from .m2 import M2Edit, M2Record, apply_edits, parse_m2, read_parallel
 from .sercl import ARROW_ASCII, GRANULARITIES, GRANULARITY_UPOS, classify_sercl
-from .ud import AnnotatedSentence, attach, fallback_annotate, parse_conllu
+from .ud import (
+    AnnotatedSentence,
+    attach,
+    conllu_sentence_starts,
+    fallback_annotate,
+    parse_conllu,
+)
 
 MODE_CLASSIFY = "classify"
 MODE_RETYPE = "retype"
@@ -67,18 +86,21 @@ def run(config: PipelineConfig, inputs: PipelineInputs) -> list[M2Record]:
     _check_config(config)
     wordlist = _load_wordlist(config)
     if config.mode == MODE_CLASSIFY:
-        items = _prepare_classify(config, inputs)
-        return [_classify_item(item, wordlist, config) for item in items]
+        return _classify_corpus(_read_pairs(inputs), wordlist, config)
     return _retype(config, inputs, wordlist)
 
 
 def classify_corpus_parallel(
     config: PipelineConfig, inputs: PipelineInputs, worker_count: int
 ) -> list[M2Record]:
-    """Like :func:`run`, splitting sentence work across processes.
+    """Like :func:`run`, splitting the corpus into shards typed by worker processes.
 
-    Output is identical to ``run(config, inputs)`` for any worker count;
-    sentences are independent and order is preserved.
+    The parent cuts the CoNLL-U texts at sentence boundaries without
+    parsing them; each worker parses, attaches and types its own shard.
+    Output is identical to ``run(config, inputs)`` for any worker count,
+    and so is the error raised on bad input: when the CoNLL-U sentence
+    counts disagree with the pair count, or a shard fails, the parent
+    types the corpus as one shard itself and raises what that raises.
     """
     if worker_count < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {worker_count}")
@@ -86,21 +108,22 @@ def classify_corpus_parallel(
         return run(config, inputs)
     _check_config(config)
     wordlist = _load_wordlist(config)
-    items = _prepare_classify(config, inputs)
-    chunk_size = max(1, len(items) // (worker_count * 4) or 1)
-    chunks = [
-        (items[i : i + chunk_size], wordlist, config) for i in range(0, len(items), chunk_size)
-    ]
-    records: list[M2Record] = []
-    with ProcessPoolExecutor(max_workers=worker_count) as executor:
-        for part in executor.map(_classify_chunk, chunks):
-            records.extend(part)
-    return records
+    pairs = _read_pairs(inputs)
+    shards = _cut(config, pairs, worker_count)
+    if len(shards) > 1:
+        task = partial(_classify_shard, wordlist=wordlist, config=config)
+        try:
+            # The platform's default start method: "spawn" would re-run the
+            # caller's main module in every worker, which breaks scripts
+            # that call this without an ``if __name__ == "__main__"`` guard.
+            with ProcessPoolExecutor(min(worker_count, len(shards))) as executor:
+                return [record for part in executor.map(task, shards) for record in part]
+        except SerrantError:
+            pass  # typing the corpus as one shard below raises the error in serial order
+    return _classify_corpus(pairs, wordlist, config)
 
 
 # --- shared helpers -------------------------------------------------------
-
-_ClassifyItem = tuple[tuple[str, ...], tuple[str, ...], AnnotatedSentence, AnnotatedSentence]
 
 
 def _check_config(config: PipelineConfig) -> None:
@@ -121,9 +144,18 @@ def _load_wordlist(config: PipelineConfig) -> frozenset[str] | None:
 def _annotations(
     path: str | None, token_lists: list[tuple[str, ...]], which: str
 ) -> list[AnnotatedSentence]:
-    if path is None:
+    """Annotate ``token_lists`` from the CoNLL-U file at ``path``, or with the fallback annotator."""
+    conllu = None if path is None else Path(path).read_text(encoding="utf-8")
+    return _annotations_text(conllu, token_lists, which)
+
+
+def _annotations_text(
+    conllu: str | None, token_lists: list[tuple[str, ...]], which: str
+) -> list[AnnotatedSentence]:
+    """Annotate ``token_lists`` from CoNLL-U text, or with the fallback annotator."""
+    if conllu is None:
         return [fallback_annotate(tokens) for tokens in token_lists]
-    sentences = parse_conllu(Path(path).read_text(encoding="utf-8"))
+    sentences = parse_conllu(conllu)
     if len(sentences) != len(token_lists):
         raise IngestionError(
             f"{which} annotations: {len(sentences)} sentences for {len(token_lists)} inputs"
@@ -137,22 +169,122 @@ def _annotations(
     return out
 
 
-def _prepare_classify(config: PipelineConfig, inputs: PipelineInputs) -> list[_ClassifyItem]:
+# --- classify -------------------------------------------------------------
+
+_Pair = tuple[tuple[str, ...], tuple[str, ...]]
+
+
+class _Shard(NamedTuple):
+    """Contiguous sentence pairs and the CoNLL-U text that annotates them.
+
+    ``orig`` and ``cor`` are ``None`` when that side uses the fallback
+    annotator.
+    """
+
+    pairs: list[_Pair]
+    orig: str | None
+    cor: str | None
+
+
+def _read_pairs(inputs: PipelineInputs) -> list[_Pair]:
     if inputs.original is None or inputs.corrected is None:
         raise ConfigurationError("classify mode needs both the original and the corrected text")
-    pairs = read_parallel(inputs.original, inputs.corrected)
-    src_sentences = _annotations(config.conllu_orig_path, [src for src, _ in pairs], "original")
-    trg_sentences = _annotations(config.conllu_cor_path, [trg for _, trg in pairs], "corrected")
+    return read_parallel(inputs.original, inputs.corrected)
+
+
+def _cut(config: PipelineConfig, pairs: list[_Pair], worker_count: int) -> list[_Shard]:
+    """Cut the corpus into about four shards per worker.
+
+    Returns no shards when a CoNLL-U file cannot be read or decoded, or
+    does not hold one sentence per pair, so that typing the whole corpus
+    reports the error in serial order.
+    """
+    size = max(1, len(pairs) // (worker_count * 4))
+    firsts = range(0, len(pairs), size)
+    try:
+        orig = _pieces(config.conllu_orig_path, firsts, len(pairs))
+        cor = _pieces(config.conllu_cor_path, firsts, len(pairs))
+    except (OSError, UnicodeDecodeError):
+        return []
+    if orig is None or cor is None:
+        return []
     return [
-        (src, trg, src_ann, trg_ann)
+        _Shard(pairs[first : first + size], orig_text, cor_text)
+        for first, orig_text, cor_text in zip(firsts, orig, cor)
+    ]
+
+
+def _pieces(path: str | None, firsts: range, count: int) -> list[str | None] | None:
+    """Cut a CoNLL-U file before each sentence index in ``firsts``.
+
+    The first piece starts at the top of the text and the last runs to its
+    end, so every line is parsed by exactly one piece.  ``None`` when the
+    text does not hold ``count`` sentences.
+    """
+    if path is None:
+        return [None] * len(firsts)
+    conllu = Path(path).read_text(encoding="utf-8")
+    starts = conllu_sentence_starts(conllu)
+    if len(starts) != count:
+        return None
+    cuts = [0] + [starts[first] for first in firsts[1:]]
+    return [conllu[cut:end] for cut, end in zip(cuts, cuts[1:] + [len(conllu)])]
+
+
+def _classify_corpus(
+    pairs: list[_Pair], wordlist: frozenset[str] | None, config: PipelineConfig
+) -> list[M2Record]:
+    """Type the whole corpus as one shard in this process.
+
+    Each CoNLL-U file is read as it is parsed, so that only one file's text
+    is held at a time.
+    """
+    sources = [src for src, _ in pairs]
+    targets = [trg for _, trg in pairs]
+    return _classify_pairs(
+        pairs,
+        _annotations(config.conllu_orig_path, sources, "original"),
+        _annotations(config.conllu_cor_path, targets, "corrected"),
+        wordlist,
+        config,
+    )
+
+
+def _classify_shard(
+    shard: _Shard, wordlist: frozenset[str] | None, config: PipelineConfig
+) -> list[M2Record]:
+    sources = [src for src, _ in shard.pairs]
+    targets = [trg for _, trg in shard.pairs]
+    return _classify_pairs(
+        shard.pairs,
+        _annotations_text(shard.orig, sources, "original"),
+        _annotations_text(shard.cor, targets, "corrected"),
+        wordlist,
+        config,
+    )
+
+
+def _classify_pairs(
+    pairs: list[_Pair],
+    src_sentences: list[AnnotatedSentence],
+    trg_sentences: list[AnnotatedSentence],
+    wordlist: frozenset[str] | None,
+    config: PipelineConfig,
+) -> list[M2Record]:
+    return [
+        _classify_pair(src, trg, src_ann, trg_ann, wordlist, config)
         for (src, trg), src_ann, trg_ann in zip(pairs, src_sentences, trg_sentences)
     ]
 
 
-def _classify_item(
-    item: _ClassifyItem, wordlist: frozenset[str] | None, config: PipelineConfig
+def _classify_pair(
+    src: tuple[str, ...],
+    trg: tuple[str, ...],
+    src_ann: AnnotatedSentence,
+    trg_ann: AnnotatedSentence,
+    wordlist: frozenset[str] | None,
+    config: PipelineConfig,
 ) -> M2Record:
-    src, trg, src_ann, trg_ann = item
     ops = align(
         src,
         trg,
@@ -165,13 +297,6 @@ def _classify_item(
         typed = classify_edit(edit, src_ann, trg_ann, wordlist, config.granularity)
         m2_edits.append(M2Edit(edit.span, typed.render(config.arrow), config.annotator_id))
     return M2Record(tuple(src), tuple(m2_edits))
-
-
-def _classify_chunk(
-    chunk: tuple[list[_ClassifyItem], frozenset[str] | None, PipelineConfig]
-) -> list[M2Record]:
-    items, wordlist, config = chunk
-    return [_classify_item(item, wordlist, config) for item in items]
 
 
 # --- retype ---------------------------------------------------------------

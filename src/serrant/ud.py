@@ -85,13 +85,12 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
             rows.clear()
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip():
+        if not raw or raw.isspace():  # blank, "\r" included
             flush()
             continue
-        if line.startswith("#"):
+        if raw.startswith("#"):
             continue
-        cols = line.split("\t")
+        cols = raw.rstrip("\r").split("\t")
         if len(cols) != 10:
             raise ConlluParseError(lineno, f"expected 10 columns, got {len(cols)}")
         if "-" in cols[0] or "." in cols[0]:
@@ -120,11 +119,46 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
     return sentences
 
 
+def conllu_sentence_starts(text: str) -> list[int]:
+    """Find where each sentence of :func:`parse_conllu` begins, without parsing it.
+
+    Returns one character offset per sentence that ``parse_conllu`` would
+    return: the start of the first line of the sentence's block (its
+    comments included).  Every offset follows a blank line, so parsing the
+    pieces of ``text`` cut at any of them gives the sentences of parsing
+    the whole, and a piece fails when the whole does.
+
+    The rules are those of ``parse_conllu``: lines split on ``\\n`` only,
+    whitespace-only lines are blank, ``#`` lines are comments, and a block
+    yields a sentence when it holds a row that is not a multiword range or
+    an empty node.  A malformed row counts as a word, and is left for
+    ``parse_conllu`` to reject.
+    """
+    starts: list[int] = []
+    block: int | None = None  # offset of the current block's first line
+    counted = False
+    offset = 0
+    for raw in text.split("\n"):
+        if not raw or raw.isspace():
+            block = None
+        else:
+            if block is None:
+                block, counted = offset, False
+            if not counted and not raw.startswith("#"):
+                cols = raw.rstrip("\r").split("\t")
+                if len(cols) != 10 or not ("-" in cols[0] or "." in cols[0]):
+                    starts.append(block)
+                    counted = True
+        offset += len(raw) + 1
+    return starts
+
+
 def _build_sentence(
     rows: list[tuple[int, str, str, str, dict[str, str], int, str]]
 ) -> AnnotatedSentence:
     n = len(rows)
     tokens = []
+    heads = []
     root_count = 0
     for position, (lineno, form, lemma, upos, feats, head, deprel) in enumerate(rows):
         if not 0 <= head <= n:
@@ -133,18 +167,28 @@ def _build_sentence(
             raise ConlluParseError(lineno, f"token {position + 1} heads itself")
         if head == 0:
             root_count += 1
-        tokens.append(Token(position, form, lemma, upos, feats, ROOT if head == 0 else head - 1, deprel))
+        heads.append(ROOT if head == 0 else head - 1)
+        tokens.append(Token(position, form, lemma, upos, feats, heads[-1], deprel))
     first_line = rows[0][0]
     if root_count != 1:
         raise ConlluParseError(first_line, f"sentence has {root_count} roots, expected 1")
-    for token in tokens:
-        seen = set()
-        current = token.index
-        while current != ROOT:
-            if current in seen:
+    # Walk up from each token in order until the root or a token already
+    # known to reach it.  Each token is walked past once, so the check is
+    # linear, and the first token met twice on a walk is the one that a
+    # walk from every token to the root would report.
+    visited_by = [-1] * n  # the walk that last passed each token
+    reaches_root = [False] * n
+    for start in range(n):
+        current = start
+        while current != ROOT and not reaches_root[current]:
+            if visited_by[current] == start:
                 raise ConlluParseError(first_line, f"dependency cycle through token {current + 1}")
-            seen.add(current)
-            current = tokens[current].head
+            visited_by[current] = start
+            current = heads[current]
+        current = start
+        while current != ROOT and not reaches_root[current]:
+            reaches_root[current] = True
+            current = heads[current]
     return AnnotatedSentence(tuple(tokens))
 
 

@@ -9,12 +9,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import serrant
 
 from conftest import GOLDEN_FLAGSHIP, golden_wordlist_words, write_golden_corpus
 from serrant.cli import main
 from serrant.m2 import parse_m2
+from synthgen import SyntheticCorpus
 
 
 @pytest.fixture
@@ -206,3 +209,196 @@ def test_retype_rejects_unappliable_edits(tmp_path, m2):
     assert done.returncode == 1
     assert done.stderr.startswith("serrant: record 0: ")
     assert "Traceback" not in done.stderr
+
+
+# --- the same result for any --jobs ------------------------------------------
+
+SHARDED_PAIRS = 64  # --jobs 2 cuts 8 shards of 8 pairs
+
+
+def _blocks(conllu: str) -> list[str]:
+    return conllu.rstrip("\n").split("\n\n")
+
+
+def _join(blocks: list[str]) -> str:
+    return "\n\n".join(blocks) + "\n"
+
+
+def _first_row_line(blocks: list[str], index: int) -> int:
+    """The file line number of the first row of block ``index``."""
+    return sum(block.count("\n") + 2 for block in blocks[:index]) + 1
+
+
+def _set_column(blocks: list[str], index: int, column: int, value: str) -> None:
+    rows = blocks[index].split("\n")
+    cols = rows[0].split("\t")
+    cols[column] = value
+    rows[0] = "\t".join(cols)
+    blocks[index] = "\n".join(rows)
+
+
+@pytest.fixture
+def sharded(tmp_path):
+    corpus = SyntheticCorpus(SHARDED_PAIRS, seed=23)
+    texts = {
+        "orig": corpus.orig_text,
+        "cor": corpus.cor_text,
+        "conllu_orig": corpus.conllu_orig,
+        "conllu_cor": corpus.conllu_cor,
+    }
+    return tmp_path, texts
+
+
+def _run_jobs(tmp_path, texts, jobs, capfd):
+    """Run classify on ``texts`` (a ``None`` text is a missing file)."""
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.in"
+        path.unlink(missing_ok=True)
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+    capfd.readouterr()
+    code = main(
+        [
+            "classify",
+            *("--orig", str(tmp_path / "orig.in"), "--cor", str(tmp_path / "cor.in")),
+            *("--conllu-orig", str(tmp_path / "conllu_orig.in")),
+            *("--conllu-cor", str(tmp_path / "conllu_cor.in")),
+            *("--jobs", str(jobs)),
+        ]
+    )
+    out, err = capfd.readouterr()
+    return code, out, err
+
+
+def _same_for_any_jobs(tmp_path, texts, capfd):
+    serial = _run_jobs(tmp_path, texts, 1, capfd)
+    sharded = _run_jobs(tmp_path, texts, 2, capfd)
+    assert sharded == serial
+    assert "Traceback" not in serial[2]
+    return serial
+
+
+def test_jobs_agree_on_a_clean_corpus(sharded, capfd):
+    code, out, err = _same_for_any_jobs(*sharded, capfd)
+    assert (code, err) == (0, "")
+    assert out.count("\nS ") == SHARDED_PAIRS - 1
+
+
+def test_jobs_agree_on_a_bad_row_in_the_last_shard(sharded, capfd):
+    tmp_path, texts = sharded
+    blocks = _blocks(texts["conllu_cor"])
+    _set_column(blocks, 62, 3, "BLORP")
+    texts["conllu_cor"] = _join(blocks)
+    line = _first_row_line(blocks, 62)
+    assert line > texts["conllu_cor"].count("\n") * 7 // 8
+    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
+    assert (code, err) == (1, f"serrant: line {line}: unknown UPOS tag 'BLORP'\n")
+
+
+def test_jobs_agree_on_an_extra_block(sharded, capfd):
+    tmp_path, texts = sharded
+    blocks = _blocks(texts["conllu_orig"])
+    texts["conllu_orig"] = _join(blocks + blocks[:1])
+    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
+    assert (code, err) == (
+        1,
+        f"serrant: original annotations: {SHARDED_PAIRS + 1} sentences"
+        f" for {SHARDED_PAIRS} inputs\n",
+    )
+
+
+def test_jobs_agree_on_a_form_mismatch_in_a_middle_sentence(sharded, capfd):
+    tmp_path, texts = sharded
+    blocks = _blocks(texts["conllu_cor"])
+    _set_column(blocks, 37, 1, "zzz")
+    texts["conllu_cor"] = _join(blocks)
+    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
+    assert code == 1
+    assert err.startswith("serrant: corrected sentence 37: annotation form 'zzz' != surface token ")
+
+
+def test_jobs_agree_that_the_original_side_fails_first(sharded, capfd):
+    tmp_path, texts = sharded
+    orig_blocks = _blocks(texts["conllu_orig"])
+    _set_column(orig_blocks, 60, 3, "BLORP")
+    texts["conllu_orig"] = _join(orig_blocks)
+    cor_blocks = _blocks(texts["conllu_cor"])
+    _set_column(cor_blocks, 2, 1, "zzz")
+    texts["conllu_cor"] = _join(cor_blocks)
+    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
+    line = _first_row_line(orig_blocks, 60)
+    assert (code, err) == (1, f"serrant: line {line}: unknown UPOS tag 'BLORP'\n")
+
+
+def test_jobs_agree_that_a_bad_original_beats_a_missing_corrected_file(sharded, capfd):
+    tmp_path, texts = sharded
+    blocks = _blocks(texts["conllu_orig"])
+    _set_column(blocks, 60, 3, "BLORP")
+    texts["conllu_orig"] = _join(blocks)
+    texts["conllu_cor"] = None
+    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
+    line = _first_row_line(blocks, 60)
+    assert (code, err) == (1, f"serrant: line {line}: unknown UPOS tag 'BLORP'\n")
+
+
+def test_crlf_inputs_classify_like_lf(sharded, capfd):
+    tmp_path, texts = sharded
+    lf = _run_jobs(tmp_path, texts, 1, capfd)
+    crlf = {name: text.replace("\n", "\r\n") for name, text in texts.items()}
+    assert _same_for_any_jobs(tmp_path, crlf, capfd) == lf
+    assert lf[0] == 0
+
+
+def test_a_lone_carriage_return_in_the_text_is_rejected(sharded, capfd):
+    tmp_path, texts = sharded
+    lines = texts["orig"].split("\n")
+    lines[4] = lines[4].replace(" ", "\r", 1)
+    texts["orig"] = "\n".join(lines)
+    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
+    assert (code, err) == (
+        1,
+        "serrant: original text line 5: unsupported whitespace character U+000D\n",
+    )
+
+
+_FIELD_VALUES = ["", "_", "0", "1", "99", "-1", "x y", "BLORP", "NOUN", "a=b", "a", "1-2", "1.1", "#"]
+_SPLICES = ["", "\n", "\n\n", "\t", " ", "\r", "\r\n", "\xa0", "\u2028", "\x85", "#", "x"]
+
+
+@st.composite
+def fuzzed_corpora(draw):
+    """A small synthetic corpus with up to three corrupted spots."""
+    corpus = SyntheticCorpus(draw(st.integers(0, 6)), seed=draw(st.integers(0, 10**6)))
+    texts = {
+        "orig": corpus.orig_text,
+        "cor": corpus.cor_text,
+        "conllu_orig": corpus.conllu_orig,
+        "conllu_cor": corpus.conllu_cor,
+    }
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        name = draw(st.sampled_from(sorted(texts)))
+        lines = texts[name].split("\n")
+        row = draw(st.integers(0, len(lines) - 1))
+        if name.startswith("conllu") and draw(st.booleans()):
+            cols = lines[row].split("\t")
+            cols[draw(st.integers(0, len(cols) - 1))] = draw(st.sampled_from(_FIELD_VALUES))
+            lines[row] = "\t".join(cols)
+        else:
+            at = draw(st.integers(0, len(lines[row])))
+            cut = draw(st.integers(0, 2))
+            lines[row] = lines[row][:at] + draw(st.sampled_from(_SPLICES)) + lines[row][at + cut :]
+        texts[name] = "\n".join(lines)
+    return texts
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(texts=fuzzed_corpora())
+def test_fuzzed_inputs_fail_cleanly_and_alike_for_any_jobs(tmp_path, capfd, texts):
+    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
+    assert code in (0, 1, 2)
+    assert (code == 0) == (err == "")
+    assert err == "" or err.startswith("serrant: ")

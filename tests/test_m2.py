@@ -226,6 +226,24 @@ def test_read_parallel_counts_mismatch():
     assert "2" in message and "1" in message
 
 
+def test_read_parallel_crlf_matches_lf():
+    lf = read_parallel("a  b\nc\n\n", "a\nc d\n\n")
+    assert read_parallel("a  b\r\nc\r\n\r\n", "a\r\nc d\r\n\r") == lf
+    assert lf == [(("a", "b"), ("a",)), (("c",), ("c", "d")), ((), ())]
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\x85", "\xa0", "\t", "\r"])
+@pytest.mark.parametrize("side", ["original", "corrected"])
+def test_read_parallel_rejects_other_whitespace(char, side):
+    texts = {"original": "a b\nc d\ne\n", "corrected": "a b\nc d\ne\n"}
+    texts[side] = f"a b\nc{char}d\ne\n"
+    with pytest.raises(IngestionError) as info:
+        read_parallel(texts["original"], texts["corrected"])
+    assert str(info.value) == (
+        f"{side} text line 2: unsupported whitespace character U+{ord(char):04X}"
+    )
+
+
 def test_apply_edits_replacement():
     tokens, starts = apply_edits(["I", "werk", "for", "pen"], [EditSpan(1, 2, ("work",))])
     assert tokens == ("I", "work", "for", "pen")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serrant.errors import AttachmentError, ConfigurationError, ConlluParseError
 from serrant.ud import (
@@ -13,6 +15,7 @@ from serrant.ud import (
     AnnotatedSentence,
     Token,
     attach,
+    conllu_sentence_starts,
     fallback_annotate,
     load_lexicon,
     parse_conllu,
@@ -114,6 +117,101 @@ def test_parse_rejects_cycle():
     with pytest.raises(ConlluParseError) as info:
         parse_conllu(text)
     assert "cycle" in str(info.value)
+
+
+def _cycle_by_walking_from_every_token(heads: list[int]) -> int | None:
+    """The quadratic reference: walk to the root from each token in order."""
+    for token in range(len(heads)):
+        seen = set()
+        current = token
+        while current != ROOT:
+            if current in seen:
+                return current
+            seen.add(current)
+            current = heads[current]
+    return None
+
+
+def test_cycle_check_names_the_token_the_full_walk_names():
+    rng = random.Random(5)
+    cycles = 0
+    for _ in range(3000):
+        n = rng.randint(2, 12)
+        order = rng.sample(range(n), n)  # order[0] is the root
+        heads = [ROOT] * n
+        for rank, token in enumerate(order[1:], start=1):
+            heads[token] = order[rng.randrange(rank)]
+        for _ in range(rng.randint(0, 3)):  # rewire a few heads; cycles may form
+            token = rng.choice(order[1:])
+            heads[token] = rng.choice([other for other in range(n) if other != token])
+        text = "".join(
+            f"{i + 1}\tw\tw\tNOUN\t_\t_\t{0 if head == ROOT else head + 1}\tdep\t_\t_\n"
+            for i, head in enumerate(heads)
+        )
+        expected = _cycle_by_walking_from_every_token(heads)
+        if expected is None:
+            assert len(parse_conllu(text)) == 1
+        else:
+            cycles += 1
+            with pytest.raises(ConlluParseError) as info:
+                parse_conllu(text)
+            assert str(info.value) == f"line 1: dependency cycle through token {expected + 1}"
+    assert 300 < cycles < 2700
+
+
+_SCAN_LINES = [
+    "",
+    " ",
+    "\t",
+    "\r",
+    " \r",
+    "\x0c",
+    "# sent_id = 1",
+    "#",
+    "1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_",
+    "1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\r",
+    "2\tb\tb\tNOUN\t_\t_\t1\tdep\t_\t_",
+    "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_",
+    "1.1\tx\t_\t_\t_\t_\t_\t_\t_\t_",
+    "1-2\tab",
+    "1\ta\ta\tBLORP\t_\t_\t0\troot\t_\t_",
+]
+
+
+def _parse_or_error(text: str):
+    try:
+        return parse_conllu(text), None
+    except ConlluParseError as exc:
+        return None, exc
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_SCAN_LINES), max_size=24), st.data())
+def test_sentence_starts_cut_like_parse(lines, data):
+    text = "\n".join(lines)
+    starts = conllu_sentence_starts(text)
+    whole, error = _parse_or_error(text)
+    if error is None:
+        assert len(starts) == len(whole)
+    for offset in starts:
+        assert offset == 0 or text[offset - 1] == "\n"
+    cuts = sorted(data.draw(st.sets(st.sampled_from(starts)))) if starts else []
+    firsts = [0] + [cut for cut in cuts if cut > 0]
+    ends = firsts[1:] + [len(text)]
+    pieces, piece_error = [], None
+    for offset, end in zip(firsts, ends):
+        sentences, piece_error = _parse_or_error(text[offset:end])
+        if piece_error is not None:
+            break
+        pieces.extend(sentences)
+    # a piece fails exactly when the whole fails, on the same line of the text
+    assert (piece_error is None) == (error is None)
+    if error is None:
+        assert pieces == whole
+    else:
+        line_shift = text.count("\n", 0, offset)
+        assert piece_error.line_number + line_shift == error.line_number
+        assert str(piece_error).split(": ", 1)[1] == str(error).split(": ", 1)[1]
 
 
 def test_parse_feats_column():
