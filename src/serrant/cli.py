@@ -25,6 +25,7 @@ from .pipeline import (
     PipelineConfig,
     PipelineInputs,
     classify_corpus_parallel,
+    read_input,
     run,
 )
 from .report import REPORT_FORMATS, emit_report, type_distribution
@@ -112,7 +113,10 @@ def _config(args: argparse.Namespace, mode: str) -> PipelineConfig:
 
 def _run_classify(args: argparse.Namespace) -> int:
     config = _config(args, MODE_CLASSIFY)
-    inputs = PipelineInputs(original=_read_verbatim(args.orig), corrected=_read_verbatim(args.cor))
+    # read without newline translation, so that read_parallel applies its own line rules
+    inputs = PipelineInputs(
+        original=read_input(args.orig, newline=""), corrected=read_input(args.cor, newline="")
+    )
     if args.jobs != 1:
         records = classify_corpus_parallel(config, inputs, args.jobs)
     else:
@@ -121,22 +125,16 @@ def _run_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_verbatim(path: str) -> str:
-    """Read a text file keeping its line ends, so ``read_parallel`` applies its own line rules."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        return handle.read()
-
-
 def _run_retype(args: argparse.Namespace) -> int:
     config = _config(args, MODE_RETYPE)
-    inputs = PipelineInputs(m2=Path(args.m2).read_text(encoding="utf-8"))
+    inputs = PipelineInputs(m2=read_input(args.m2))
     records = run(config, inputs)
     _write_outputs(records, args)
     return 0
 
 
 def _run_stats(args: argparse.Namespace) -> int:
-    records = parse_m2(Path(args.m2).read_text(encoding="utf-8"))
+    records = parse_m2(read_input(args.m2))
     distribution = type_distribution(records, annotator_filter=args.annotator)
     sys.stdout.write(emit_report(distribution, args.report_format))
     return 0

@@ -178,20 +178,35 @@ def emit_m2(records: Sequence[M2Record]) -> str:
 
 
 def _validate_record(record: M2Record, index: int) -> None:
-    for tok in record.source_tokens:
-        if not tok or any(c.isspace() for c in tok):
-            raise M2ValidationError(index, f"invalid source token {tok!r}")
+    if not _plain_tokens(record.source_tokens):
+        bad = next(tok for tok in record.source_tokens if not _plain_token(tok))
+        raise M2ValidationError(index, f"invalid source token {bad!r}")
     for edit in record.edits:
         span = edit.span
         if not ((span.start, span.end) == (-1, -1) or 0 <= span.start <= span.end <= len(record.source_tokens)):
             raise M2ValidationError(index, f"span {span.start} {span.end} out of range")
-        for tok in span.correction:
-            if not tok or any(c.isspace() for c in tok) or "|||" in tok:
-                raise M2ValidationError(index, f"invalid correction token {tok!r}")
+        if not _plain_tokens(span.correction) or "|||" in " ".join(span.correction):
+            bad = next(tok for tok in span.correction if not _plain_token(tok) or "|||" in tok)
+            raise M2ValidationError(index, f"invalid correction token {bad!r}")
         if "|||" in edit.type_label or "\n" in edit.type_label:
             raise M2ValidationError(index, f"invalid type label {edit.type_label!r}")
         if edit.annotator_id < 0:
             raise M2ValidationError(index, f"negative annotator id {edit.annotator_id}")
+
+
+def _plain_token(token: str) -> bool:
+    """A token is plain when it is not empty and holds no whitespace."""
+    return bool(token) and not any(c.isspace() for c in token)
+
+
+def _plain_tokens(tokens: Sequence[str]) -> bool:
+    """Whether every token is plain, checked in one step.
+
+    Joined with spaces and split on whitespace, the tokens come back
+    unchanged exactly when none is empty and none holds whitespace
+    (``str.split`` and ``str.isspace`` share one definition of whitespace).
+    """
+    return " ".join(tokens).split() == list(tokens)
 
 
 def read_parallel(original: str, corrected: str) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:

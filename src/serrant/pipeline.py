@@ -22,7 +22,6 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from typing import NamedTuple
 
 from .alignment import Edit, align, merge
@@ -135,17 +134,34 @@ def _check_config(config: PipelineConfig) -> None:
         raise ConfigurationError(f"annotator id must be >= 0, got {config.annotator_id}")
 
 
+def read_input(path: str, newline: str | None = None) -> str:
+    """Read a UTF-8 input file; ``newline`` is passed to :func:`open`.
+
+    Raises:
+        IngestionError: naming the path, the first byte that is not UTF-8
+            and its 1-based line, when the file does not decode.
+    """
+    with open(path, encoding="utf-8", newline=newline) as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise IngestionError(
+                f"{path}: not valid UTF-8: byte 0x{exc.object[exc.start]:02x} on line {line}"
+            ) from None
+
+
 def _load_wordlist(config: PipelineConfig) -> frozenset[str] | None:
     if config.wordlist_path is None:
         return None
-    return load_wordlist(Path(config.wordlist_path).read_text(encoding="utf-8"))
+    return load_wordlist(read_input(config.wordlist_path))
 
 
 def _annotations(
     path: str | None, token_lists: list[tuple[str, ...]], which: str
 ) -> list[AnnotatedSentence]:
     """Annotate ``token_lists`` from the CoNLL-U file at ``path``, or with the fallback annotator."""
-    conllu = None if path is None else Path(path).read_text(encoding="utf-8")
+    conllu = None if path is None else read_input(path)
     return _annotations_text(conllu, token_lists, which)
 
 
@@ -195,16 +211,16 @@ def _read_pairs(inputs: PipelineInputs) -> list[_Pair]:
 def _cut(config: PipelineConfig, pairs: list[_Pair], worker_count: int) -> list[_Shard]:
     """Cut the corpus into about four shards per worker.
 
-    Returns no shards when a CoNLL-U file cannot be read or decoded, or
-    does not hold one sentence per pair, so that typing the whole corpus
-    reports the error in serial order.
+    Returns no shards when a CoNLL-U file cannot be read or is not UTF-8,
+    or does not hold one sentence per pair, so that typing the whole
+    corpus reports the error in serial order.
     """
     size = max(1, len(pairs) // (worker_count * 4))
     firsts = range(0, len(pairs), size)
     try:
         orig = _pieces(config.conllu_orig_path, firsts, len(pairs))
         cor = _pieces(config.conllu_cor_path, firsts, len(pairs))
-    except (OSError, UnicodeDecodeError):
+    except (OSError, IngestionError):
         return []
     if orig is None or cor is None:
         return []
@@ -223,7 +239,7 @@ def _pieces(path: str | None, firsts: range, count: int) -> list[str | None] | N
     """
     if path is None:
         return [None] * len(firsts)
-    conllu = Path(path).read_text(encoding="utf-8")
+    conllu = read_input(path)
     starts = conllu_sentence_starts(conllu)
     if len(starts) != count:
         return None
@@ -312,7 +328,7 @@ def _retype(
         config.conllu_orig_path, [r.source_tokens for r in records], "original"
     )
     cor_sentences = (
-        parse_conllu(Path(config.conllu_cor_path).read_text(encoding="utf-8"))
+        parse_conllu(read_input(config.conllu_cor_path))
         if config.conllu_cor_path is not None
         else None
     )

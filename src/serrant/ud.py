@@ -6,6 +6,11 @@ the root points at the :data:`ROOT` sentinel.  Lemmas are lowercased on the
 way in because every lemma comparison in the classifiers is
 case-insensitive.
 
+A :class:`Token` is a named tuple, and its ``feats`` dict is read-only by
+contract: :func:`parse_conllu` parses each distinct FEATS column once and
+hands the same dict to every token that carries it, and the fallback
+annotator shares its lexicon's dicts in the same way.
+
 A small rule-plus-lexicon annotator (:func:`fallback_annotate`) provides
 annotations for tests and demos when no parser output is available.  It is
 deliberately crude and not meant for accuracy-bearing use.
@@ -13,7 +18,8 @@ deliberately crude and not meant for accuracy-bearing use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AttachmentError, ConfigurationError, ConlluParseError
 
@@ -27,18 +33,25 @@ UPOS_TAGS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One annotated word.
+
+    ``feats`` is read-only by contract: tokens parsed from equal FEATS
+    columns, tokens of the same fallback-lexicon entry, and tokens built
+    without features (the default) share one dict, so writing to it would
+    change every token that holds it.
+    """
+
     index: int
     form: str
     lemma: str
     upos: str
-    feats: dict[str, str] = field(default_factory=dict)
+    feats: dict[str, str] = {}
     head: int = ROOT
     deprel: str = "dep"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedSentence:
     tokens: tuple[Token, ...]
 
@@ -70,23 +83,23 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
     ``1-2``) and empty-node rows (ids like ``1.1``).  Every kept row must
     have 10 tab-separated columns, a contiguous integer id, a known UPOS
     tag, and an in-range head; each sentence must form a tree with exactly
-    one root.
+    one root.  Each distinct FEATS column is parsed once, and the tokens
+    that carry it share the resulting dict.
 
     Raises:
         ConlluParseError: carrying the offending 1-based line number.
     """
     sentences: list[AnnotatedSentence] = []
-    # (lineno, form, lemma, upos, feats, raw_head, deprel) per kept row
-    rows: list[tuple[int, str, str, str, dict[str, str], int, str]] = []
-
-    def flush() -> None:
-        if rows:
-            sentences.append(_build_sentence(rows))
-            rows.clear()
+    # the current sentence's tokens, heads not yet checked, and their lines
+    tokens: list[Token] = []
+    linenos: list[int] = []
+    feats_by_column: dict[str, dict[str, str]] = {}
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
         if not raw or raw.isspace():  # blank, "\r" included
-            flush()
+            if tokens:
+                sentences.append(_build_sentence(tokens, linenos))
+                tokens, linenos = [], []
             continue
         if raw.startswith("#"):
             continue
@@ -99,23 +112,28 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
             token_id = int(cols[0])
         except ValueError:
             raise ConlluParseError(lineno, f"non-integer token id {cols[0]!r}") from None
-        if token_id != len(rows) + 1:
+        if token_id != len(tokens) + 1:
             raise ConlluParseError(lineno, f"token id {token_id} not contiguous")
         form = cols[1]
         lemma = (cols[2] if cols[2] != "_" else form).lower()
         upos = cols[3]
         if upos not in UPOS_TAGS:
             raise ConlluParseError(lineno, f"unknown UPOS tag {upos!r}")
-        try:
-            feats = parse_feats(cols[5])
-        except ValueError as exc:
-            raise ConlluParseError(lineno, str(exc)) from None
+        feats = feats_by_column.get(cols[5])
+        if feats is None:
+            try:
+                feats = feats_by_column[cols[5]] = parse_feats(cols[5])
+            except ValueError as exc:
+                raise ConlluParseError(lineno, str(exc)) from None
         try:
             head = int(cols[6])
         except ValueError:
             raise ConlluParseError(lineno, f"non-integer head {cols[6]!r}") from None
-        rows.append((lineno, form, lemma, upos, feats, head, cols[7]))
-    flush()
+        # the 1-based head less one is the 0-based head, and 0 becomes ROOT
+        tokens.append(Token(token_id - 1, form, lemma, upos, feats, head - 1, cols[7]))
+        linenos.append(lineno)
+    if tokens:
+        sentences.append(_build_sentence(tokens, linenos))
     return sentences
 
 
@@ -153,23 +171,21 @@ def conllu_sentence_starts(text: str) -> list[int]:
     return starts
 
 
-def _build_sentence(
-    rows: list[tuple[int, str, str, str, dict[str, str], int, str]]
-) -> AnnotatedSentence:
-    n = len(rows)
-    tokens = []
-    heads = []
+def _build_sentence(tokens: list[Token], linenos: list[int]) -> AnnotatedSentence:
+    """Check that the tokens of one sentence form a tree, reporting the row's line."""
+    n = len(tokens)
+    heads = [token.head for token in tokens]
     root_count = 0
-    for position, (lineno, form, lemma, upos, feats, head, deprel) in enumerate(rows):
-        if not 0 <= head <= n:
-            raise ConlluParseError(lineno, f"head {head} out of range for {n} tokens")
-        if head == position + 1:
-            raise ConlluParseError(lineno, f"token {position + 1} heads itself")
-        if head == 0:
+    for position, head in enumerate(heads):
+        if not ROOT <= head < n:
+            raise ConlluParseError(
+                linenos[position], f"head {head + 1} out of range for {n} tokens"
+            )
+        if head == position:
+            raise ConlluParseError(linenos[position], f"token {position + 1} heads itself")
+        if head == ROOT:
             root_count += 1
-        heads.append(ROOT if head == 0 else head - 1)
-        tokens.append(Token(position, form, lemma, upos, feats, heads[-1], deprel))
-    first_line = rows[0][0]
+    first_line = linenos[0]
     if root_count != 1:
         raise ConlluParseError(first_line, f"sentence has {root_count} roots, expected 1")
     # Walk up from each token in order until the root or a token already
@@ -373,5 +389,5 @@ def fallback_annotate(tokens: tuple[str, ...] | list[str], lexicon: Lexicon | No
     for i, (form, (lemma, upos, feats)) in enumerate(zip(tokens, analysed)):
         head = ROOT if i == root else root
         deprel = "root" if i == root else ("punct" if upos == "PUNCT" else "dep")
-        out.append(Token(i, form, lemma, upos, dict(feats), head, deprel))
+        out.append(Token(i, form, lemma, upos, feats, head, deprel))
     return AnnotatedSentence(tuple(out))

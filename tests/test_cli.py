@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import serrant
+from serrant import ud
 
 from conftest import GOLDEN_FLAGSHIP, golden_wordlist_words, write_golden_corpus
 from serrant.cli import main
@@ -250,12 +252,19 @@ def sharded(tmp_path):
 
 
 def _run_jobs(tmp_path, texts, jobs, capfd):
-    """Run classify on ``texts`` (a ``None`` text is a missing file)."""
+    """Run classify on ``texts``.
+
+    A ``None`` text is a missing file, ``bytes`` are written as they are,
+    and a ``wordlist`` text, when present, is passed as ``--wordlist``.
+    """
     for name, text in texts.items():
         path = tmp_path / f"{name}.in"
         path.unlink(missing_ok=True)
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text, encoding="utf-8")
+    wordlist = ("--wordlist", str(tmp_path / "wordlist.in")) if "wordlist" in texts else ()
     capfd.readouterr()
     code = main(
         [
@@ -263,6 +272,7 @@ def _run_jobs(tmp_path, texts, jobs, capfd):
             *("--orig", str(tmp_path / "orig.in"), "--cor", str(tmp_path / "cor.in")),
             *("--conllu-orig", str(tmp_path / "conllu_orig.in")),
             *("--conllu-cor", str(tmp_path / "conllu_cor.in")),
+            *wordlist,
             *("--jobs", str(jobs)),
         ]
     )
@@ -361,6 +371,31 @@ def test_a_lone_carriage_return_in_the_text_is_rejected(sharded, capfd):
     )
 
 
+def _not_utf8(text: str, line: int) -> bytes:
+    """``text`` encoded, with a 0xff byte at the start of 1-based ``line``."""
+    lines = text.encode("utf-8").split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("name", ["orig", "cor", "conllu_orig", "conllu_cor", "wordlist"])
+def test_jobs_agree_on_input_that_is_not_utf8(sharded, capfd, name):
+    tmp_path, texts = sharded
+    texts["wordlist"] = "cat\ndog\nhouse\n"
+    texts[name] = _not_utf8(texts[name], 3)
+    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
+    message = f"serrant: {tmp_path / name}.in: not valid UTF-8: byte 0xff on line 3\n"
+    assert (code, err) == (1, message)
+
+
+@pytest.mark.parametrize("command", ["retype", "stats"])
+def test_m2_that_is_not_utf8_is_exit_1(tmp_path, capfd, command):
+    path = tmp_path / "in.m2"
+    path.write_bytes(_not_utf8(SyntheticCorpus(4, seed=3).untyped_m2(), 2))
+    assert main([command, "--m2", str(path)]) == 1
+    assert capfd.readouterr().err == f"serrant: {path}: not valid UTF-8: byte 0xff on line 2\n"
+
+
 _FIELD_VALUES = ["", "_", "0", "1", "99", "-1", "x y", "BLORP", "NOUN", "a=b", "a", "1-2", "1.1", "#"]
 _SPLICES = ["", "\n", "\n\n", "\t", " ", "\r", "\r\n", "\xa0", "\u2028", "\x85", "#", "x"]
 
@@ -402,3 +437,95 @@ def test_fuzzed_inputs_fail_cleanly_and_alike_for_any_jobs(tmp_path, capfd, text
     assert code in (0, 1, 2)
     assert (code == 0) == (err == "")
     assert err == "" or err.startswith("serrant: ")
+
+
+# --- M2 bytes through retype and stats ----------------------------------------
+
+_M2_FIELD_VALUES = [
+    "", "0", "1", "-1", "0 0", "1 1", "2 1", "-1 -1", "99 99", "x", "a  b", "-NONE-", "noop", "|",
+]
+_M2_SPLICES = [
+    "", "\n", "\n\n", "\r", "\r\n", " ", "  ", "\t", "\xa0", "\u2028", "\x85", "\u3000", "|||", "S ", "A ",
+]
+_NOT_UTF8 = [b"\xff", b"\xc3", b"\xe2\x80", b"\xed\xa0\x80"]
+
+
+@st.composite
+def fuzzed_m2(draw):
+    """A small untyped M2 file with up to three corrupted spots, as bytes."""
+    m2 = SyntheticCorpus(draw(st.integers(0, 5)), seed=draw(st.integers(0, 10**6))).untyped_m2()
+    lines = m2.split("\n")
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        row = draw(st.integers(0, len(lines) - 1))
+        if lines[row].startswith("A ") and draw(st.booleans()):
+            fields = lines[row][2:].split("|||")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_M2_FIELD_VALUES))
+            lines[row] = "A " + "|||".join(fields)
+        else:
+            at = draw(st.integers(0, len(lines[row])))
+            cut = draw(st.integers(0, 2))
+            splice = draw(st.sampled_from(_M2_SPLICES))
+            lines[row] = lines[row][:at] + splice + lines[row][at + cut :]
+    data = "\n".join(lines).encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_NOT_UTF8)) + data[at:]
+    return data
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=fuzzed_m2(), granularity=st.sampled_from(["upos", "upos-feats"]))
+def test_fuzzed_m2_fails_cleanly_in_retype_and_stats(tmp_path, capfd, data, granularity):
+    path = tmp_path / "in.m2"
+    path.write_bytes(data)
+    results = {}
+    for command, extra in (("retype", ["--granularity", granularity]), ("stats", [])):
+        capfd.readouterr()
+        code = main([command, "--m2", str(path), *extra])
+        _, err = capfd.readouterr()
+        assert code in (0, 1, 2)
+        assert (code == 0) == (err == "")
+        assert err == "" or err.startswith("serrant: ")
+        assert "Traceback" not in err
+        results[command] = code, err
+    if results["stats"][0] != 0:  # stats fails only when the file does not read or parse
+        assert results["retype"] == results["stats"]
+
+
+# --- shared feats are read-only -------------------------------------------------
+
+
+def _golden_outputs(golden, tmp_path) -> list[str]:
+    """M2 from classify and from retype, with and without CoNLL-U, at both granularities."""
+    outputs = []
+    for granularity in ("upos", "upos-feats"):
+        flags = ["--granularity", granularity]
+        assert main(classify_args(golden, tmp_path, *flags)) == 0
+        classified = (tmp_path / "out.m2").read_text(encoding="utf-8")
+        outputs.append(classified)
+        conllu = ["--conllu-orig", golden["conllu_orig"], "--conllu-cor", golden["conllu_cor"]]
+        for annotations in (conllu, []):
+            out = tmp_path / "retyped.m2"
+            args = ["retype", "--m2", str(tmp_path / "out.m2"), *annotations, *flags]
+            assert main([*args, "--wordlist", golden["wordlist"], "--out", str(out)]) == 0
+            outputs.append(out.read_text(encoding="utf-8"))
+    return outputs
+
+
+def test_classifiers_never_write_to_shared_feats(golden, tmp_path, monkeypatch):
+    expected = _golden_outputs(golden, tmp_path)
+    parse_feats = ud.parse_feats
+    monkeypatch.setattr(ud, "parse_feats", lambda value: MappingProxyType(parse_feats(value)))
+    lexicon = {
+        form: (lemma, upos, MappingProxyType(feats))
+        for form, (lemma, upos, feats) in ud.DEFAULT_LEXICON.items()
+    }
+    monkeypatch.setattr(ud, "DEFAULT_LEXICON", lexicon)
+    assert _golden_outputs(golden, tmp_path) == expected
+    sentence = ud.parse_conllu(Path(golden["conllu_orig"]).read_text(encoding="utf-8"))[0]
+    assert isinstance(sentence.tokens[1].feats, MappingProxyType)
+    assert isinstance(ud.fallback_annotate(["these", "cats"]).tokens[0].feats, MappingProxyType)

@@ -165,6 +165,40 @@ def test_emit_rejects_malformed_records(record):
     assert info.value.record_index == 0
 
 
+def _first_invalid_token(tokens, correction: bool):
+    """The per-character token rule of emit_m2, kept as the reference."""
+    for tok in tokens:
+        if not tok or any(c.isspace() for c in tok) or (correction and "|||" in tok):
+            return tok
+    return None
+
+
+def test_emit_token_checks_match_the_per_character_rule():
+    rng = random.Random(5)
+    pieces = ["a", "b", "|", "\xa0", "\u2028", "\x85", "\t", " "]
+
+    def tokens():
+        return tuple(
+            "".join(rng.choice(pieces) for _ in range(rng.randint(0, 3)))
+            for _ in range(rng.randint(0, 3))
+        )
+
+    for _ in range(20_000):
+        source, correction = tokens(), tokens()
+        record = M2Record(source, (M2Edit(EditSpan(0, 0, correction), "T", 0),))
+        bad_source = _first_invalid_token(source, correction=False)
+        bad_correction = _first_invalid_token(correction, correction=True)
+        if bad_source is None and bad_correction is None:
+            emit_m2([record])
+            continue
+        with pytest.raises(M2ValidationError) as info:
+            emit_m2([record])
+        if bad_source is not None:
+            assert str(info.value) == f"record 0: invalid source token {bad_source!r}"
+        else:
+            assert str(info.value) == f"record 0: invalid correction token {bad_correction!r}"
+
+
 _token = st.text(
     alphabet="abcdefgXYZ'.,-",
     min_size=1,

@@ -223,6 +223,30 @@ def test_parse_feats_column():
         parse_feats("=Sing")
 
 
+def test_token_is_a_named_tuple_without_a_dict():
+    token = Token(index=2, form="cats", lemma="cat", upos="NOUN")
+    assert Token._fields == ("index", "form", "lemma", "upos", "feats", "head", "deprel")
+    assert (token.feats, token.head, token.deprel) == ({}, ROOT, "dep")
+    assert token == Token(2, "cats", "cat", "NOUN", {}, ROOT, "dep")
+    assert not hasattr(token, "__dict__")
+
+
+def test_equal_feats_columns_share_one_dict():
+    first, second = parse_conllu(BASIC + "\n" + BASIC)
+    for a, b in zip(first.tokens, second.tokens):
+        assert a.feats is b.feats
+    assert first.tokens[1].feats == {"Number": "Plur"}
+    assert first.tokens[1].feats is not first.tokens[2].feats
+
+
+def test_malformed_feats_fail_on_their_own_line_after_a_cached_value():
+    bad = BASIC.replace("Tense=Pres|VerbForm=Fin", "Tense=Pres|VerbForm")
+    with pytest.raises(ConlluParseError) as info:
+        parse_conllu(BASIC + "\n" + bad + "\n" + bad)
+    assert info.value.line_number == 9
+    assert str(info.value) == "line 9: malformed feature pair 'VerbForm'"
+
+
 def test_synthetic_conllu_round_trips():
     rng = random.Random(11)
     for _ in range(50):
