@@ -20,8 +20,6 @@ from pathlib import Path
 from .errors import ConfigurationError, SerrantError
 from .m2 import emit_m2, parse_m2
 from .pipeline import (
-    MODE_CLASSIFY,
-    MODE_RETYPE,
     PipelineConfig,
     PipelineInputs,
     classify_corpus_parallel,
@@ -64,9 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes: the corpus is cut into about four shards per worker,"
-        " and each worker parses, attaches and types its own (output is identical"
-        " for any count)",
+        metavar="N",
+        help="up to N worker processes, at most one per usable core: the corpus is cut"
+        " into about four shards per N, and each worker parses, attaches and types"
+        " its own (output is identical for any count)",
     )
     classify.set_defaults(handler=_run_classify)
 
@@ -98,10 +97,9 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--report-format", choices=REPORT_FORMATS, default="tsv")
 
 
-def _config(args: argparse.Namespace, mode: str) -> PipelineConfig:
+def _config(args: argparse.Namespace) -> PipelineConfig:
     wordlist = args.wordlist or os.environ.get(WORDLIST_ENV) or None
     return PipelineConfig(
-        mode=mode,
         granularity=_GRANULARITY_FLAGS[args.granularity],
         wordlist_path=wordlist,
         conllu_orig_path=args.conllu_orig,
@@ -112,7 +110,7 @@ def _config(args: argparse.Namespace, mode: str) -> PipelineConfig:
 
 
 def _run_classify(args: argparse.Namespace) -> int:
-    config = _config(args, MODE_CLASSIFY)
+    config = _config(args)
     # read without newline translation, so that read_parallel applies its own line rules
     inputs = PipelineInputs(
         original=read_input(args.orig, newline=""), corrected=read_input(args.cor, newline="")
@@ -126,9 +124,7 @@ def _run_classify(args: argparse.Namespace) -> int:
 
 
 def _run_retype(args: argparse.Namespace) -> int:
-    config = _config(args, MODE_RETYPE)
-    inputs = PipelineInputs(m2=read_input(args.m2))
-    records = run(config, inputs)
+    records = run(_config(args), PipelineInputs(m2=read_input(args.m2)))
     _write_outputs(records, args)
     return 0
 

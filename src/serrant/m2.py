@@ -156,8 +156,9 @@ def emit_m2(records: Sequence[M2Record]) -> str:
     Raises:
         M2ValidationError: naming the 0-based record index, when a record
             violates the format invariants (tokens containing whitespace,
-            correction tokens containing the field separator, spans out of
-            range, negative annotator ids).
+            correction tokens containing the field separator, a correction
+            or type label ending in ``|``, a correction that is just
+            ``-NONE-``, spans out of range, negative annotator ids).
     """
     blocks = []
     for index, record in enumerate(records):
@@ -185,11 +186,23 @@ def _validate_record(record: M2Record, index: int) -> None:
         span = edit.span
         if not ((span.start, span.end) == (-1, -1) or 0 <= span.start <= span.end <= len(record.source_tokens)):
             raise M2ValidationError(index, f"span {span.start} {span.end} out of range")
-        if not _plain_tokens(span.correction) or "|||" in " ".join(span.correction):
-            bad = next(tok for tok in span.correction if not _plain_token(tok) or "|||" in tok)
+        correction = " ".join(span.correction)
+        # A field ends at the first "|||", so a trailing "|" would move into the next
+        # field, and parse_m2 reads a lone -NONE- as a deletion.
+        if (
+            not _plain_tokens(span.correction)
+            or "|||" in correction
+            or correction.endswith("|")
+            or correction == _FLAG_NONE
+        ):
+            bad = next(
+                (tok for tok in span.correction if not _plain_token(tok) or "|||" in tok),
+                span.correction[-1],
+            )
             raise M2ValidationError(index, f"invalid correction token {bad!r}")
-        if "|||" in edit.type_label or "\n" in edit.type_label:
-            raise M2ValidationError(index, f"invalid type label {edit.type_label!r}")
+        label = edit.type_label
+        if "|||" in label or "\n" in label or label.endswith("|"):
+            raise M2ValidationError(index, f"invalid type label {label!r}")
         if edit.annotator_id < 0:
             raise M2ValidationError(index, f"negative annotator id {edit.annotator_id}")
 

@@ -1,15 +1,16 @@
 """End-to-end runs: classify parallel text, or retype an existing M2 file.
 
-``classify`` extracts edits from a parallel original/corrected corpus and
-types each one.  ``retype`` keeps the edits of an M2 file untouched (spans,
-corrections, annotator ids, and any noop sentinels) and only recomputes the
-type labels.
+The inputs given choose the command.  With both texts, ``classify``
+extracts edits from the parallel original/corrected corpus and types each
+one.  With an M2 text alone, ``retype`` keeps the edits of the M2 file
+untouched (spans, corrections, annotator ids, and any noop sentinels) and
+only recomputes the type labels.
 
-Annotations come from CoNLL-U files when paths are configured (paired with
-sentences by position, and checked token-by-token against the surface), and
-from the built-in fallback annotator otherwise.  In retype mode the
-corrected sentence is synthesised by applying each annotator's edits before
-annotations are looked up.
+Both commands annotate each side the same way: from CoNLL-U files when
+paths are configured (paired with sentences by position, and checked
+token-by-token against the surface), and with the built-in fallback
+annotator otherwise.  ``retype`` synthesises each annotator's corrected
+sentence by applying their edits before it is annotated.
 
 ``classify`` works on shards: contiguous runs of sentence pairs with the
 CoNLL-U lines that annotate them.  A serial run types the whole corpus as
@@ -19,6 +20,7 @@ processes.  ``retype`` always runs in one process.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -35,7 +37,7 @@ from .errors import (
     SerrantError,
 )
 from .m2 import M2Edit, M2Record, apply_edits, parse_m2, read_parallel
-from .sercl import ARROW_ASCII, GRANULARITIES, GRANULARITY_UPOS, classify_sercl
+from .sercl import ARROW_ASCII, ARROW_UNICODE, GRANULARITIES, GRANULARITY_UPOS, classify_sercl
 from .ud import (
     AnnotatedSentence,
     attach,
@@ -44,13 +46,8 @@ from .ud import (
     parse_conllu,
 )
 
-MODE_CLASSIFY = "classify"
-MODE_RETYPE = "retype"
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
-    mode: str = MODE_CLASSIFY
     granularity: str = GRANULARITY_UPOS
     wordlist_path: str | None = None
     conllu_orig_path: str | None = None
@@ -61,7 +58,11 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineInputs:
-    """Raw input texts; which ones are required depends on the mode."""
+    """Raw input texts; the ones given choose the command.
+
+    Both ``original`` and ``corrected`` classify them; ``m2`` alone
+    retypes it.
+    """
 
     original: str | None = None
     corrected: str | None = None
@@ -83,10 +84,11 @@ def classify_edit(
 def run(config: PipelineConfig, inputs: PipelineInputs) -> list[M2Record]:
     """Run one full pass and return the resulting records."""
     _check_config(config)
+    retype = _is_retype(inputs)
     wordlist = _load_wordlist(config)
-    if config.mode == MODE_CLASSIFY:
-        return _classify_corpus(_read_pairs(inputs), wordlist, config)
-    return _retype(config, inputs, wordlist)
+    if retype:
+        return _retype(inputs.m2, wordlist, config)
+    return _classify_corpus(read_parallel(inputs.original, inputs.corrected), wordlist, config)
 
 
 def classify_corpus_parallel(
@@ -96,18 +98,20 @@ def classify_corpus_parallel(
 
     The parent cuts the CoNLL-U texts at sentence boundaries without
     parsing them; each worker parses, attaches and types its own shard.
-    Output is identical to ``run(config, inputs)`` for any worker count,
-    and so is the error raised on bad input: when the CoNLL-U sentence
-    counts disagree with the pair count, or a shard fails, the parent
-    types the corpus as one shard itself and raises what that raises.
+    The corpus is cut by ``worker_count``, but the pool starts at most one
+    worker per usable core.  Output is identical to ``run(config, inputs)``
+    for any worker count, and so is the error raised on bad input: when
+    the CoNLL-U sentence counts disagree with the pair count, or a shard
+    fails, the parent types the corpus as one shard itself and raises what
+    that raises.  An M2 input is retyped by :func:`run` in this process.
     """
     if worker_count < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {worker_count}")
-    if worker_count == 1 or config.mode != MODE_CLASSIFY:
-        return run(config, inputs)
     _check_config(config)
+    if worker_count == 1 or _is_retype(inputs):
+        return run(config, inputs)
     wordlist = _load_wordlist(config)
-    pairs = _read_pairs(inputs)
+    pairs = read_parallel(inputs.original, inputs.corrected)
     shards = _cut(config, pairs, worker_count)
     if len(shards) > 1:
         task = partial(_classify_shard, wordlist=wordlist, config=config)
@@ -115,7 +119,7 @@ def classify_corpus_parallel(
             # The platform's default start method: "spawn" would re-run the
             # caller's main module in every worker, which breaks scripts
             # that call this without an ``if __name__ == "__main__"`` guard.
-            with ProcessPoolExecutor(min(worker_count, len(shards))) as executor:
+            with ProcessPoolExecutor(min(worker_count, len(shards), _usable_cores())) as executor:
                 return [record for part in executor.map(task, shards) for record in part]
         except SerrantError:
             pass  # typing the corpus as one shard below raises the error in serial order
@@ -126,12 +130,29 @@ def classify_corpus_parallel(
 
 
 def _check_config(config: PipelineConfig) -> None:
-    if config.mode not in (MODE_CLASSIFY, MODE_RETYPE):
-        raise ConfigurationError(f"unknown mode {config.mode!r}")
     if config.granularity not in GRANULARITIES:
         raise ConfigurationError(f"unknown granularity {config.granularity!r}")
     if config.annotator_id < 0:
         raise ConfigurationError(f"annotator id must be >= 0, got {config.annotator_id}")
+    if config.arrow not in (ARROW_ASCII, ARROW_UNICODE):
+        raise ConfigurationError(f"unknown arrow {config.arrow!r}")
+
+
+def _is_retype(inputs: PipelineInputs) -> bool:
+    """True for an M2 text alone, false for both texts; any other mix is an error."""
+    texts = (inputs.original, inputs.corrected)
+    if inputs.m2 is None and None not in texts:
+        return False
+    if inputs.m2 is not None and texts == (None, None):
+        return True
+    raise ConfigurationError("give the original and the corrected text, or an M2 text alone")
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on; all of them where the platform cannot tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def read_input(path: str, newline: str | None = None) -> str:
@@ -157,32 +178,43 @@ def _load_wordlist(config: PipelineConfig) -> frozenset[str] | None:
     return load_wordlist(read_input(config.wordlist_path))
 
 
+def _read_conllu(path: str | None) -> str | None:
+    return None if path is None else read_input(path)
+
+
+def _sentences(
+    conllu: str | None, count: int, which: str
+) -> list[AnnotatedSentence] | list[None]:
+    """Parse ``count`` sentences from CoNLL-U text; ``None`` for each input when there is none."""
+    if conllu is None:
+        return [None] * count
+    sentences = parse_conllu(conllu)
+    if len(sentences) != count:
+        raise IngestionError(f"{which} annotations: {len(sentences)} sentences for {count} inputs")
+    return sentences
+
+
+def _annotate(
+    sentence: AnnotatedSentence | None, tokens: tuple[str, ...], which: str, index: int
+) -> AnnotatedSentence:
+    """Attach ``sentence`` to ``tokens``, or annotate them with the fallback annotator."""
+    if sentence is None:
+        return fallback_annotate(tokens)
+    try:
+        return attach(sentence, tokens)
+    except AttachmentError as exc:
+        raise AttachmentError(exc.index, f"{which} sentence {index}: {exc}") from None
+
+
 def _annotations(
-    path: str | None, token_lists: list[tuple[str, ...]], which: str
-) -> list[AnnotatedSentence]:
-    """Annotate ``token_lists`` from the CoNLL-U file at ``path``, or with the fallback annotator."""
-    conllu = None if path is None else read_input(path)
-    return _annotations_text(conllu, token_lists, which)
-
-
-def _annotations_text(
     conllu: str | None, token_lists: list[tuple[str, ...]], which: str
 ) -> list[AnnotatedSentence]:
     """Annotate ``token_lists`` from CoNLL-U text, or with the fallback annotator."""
-    if conllu is None:
-        return [fallback_annotate(tokens) for tokens in token_lists]
-    sentences = parse_conllu(conllu)
-    if len(sentences) != len(token_lists):
-        raise IngestionError(
-            f"{which} annotations: {len(sentences)} sentences for {len(token_lists)} inputs"
-        )
-    out = []
-    for i, (sentence, tokens) in enumerate(zip(sentences, token_lists)):
-        try:
-            out.append(attach(sentence, tokens))
-        except AttachmentError as exc:
-            raise AttachmentError(exc.index, f"{which} sentence {i}: {exc}") from None
-    return out
+    sentences = _sentences(conllu, len(token_lists), which)
+    return [
+        _annotate(sentence, tokens, which, i)
+        for i, (sentence, tokens) in enumerate(zip(sentences, token_lists))
+    ]
 
 
 # --- classify -------------------------------------------------------------
@@ -200,12 +232,6 @@ class _Shard(NamedTuple):
     pairs: list[_Pair]
     orig: str | None
     cor: str | None
-
-
-def _read_pairs(inputs: PipelineInputs) -> list[_Pair]:
-    if inputs.original is None or inputs.corrected is None:
-        raise ConfigurationError("classify mode needs both the original and the corrected text")
-    return read_parallel(inputs.original, inputs.corrected)
 
 
 def _cut(config: PipelineConfig, pairs: list[_Pair], worker_count: int) -> list[_Shard]:
@@ -237,9 +263,9 @@ def _pieces(path: str | None, firsts: range, count: int) -> list[str | None] | N
     end, so every line is parsed by exactly one piece.  ``None`` when the
     text does not hold ``count`` sentences.
     """
-    if path is None:
+    conllu = _read_conllu(path)
+    if conllu is None:
         return [None] * len(firsts)
-    conllu = read_input(path)
     starts = conllu_sentence_starts(conllu)
     if len(starts) != count:
         return None
@@ -259,8 +285,8 @@ def _classify_corpus(
     targets = [trg for _, trg in pairs]
     return _classify_pairs(
         pairs,
-        _annotations(config.conllu_orig_path, sources, "original"),
-        _annotations(config.conllu_cor_path, targets, "corrected"),
+        _annotations(_read_conllu(config.conllu_orig_path), sources, "original"),
+        _annotations(_read_conllu(config.conllu_cor_path), targets, "corrected"),
         wordlist,
         config,
     )
@@ -273,8 +299,8 @@ def _classify_shard(
     targets = [trg for _, trg in shard.pairs]
     return _classify_pairs(
         shard.pairs,
-        _annotations_text(shard.orig, sources, "original"),
-        _annotations_text(shard.cor, targets, "corrected"),
+        _annotations(shard.orig, sources, "original"),
+        _annotations(shard.cor, targets, "corrected"),
         wordlist,
         config,
     )
@@ -318,38 +344,16 @@ def _classify_pair(
 # --- retype ---------------------------------------------------------------
 
 
-def _retype(
-    config: PipelineConfig, inputs: PipelineInputs, wordlist: frozenset[str] | None
-) -> list[M2Record]:
-    if inputs.m2 is None:
-        raise ConfigurationError("retype mode needs an M2 input")
-    records = parse_m2(inputs.m2)
+def _retype(m2: str, wordlist: frozenset[str] | None, config: PipelineConfig) -> list[M2Record]:
+    records = parse_m2(m2)
     src_sentences = _annotations(
-        config.conllu_orig_path, [r.source_tokens for r in records], "original"
+        _read_conllu(config.conllu_orig_path), [r.source_tokens for r in records], "original"
     )
-    cor_sentences = (
-        parse_conllu(read_input(config.conllu_cor_path))
-        if config.conllu_cor_path is not None
-        else None
-    )
-    if cor_sentences is not None and len(cor_sentences) != len(records):
-        raise IngestionError(
-            f"corrected annotations: {len(cor_sentences)} sentences for {len(records)} records"
-        )
-
-    out = []
-    for index, record in enumerate(records):
-        out.append(
-            _retype_record(
-                record,
-                src_sentences[index],
-                cor_sentences[index] if cor_sentences is not None else None,
-                wordlist,
-                config,
-                index,
-            )
-        )
-    return out
+    cor_sentences = _sentences(_read_conllu(config.conllu_cor_path), len(records), "corrected")
+    return [
+        _retype_record(record, src, cor, wordlist, config, index)
+        for index, (record, src, cor) in enumerate(zip(records, src_sentences, cor_sentences))
+    ]
 
 
 def _retype_record(
@@ -360,6 +364,7 @@ def _retype_record(
     config: PipelineConfig,
     record_index: int,
 ) -> M2Record:
+    """Retype one record; ``cor_sentence`` is the unattached corrected CoNLL-U sentence."""
     real_positions = [i for i, e in enumerate(record.edits) if not e.span.is_noop]
     by_annotator: dict[int, list[int]] = {}
     for position in real_positions:
@@ -383,15 +388,7 @@ def _retype_record(
             cor_tokens, cor_starts = apply_edits(record.source_tokens, spans)
         except ValueError as exc:
             raise M2ValidationError(record_index, str(exc)) from None
-        if cor_sentence is not None:
-            try:
-                trg_sentence = attach(cor_sentence, cor_tokens)
-            except AttachmentError as exc:
-                raise AttachmentError(
-                    exc.index, f"corrected sentence {record_index}: {exc}"
-                ) from None
-        else:
-            trg_sentence = fallback_annotate(cor_tokens)
+        trg_sentence = _annotate(cor_sentence, cor_tokens, "corrected", record_index)
         for position, span, cor_start in zip(positions, spans, cor_starts):
             edit = Edit(span, record.source_tokens[span.start : span.end], cor_start)
             typed = classify_edit(edit, src_sentence, trg_sentence, wordlist, config.granularity)

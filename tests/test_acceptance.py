@@ -42,7 +42,6 @@ from serrant.base import BaseType, classify_base
 from serrant.combine import EditContext, build_context, combine
 from serrant.m2 import EditSpan, M2Edit, M2Record, emit_m2, parse_m2
 from serrant.pipeline import (
-    MODE_RETYPE,
     PipelineConfig,
     PipelineInputs,
     classify_corpus_parallel,
@@ -728,7 +727,6 @@ def test_criterion_7_retype_throughput(tmp_path):
     corpus = SyntheticCorpus(10000, seed=30607)
     config = _corpus_files(tmp_path, corpus)
     config = PipelineConfig(
-        mode=MODE_RETYPE,
         wordlist_path=config.wordlist_path,
         conllu_orig_path=config.conllu_orig_path,
         conllu_cor_path=config.conllu_cor_path,

@@ -213,6 +213,17 @@ def test_retype_rejects_unappliable_edits(tmp_path, m2):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_classify_rejects_a_correction_that_would_not_read_back(tmp_path, capsys, jobs):
+    # 16 pairs, so that --jobs 2 cuts shards; a trailing "|" would join the next M2 field
+    orig, cor = tmp_path / "orig.txt", tmp_path / "cor.txt"
+    orig.write_text("the cat\n" + "a dog runs\n" * 15, encoding="utf-8")
+    cor.write_text("the x|\n" + "a dog ran\n" * 15, encoding="utf-8")
+    assert main(["classify", "--orig", str(orig), "--cor", str(cor), "--jobs", jobs]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "serrant: record 0: invalid correction token 'x|'\n")
+
+
 # --- the same result for any --jobs ------------------------------------------
 
 SHARDED_PAIRS = 64  # --jobs 2 cuts 8 shards of 8 pairs

@@ -157,6 +157,22 @@ def test_emit_blocks_joined_by_single_blank_line():
             source_tokens=("a",),
             edits=(M2Edit(span=EditSpan(0, 2, ()), type_label="T", annotator_id=0),),
         ),
+        M2Record(
+            source_tokens=("a",),
+            edits=(M2Edit(span=EditSpan(0, 1, ("x|",)), type_label="T", annotator_id=0),),
+        ),
+        M2Record(
+            source_tokens=("a",),
+            edits=(M2Edit(span=EditSpan(0, 1, ("|",)), type_label="T", annotator_id=0),),
+        ),
+        M2Record(
+            source_tokens=("a",),
+            edits=(M2Edit(span=EditSpan(0, 1, ("x",)), type_label="T|", annotator_id=0),),
+        ),
+        M2Record(
+            source_tokens=("a",),
+            edits=(M2Edit(span=EditSpan(0, 1, ("-NONE-",)), type_label="T", annotator_id=0),),
+        ),
     ],
 )
 def test_emit_rejects_malformed_records(record):
@@ -165,10 +181,41 @@ def test_emit_rejects_malformed_records(record):
     assert info.value.record_index == 0
 
 
+# trailing "|" in correction tokens is covered by the per-character rule below
+@pytest.mark.parametrize(
+    "correction, label, message",
+    [
+        (("x",), "T|", "invalid type label 'T|'"),
+        (("-NONE-",), "T", "invalid correction token '-NONE-'"),
+    ],
+)
+def test_emit_names_a_label_or_correction_that_would_read_back_differently(
+    correction, label, message
+):
+    record = M2Record(("a",), (M2Edit(EditSpan(0, 1, correction), label, 0),))
+    with pytest.raises(M2ValidationError) as info:
+        emit_m2([record])
+    assert str(info.value) == f"record 0: {message}"
+
+
+def test_leading_and_inner_bars_round_trip():
+    records = [
+        M2Record(("a", "b"), (M2Edit(EditSpan(0, 1, ("|x", "a|", "y")), "|T", 0),)),
+        M2Record(("a",), (M2Edit(EditSpan(0, 1, ("||x", "-NONE-")), "", 1),)),
+    ]
+    assert parse_m2(emit_m2(records)) == records
+
+
 def _first_invalid_token(tokens, correction: bool):
-    """The per-character token rule of emit_m2, kept as the reference."""
-    for tok in tokens:
+    """The per-character token rule of emit_m2, kept as the reference.
+
+    The last correction token must not end with ``|``, which would join
+    the field separator after it.
+    """
+    for i, tok in enumerate(tokens):
         if not tok or any(c.isspace() for c in tok) or (correction and "|||" in tok):
+            return tok
+        if correction and i == len(tokens) - 1 and tok.endswith("|"):
             return tok
     return None
 

@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from conftest import GOLDEN_FLAGSHIP, write_golden_corpus
+from serrant import pipeline
 from serrant.errors import AttachmentError, ConfigurationError, IngestionError
 from serrant.m2 import M2Edit, NOOP_TYPE, emit_m2, parse_m2
 from serrant.pipeline import (
-    MODE_RETYPE,
     PipelineConfig,
     PipelineInputs,
     classify_corpus_parallel,
@@ -106,7 +106,7 @@ def test_retype_recovers_classified_labels(tmp_path, golden_wordlist):
         for record in classified
     ]
     retyped = run(
-        golden_config(paths, golden_wordlist, mode=MODE_RETYPE),
+        golden_config(paths, golden_wordlist),
         PipelineInputs(m2=emit_m2(blanked)),
     )
     assert retyped == classified
@@ -119,7 +119,7 @@ def test_retype_preserves_spans_order_and_annotators():
         "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||3\n"
         "A 1 2|||UNK||||||REQUIRED|||-NONE-|||1\n"
     )
-    records = run(PipelineConfig(mode=MODE_RETYPE), PipelineInputs(m2=m2))
+    records = run(PipelineConfig(), PipelineInputs(m2=m2))
     edits = records[0].edits
     assert [(e.span.start, e.span.end) for e in edits] == [(1, 2), (-1, -1), (1, 2)]
     assert [e.annotator_id for e in edits] == [0, 3, 1]
@@ -131,7 +131,7 @@ def test_retype_preserves_spans_order_and_annotators():
 
 def test_retype_noop_only_record_is_unchanged():
     m2 = "S all good here\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n"
-    records = run(PipelineConfig(mode=MODE_RETYPE), PipelineInputs(m2=m2))
+    records = run(PipelineConfig(), PipelineInputs(m2=m2))
     assert emit_m2(records) == m2
 
 
@@ -143,7 +143,7 @@ def test_retype_rejects_multiple_annotators_with_corrected_conllu(tmp_path, gold
         "A 3 4|||UNK|||Pen|||REQUIRED|||-NONE-|||1\n"
     )
     with pytest.raises(ConfigurationError) as info:
-        run(golden_config(paths, golden_wordlist, mode=MODE_RETYPE), PipelineInputs(m2=m2))
+        run(golden_config(paths, golden_wordlist), PipelineInputs(m2=m2))
     assert "annotator" in str(info.value)
 
 
@@ -151,7 +151,61 @@ def test_retype_conllu_count_mismatch(tmp_path, golden_wordlist):
     paths = write_golden_corpus(tmp_path, GOLDEN_FLAGSHIP)
     m2 = "S I werk for pen\nA 1 2|||UNK|||work|||REQUIRED|||-NONE-|||0\n"
     with pytest.raises(IngestionError):
-        run(golden_config(paths, golden_wordlist, mode=MODE_RETYPE), PipelineInputs(m2=m2))
+        run(golden_config(paths, golden_wordlist), PipelineInputs(m2=m2))
+
+
+def test_retype_corrected_conllu_count_mismatch(tmp_path):
+    paths = write_golden_corpus(tmp_path, GOLDEN_FLAGSHIP[:2])
+    m2 = "S I werk for pen\nA 1 2|||UNK|||work|||REQUIRED|||-NONE-|||0\n"
+    with pytest.raises(IngestionError) as info:
+        run(PipelineConfig(conllu_cor_path=paths["conllu_cor"]), PipelineInputs(m2=m2))
+    assert str(info.value) == "corrected annotations: 2 sentences for 1 inputs"
+
+
+def test_retype_corrected_attach_mismatch_names_record(tmp_path, golden_wordlist):
+    paths = write_golden_corpus(tmp_path, GOLDEN_FLAGSHIP[:1])
+    # the corrected CoNLL-U reads "Pen", but these edits leave "pen"
+    m2 = "S I werk for pen\nA 1 2|||UNK|||work|||REQUIRED|||-NONE-|||0\n"
+    with pytest.raises(AttachmentError) as info:
+        run(golden_config(paths, golden_wordlist), PipelineInputs(m2=m2))
+    assert str(info.value).startswith("corrected sentence 0: annotation form")
+    assert info.value.index == 3
+
+
+def test_m2_input_is_retyped_whatever_the_worker_count():
+    m2 = "S we eat now\nA 1 2|||UNK|||ate|||REQUIRED|||-NONE-|||0\n"
+    inputs = PipelineInputs(m2=m2)
+    assert classify_corpus_parallel(PipelineConfig(), inputs, 4) == run(PipelineConfig(), inputs)
+
+
+def test_pool_starts_at_most_one_worker_per_usable_core(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records the worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    corpus = SyntheticCorpus(100, seed=6)
+    config = PipelineConfig()
+    inputs = PipelineInputs(original=corpus.orig_text, corrected=corpus.cor_text)
+    serial = run(config, inputs)
+    for jobs in (2, 64, 5000):
+        assert classify_corpus_parallel(config, inputs, jobs) == serial
+    # 2 jobs cut 9 shards of up to 12 pairs; 64 and 5000 jobs cut 100 one-pair shards
+    assert sizes == [2, 3, 3]
 
 
 def test_parallel_run_matches_serial_run():
@@ -179,14 +233,14 @@ def test_parallel_rejects_bad_worker_count():
 @pytest.mark.parametrize(
     "config",
     [
-        PipelineConfig(mode="nonsense"),
+        PipelineConfig(arrow="=>"),
         PipelineConfig(granularity="chars"),
         PipelineConfig(annotator_id=-1),
     ],
 )
 def test_bad_configs_are_rejected(config):
     with pytest.raises(ConfigurationError):
-        run(config, PipelineInputs(original="a\n", corrected="a\n", m2="S a\n"))
+        run(config, PipelineInputs(original="a\n", corrected="a\n"))
 
 
 def test_classify_requires_both_texts():
@@ -196,7 +250,23 @@ def test_classify_requires_both_texts():
 
 def test_retype_requires_m2():
     with pytest.raises(ConfigurationError):
-        run(PipelineConfig(mode=MODE_RETYPE), PipelineInputs())
+        run(PipelineConfig(), PipelineInputs())
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        PipelineInputs(corrected="a\n"),
+        PipelineInputs(original="a\n", corrected="a\n", m2="S a\n"),
+        PipelineInputs(original="a\n", m2="S a\n"),
+    ],
+)
+def test_inputs_must_be_both_texts_or_m2_alone(inputs):
+    message = "give the original and the corrected text, or an M2 text alone"
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        run(PipelineConfig(), inputs)
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        classify_corpus_parallel(PipelineConfig(), inputs, 2)
 
 
 def test_synthetic_corpus_round_trips_through_retype():
@@ -212,5 +282,5 @@ def test_synthetic_corpus_round_trips_through_retype():
         )
         for record in classified
     ]
-    retyped = run(PipelineConfig(mode=MODE_RETYPE), PipelineInputs(m2=emit_m2(blanked)))
+    retyped = run(PipelineConfig(), PipelineInputs(m2=emit_m2(blanked)))
     assert retyped == classified

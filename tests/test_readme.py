@@ -1,0 +1,45 @@
+"""The README's library examples run and print what the README says."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def _section(title: str) -> str:
+    start = README.index(f"\n## {title}\n")
+    end = README.find("\n## ", start + 1)
+    return README[start : end if end != -1 else len(README)]
+
+
+def _blocks(section: str, language: str) -> list[str]:
+    return re.findall(rf"^```{language}\n(.*?)^```$", section, flags=re.M | re.S)
+
+
+def _quick_start_transcript() -> dict[str, str]:
+    """Each ``$ command`` of the Quick start mapped to the output shown under it."""
+    (transcript,) = _blocks(_section("Quick start"), "sh")
+    outputs = {}
+    for chunk in re.split(r"^\$ ", transcript, flags=re.M)[1:]:
+        command, _, output = chunk.partition("\n")
+        outputs[command] = output.rstrip("\n") + "\n"
+    return outputs
+
+
+def test_library_use_examples_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    transcript = _quick_start_transcript()
+    cor = transcript["cat cor.txt"]
+    (tmp_path / "orig.txt").write_text(transcript["cat orig.txt"], encoding="utf-8")
+    (tmp_path / "cor.txt").write_text(cor, encoding="utf-8")
+    (tmp_path / "words.txt").write_text("\n".join(sorted(set(cor.split()))) + "\n", encoding="utf-8")
+    (m2,) = [out for command, out in transcript.items() if command.startswith("serrant classify")]
+    monkeypatch.chdir(tmp_path)
+
+    high_level, low_level = _blocks(_section("Library use"), "python")
+    capsys.readouterr()
+    exec(compile(high_level, "README.md", "exec"), {})
+    assert capsys.readouterr().out == m2
+    exec(compile(low_level, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "1 2 R:Modal\n"
