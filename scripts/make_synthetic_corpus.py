@@ -19,8 +19,9 @@ import argparse
 import sys
 from pathlib import Path
 
-# the corpus generator lives with the test suite
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+# the corpus generator lives with the test suite and imports the package from src/
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]
 
 from synthgen import VOCAB, SyntheticCorpus  # noqa: E402
 

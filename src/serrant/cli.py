@@ -19,13 +19,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError, SerrantError
 from .m2 import emit_m2, parse_m2
-from .pipeline import (
-    PipelineConfig,
-    PipelineInputs,
-    classify_corpus_parallel,
-    read_input,
-    run,
-)
+from .pipeline import PipelineConfig, PipelineInputs, read_input, run
 from .report import REPORT_FORMATS, emit_report, type_distribution
 from .sercl import ARROW_ASCII, ARROW_UNICODE, GRANULARITY_UPOS, GRANULARITY_UPOS_FEATS
 
@@ -115,11 +109,7 @@ def _run_classify(args: argparse.Namespace) -> int:
     inputs = PipelineInputs(
         original=read_input(args.orig, newline=""), corrected=read_input(args.cor, newline="")
     )
-    if args.jobs != 1:
-        records = classify_corpus_parallel(config, inputs, args.jobs)
-    else:
-        records = run(config, inputs)
-    _write_outputs(records, args)
+    _write_outputs(run(config, inputs, args.jobs), args)
     return 0
 
 

@@ -12,15 +12,17 @@ token-by-token against the surface), and with the built-in fallback
 annotator otherwise.  ``retype`` synthesises each annotator's corrected
 sentence by applying their edits before it is annotated.
 
-``classify`` works on shards: contiguous runs of sentence pairs with the
-CoNLL-U lines that annotate them.  A serial run types the whole corpus as
-one shard; :func:`classify_corpus_parallel` hands smaller shards to worker
-processes.  ``retype`` always runs in one process.
+Both commands work on shards: contiguous runs of items (sentence pairs,
+or M2 records) with the CoNLL-U lines that annotate them.
+``run(config, inputs, worker_count=1)`` types the whole corpus as one
+shard, or with ``worker_count`` above 1 hands smaller shards to worker
+processes; :data:`classify_corpus_parallel` is another name for it.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -81,40 +83,29 @@ def classify_edit(
     return combine(classify_base(ctx, wordlist), classify_sercl(ctx, granularity), ctx)
 
 
-def run(config: PipelineConfig, inputs: PipelineInputs) -> list[M2Record]:
-    """Run one full pass and return the resulting records."""
-    _check_config(config)
-    retype = _is_retype(inputs)
-    wordlist = _load_wordlist(config)
-    if retype:
-        return _retype(inputs.m2, wordlist, config)
-    return _classify_corpus(read_parallel(inputs.original, inputs.corrected), wordlist, config)
-
-
-def classify_corpus_parallel(
-    config: PipelineConfig, inputs: PipelineInputs, worker_count: int
+def run(
+    config: PipelineConfig, inputs: PipelineInputs, worker_count: int = 1
 ) -> list[M2Record]:
-    """Like :func:`run`, splitting the corpus into shards typed by worker processes.
+    """Run one full pass and return the resulting records.
 
-    The parent cuts the CoNLL-U texts at sentence boundaries without
-    parsing them; each worker parses, attaches and types its own shard.
-    The corpus is cut by ``worker_count``, but the pool starts at most one
-    worker per usable core.  Output is identical to ``run(config, inputs)``
+    With ``worker_count`` above 1 the items are cut into shards typed by
+    worker processes: the parent cuts the CoNLL-U texts at sentence
+    boundaries without parsing them, and each worker parses, attaches and
+    types its own shard.  The items are cut by ``worker_count``, but the
+    pool starts at most one worker per usable core.  Output is identical
     for any worker count, and so is the error raised on bad input: when
-    the CoNLL-U sentence counts disagree with the pair count, or a shard
-    fails, the parent types the corpus as one shard itself and raises what
-    that raises.  An M2 input is retyped by :func:`run` in this process.
+    the CoNLL-U sentence counts disagree with the item count, or a shard
+    fails, the parent types the whole corpus as one shard itself and
+    raises what that raises.
     """
     if worker_count < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {worker_count}")
     _check_config(config)
-    if worker_count == 1 or _is_retype(inputs):
-        return run(config, inputs)
-    wordlist = _load_wordlist(config)
-    pairs = read_parallel(inputs.original, inputs.corrected)
-    shards = _cut(config, pairs, worker_count)
+    retype = _is_retype(inputs)
+    task = partial(_type_shard, retype=retype, wordlist=_load_wordlist(config), config=config)
+    items = parse_m2(inputs.m2) if retype else read_parallel(inputs.original, inputs.corrected)
+    shards = _cut(config, items, worker_count) if worker_count > 1 else []
     if len(shards) > 1:
-        task = partial(_classify_shard, wordlist=wordlist, config=config)
         try:
             # The platform's default start method: "spawn" would re-run the
             # caller's main module in every worker, which breaks scripts
@@ -123,7 +114,16 @@ def classify_corpus_parallel(
                 return [record for part in executor.map(task, shards) for record in part]
         except SerrantError:
             pass  # typing the corpus as one shard below raises the error in serial order
-    return _classify_corpus(pairs, wordlist, config)
+    # each CoNLL-U file is read when its side is parsed, so one text is held at a time
+    whole = _Shard(
+        items,
+        partial(_read_conllu, config.conllu_orig_path),
+        partial(_read_conllu, config.conllu_cor_path),
+    )
+    return task(whole)
+
+
+classify_corpus_parallel = run
 
 
 # --- shared helpers -------------------------------------------------------
@@ -206,54 +206,51 @@ def _annotate(
         raise AttachmentError(exc.index, f"{which} sentence {index}: {exc}") from None
 
 
-def _annotations(
-    conllu: str | None, token_lists: list[tuple[str, ...]], which: str
-) -> list[AnnotatedSentence]:
-    """Annotate ``token_lists`` from CoNLL-U text, or with the fallback annotator."""
-    sentences = _sentences(conllu, len(token_lists), which)
-    return [
-        _annotate(sentence, tokens, which, i)
-        for i, (sentence, tokens) in enumerate(zip(sentences, token_lists))
-    ]
-
-
-# --- classify -------------------------------------------------------------
+# --- shards ---------------------------------------------------------------
 
 _Pair = tuple[tuple[str, ...], tuple[str, ...]]
 
 
 class _Shard(NamedTuple):
-    """Contiguous sentence pairs and the CoNLL-U text that annotates them.
+    """Contiguous items and loaders of the CoNLL-U text that annotates them.
 
-    ``orig`` and ``cor`` are ``None`` when that side uses the fallback
-    annotator.
+    The items are sentence pairs or M2 records.  Each loader takes no
+    arguments and gives that side's text, or ``None`` when the side uses
+    the fallback annotator.
     """
 
-    pairs: list[_Pair]
-    orig: str | None
-    cor: str | None
+    items: list[_Pair] | list[M2Record]
+    orig: Callable[[], str | None]
+    cor: Callable[[], str | None]
 
 
-def _cut(config: PipelineConfig, pairs: list[_Pair], worker_count: int) -> list[_Shard]:
+def _cut(
+    config: PipelineConfig, items: list[_Pair] | list[M2Record], worker_count: int
+) -> list[_Shard]:
     """Cut the corpus into about four shards per worker.
 
     Returns no shards when a CoNLL-U file cannot be read or is not UTF-8,
-    or does not hold one sentence per pair, so that typing the whole
+    or does not hold one sentence per item, so that typing the whole
     corpus reports the error in serial order.
     """
-    size = max(1, len(pairs) // (worker_count * 4))
-    firsts = range(0, len(pairs), size)
+    size = max(1, len(items) // (worker_count * 4))
+    firsts = range(0, len(items), size)
     try:
-        orig = _pieces(config.conllu_orig_path, firsts, len(pairs))
-        cor = _pieces(config.conllu_cor_path, firsts, len(pairs))
+        orig = _pieces(config.conllu_orig_path, firsts, len(items))
+        cor = _pieces(config.conllu_cor_path, firsts, len(items))
     except (OSError, IngestionError):
         return []
     if orig is None or cor is None:
         return []
     return [
-        _Shard(pairs[first : first + size], orig_text, cor_text)
+        _Shard(items[first : first + size], partial(_given, orig_text), partial(_given, cor_text))
         for first, orig_text, cor_text in zip(firsts, orig, cor)
     ]
+
+
+def _given(text: str | None) -> str | None:
+    """Return ``text``; bound to a piece, it is a picklable shard loader."""
+    return text
 
 
 def _pieces(path: str | None, firsts: range, count: int) -> list[str | None] | None:
@@ -273,87 +270,62 @@ def _pieces(path: str | None, firsts: range, count: int) -> list[str | None] | N
     return [conllu[cut:end] for cut, end in zip(cuts, cuts[1:] + [len(conllu)])]
 
 
-def _classify_corpus(
-    pairs: list[_Pair], wordlist: frozenset[str] | None, config: PipelineConfig
+def _type_shard(
+    shard: _Shard, retype: bool, wordlist: frozenset[str] | None, config: PipelineConfig
 ) -> list[M2Record]:
-    """Type the whole corpus as one shard in this process.
+    """Type a shard's items in order with :func:`_retype_record` or :func:`_classify_pair`.
 
-    Each CoNLL-U file is read as it is parsed, so that only one file's text
-    is held at a time.
+    Every original sentence is annotated, and then the corrected CoNLL-U
+    is parsed, before any item is typed; each item attaches its own
+    corrected sentence.
     """
-    sources = [src for src, _ in pairs]
-    targets = [trg for _, trg in pairs]
-    return _classify_pairs(
-        pairs,
-        _annotations(_read_conllu(config.conllu_orig_path), sources, "original"),
-        _annotations(_read_conllu(config.conllu_cor_path), targets, "corrected"),
-        wordlist,
-        config,
-    )
-
-
-def _classify_shard(
-    shard: _Shard, wordlist: frozenset[str] | None, config: PipelineConfig
-) -> list[M2Record]:
-    sources = [src for src, _ in shard.pairs]
-    targets = [trg for _, trg in shard.pairs]
-    return _classify_pairs(
-        shard.pairs,
-        _annotations(shard.orig, sources, "original"),
-        _annotations(shard.cor, targets, "corrected"),
-        wordlist,
-        config,
-    )
-
-
-def _classify_pairs(
-    pairs: list[_Pair],
-    src_sentences: list[AnnotatedSentence],
-    trg_sentences: list[AnnotatedSentence],
-    wordlist: frozenset[str] | None,
-    config: PipelineConfig,
-) -> list[M2Record]:
-    return [
-        _classify_pair(src, trg, src_ann, trg_ann, wordlist, config)
-        for (src, trg), src_ann, trg_ann in zip(pairs, src_sentences, trg_sentences)
+    if retype:
+        type_item, sources = _retype_record, [record.source_tokens for record in shard.items]
+    else:
+        type_item, sources = _classify_pair, [src for src, _ in shard.items]
+    src_sentences = [
+        _annotate(sentence, tokens, "original", index)
+        for index, (sentence, tokens) in enumerate(
+            zip(_sentences(shard.orig(), len(sources), "original"), sources)
+        )
     ]
+    cor_sentences = _sentences(shard.cor(), len(sources), "corrected")
+    return [
+        type_item(item, src_sentence, cor_sentence, wordlist, config, index)
+        for index, (item, src_sentence, cor_sentence) in enumerate(
+            zip(shard.items, src_sentences, cor_sentences)
+        )
+    ]
+
+
+# --- typing one item ------------------------------------------------------
 
 
 def _classify_pair(
-    src: tuple[str, ...],
-    trg: tuple[str, ...],
-    src_ann: AnnotatedSentence,
-    trg_ann: AnnotatedSentence,
+    pair: _Pair,
+    src_sentence: AnnotatedSentence,
+    cor_sentence: AnnotatedSentence | None,
     wordlist: frozenset[str] | None,
     config: PipelineConfig,
+    index: int,
 ) -> M2Record:
+    """Align one pair and type its edits.
+
+    ``cor_sentence`` is the unattached corrected CoNLL-U sentence.
+    """
+    src, trg = pair
+    trg_sentence = _annotate(cor_sentence, trg, "corrected", index)
     ops = align(
         src,
         trg,
-        src_lemmas=[t.lemma for t in src_ann.tokens],
-        trg_lemmas=[t.lemma for t in trg_ann.tokens],
+        src_lemmas=[t.lemma for t in src_sentence.tokens],
+        trg_lemmas=[t.lemma for t in trg_sentence.tokens],
     )
-    edits = merge(ops, src, trg)
     m2_edits = []
-    for edit in edits:
-        typed = classify_edit(edit, src_ann, trg_ann, wordlist, config.granularity)
+    for edit in merge(ops, src, trg):
+        typed = classify_edit(edit, src_sentence, trg_sentence, wordlist, config.granularity)
         m2_edits.append(M2Edit(edit.span, typed.render(config.arrow), config.annotator_id))
-    return M2Record(tuple(src), tuple(m2_edits))
-
-
-# --- retype ---------------------------------------------------------------
-
-
-def _retype(m2: str, wordlist: frozenset[str] | None, config: PipelineConfig) -> list[M2Record]:
-    records = parse_m2(m2)
-    src_sentences = _annotations(
-        _read_conllu(config.conllu_orig_path), [r.source_tokens for r in records], "original"
-    )
-    cor_sentences = _sentences(_read_conllu(config.conllu_cor_path), len(records), "corrected")
-    return [
-        _retype_record(record, src, cor, wordlist, config, index)
-        for index, (record, src, cor) in enumerate(zip(records, src_sentences, cor_sentences))
-    ]
+    return M2Record(src, tuple(m2_edits))
 
 
 def _retype_record(

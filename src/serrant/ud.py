@@ -80,10 +80,11 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
     """Parse CoNLL-U text into sentences.
 
     Comment lines are skipped, as are multiword-range rows (ids like
-    ``1-2``) and empty-node rows (ids like ``1.1``).  Every kept row must
-    have 10 tab-separated columns, a contiguous integer id, a known UPOS
-    tag, and an in-range head; each sentence must form a tree with exactly
-    one root.  Each distinct FEATS column is parsed once, and the tokens
+    ``1-2``) and empty-node rows (ids like ``1.1``); an id holding ``-`` or
+    ``.`` that is not two integers around one of them is an error.  Every
+    kept row must have 10 tab-separated columns, a contiguous integer id, a
+    known UPOS tag, and an in-range head; each sentence must form a tree
+    with exactly one root.  Each distinct FEATS column is parsed once, and the tokens
     that carry it share the resulting dict.
 
     Raises:
@@ -107,6 +108,10 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
         if len(cols) != 10:
             raise ConlluParseError(lineno, f"expected 10 columns, got {len(cols)}")
         if "-" in cols[0] or "." in cols[0]:
+            if not _range_or_empty_node(cols[0]):
+                raise ConlluParseError(
+                    lineno, f"malformed multiword range or empty node id {cols[0]!r}"
+                )
             continue  # multiword ranges and empty nodes carry no tree structure
         try:
             token_id = int(cols[0])
@@ -164,11 +169,20 @@ def conllu_sentence_starts(text: str) -> list[int]:
                 block, counted = offset, False
             if not counted and not raw.startswith("#"):
                 cols = raw.rstrip("\r").split("\t")
-                if len(cols) != 10 or not ("-" in cols[0] or "." in cols[0]):
+                if len(cols) != 10 or not _range_or_empty_node(cols[0]):
                     starts.append(block)
                     counted = True
         offset += len(raw) + 1
     return starts
+
+
+def _range_or_empty_node(token_id: str) -> bool:
+    """True for a multiword-range id ``N-M`` or an empty-node id ``N.M``, both parts integers."""
+    for separator in "-.":
+        first, found, second = token_id.partition(separator)
+        if found:
+            return first.isdecimal() and second.isdecimal()
+    return False
 
 
 def _build_sentence(tokens: list[Token], linenos: list[int]) -> AnnotatedSentence:

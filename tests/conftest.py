@@ -9,8 +9,11 @@ them.
 from __future__ import annotations
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from serrant import pipeline
 
 Row = tuple[str, str, str, str, int, str]
 
@@ -260,3 +263,31 @@ def write_golden_corpus(tmp_path: Path, pairs: list[GoldenPair]) -> dict[str, st
     paths["conllu_orig"].write_text(conllu_file([p.orig_rows for p in pairs]), encoding="utf-8")
     paths["conllu_cor"].write_text(conllu_file([p.cor_rows for p in pairs]), encoding="utf-8")
     return {key: str(path) for key, path in paths.items()}
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Stand in for the pipeline's ProcessPoolExecutor, mapping in this process.
+
+    Returns an object whose ``workers`` lists the worker count of each pool
+    started and whose ``shards`` lists the number of shards each one typed.
+    """
+    started = SimpleNamespace(workers=[], shards=[])
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            started.shards.append(len(items))
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+    return started

@@ -6,7 +6,12 @@ import pytest
 
 from conftest import GOLDEN_FLAGSHIP, write_golden_corpus
 from serrant import pipeline
-from serrant.errors import AttachmentError, ConfigurationError, IngestionError
+from serrant.errors import (
+    AttachmentError,
+    ConfigurationError,
+    IngestionError,
+    M2ValidationError,
+)
 from serrant.m2 import M2Edit, NOOP_TYPE, emit_m2, parse_m2
 from serrant.pipeline import (
     PipelineConfig,
@@ -178,25 +183,7 @@ def test_m2_input_is_retyped_whatever_the_worker_count():
     assert classify_corpus_parallel(PipelineConfig(), inputs, 4) == run(PipelineConfig(), inputs)
 
 
-def test_pool_starts_at_most_one_worker_per_usable_core(monkeypatch):
-    sizes = []
-
-    class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records the worker count and maps in this process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+def test_pool_starts_at_most_one_worker_per_usable_core(monkeypatch, in_process_pool):
     monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     corpus = SyntheticCorpus(100, seed=6)
     config = PipelineConfig()
@@ -205,7 +192,63 @@ def test_pool_starts_at_most_one_worker_per_usable_core(monkeypatch):
     for jobs in (2, 64, 5000):
         assert classify_corpus_parallel(config, inputs, jobs) == serial
     # 2 jobs cut 9 shards of up to 12 pairs; 64 and 5000 jobs cut 100 one-pair shards
-    assert sizes == [2, 3, 3]
+    assert in_process_pool.workers == [2, 3, 3]
+    assert in_process_pool.shards == [9, 100, 100]
+
+
+def _retype_corpus(tmp_path):
+    """120 untyped synthetic records and the paths of both CoNLL-U files."""
+    corpus = SyntheticCorpus(120, seed=8)
+    orig, cor = tmp_path / "orig.conllu", tmp_path / "cor.conllu"
+    orig.write_text(corpus.conllu_orig, encoding="utf-8")
+    cor.write_text(corpus.conllu_cor, encoding="utf-8")
+    return corpus.untyped_m2(), str(orig), str(cor)
+
+
+def test_retype_runs_on_shards(tmp_path, in_process_pool):
+    m2, orig, _ = _retype_corpus(tmp_path)
+    config = PipelineConfig(conllu_orig_path=orig)
+    inputs = PipelineInputs(m2=m2)
+    serial = run(config, inputs)
+    assert "UNK" not in emit_m2(serial)
+    assert run(config, inputs, 4) == serial
+    assert in_process_pool.shards == [18]  # 120 records in shards of 7
+
+
+@pytest.mark.parametrize(
+    "edit_lines, both_conllu, error",
+    [
+        (
+            ["A 0 2|||UNK|||x|||REQUIRED|||-NONE-|||0", "A 1 3|||UNK|||y|||REQUIRED|||-NONE-|||0"],
+            False,
+            M2ValidationError,
+        ),
+        (
+            ["A 0 1|||UNK|||x|||REQUIRED|||-NONE-|||0", "A 1 2|||UNK|||y|||REQUIRED|||-NONE-|||1"],
+            True,
+            ConfigurationError,
+        ),
+    ],
+    ids=["overlapping-spans", "two-annotators-with-corrected-conllu"],
+)
+def test_retype_shard_errors_are_the_serial_errors(
+    tmp_path, in_process_pool, edit_lines, both_conllu, error
+):
+    m2, orig, cor = _retype_corpus(tmp_path)
+    blocks = m2.rstrip("\n").split("\n\n")
+    late = max(i for i, block in enumerate(blocks) if len(block.split("\n")[0].split()) >= 4)
+    assert late >= 100  # in the last shards of 7 records
+    blocks[late] = "\n".join([blocks[late].split("\n")[0], *edit_lines])
+    config = PipelineConfig(conllu_orig_path=orig, conllu_cor_path=cor if both_conllu else None)
+    inputs = PipelineInputs(m2="\n\n".join(blocks) + "\n")
+    with pytest.raises(error) as serial:
+        run(config, inputs)
+    with pytest.raises(error) as sharded:
+        run(config, inputs, 4)
+    assert in_process_pool.shards == [18]
+    assert type(sharded.value) is type(serial.value)
+    assert str(sharded.value) == str(serial.value)
+    assert str(serial.value).startswith(f"record {late}: ")
 
 
 def test_parallel_run_matches_serial_run():

@@ -80,12 +80,24 @@ def test_parse_skips_ranges_and_empty_nodes():
         ("1\tx\tx\tNOUN\t_\t_\tzero\troot\t_\t_\n", 1),
         ("1\tx\tx\tNOUN\t_\t_\t4\tdep\t_\t_\n", 1),
         ("1\tx\tx\tNOUN\t_\t_\t1\tdep\t_\t_\n", 1),
+        ("1.x\tx\t_\t_\t_\t_\t_\t_\t_\t_\n", 1),
+        ("2-\tx\t_\t_\t_\t_\t_\t_\t_\t_\n", 1),
+        ("-\tx\t_\t_\t_\t_\t_\t_\t_\t_\n", 1),
+        ("1-2-3\tx\t_\t_\t_\t_\t_\t_\t_\t_\n", 1),
+        ("1\tx\tx\tNOUN\t_\t_\t0\troot\t_\t_\n.1\tx\t_\t_\t_\t_\t_\t_\t_\t_\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(line, expected_lineno):
     with pytest.raises(ConlluParseError) as info:
         parse_conllu(line)
     assert info.value.line_number == expected_lineno
+
+
+@pytest.mark.parametrize("token_id", ["x-1", "1-2.1"])
+def test_parse_names_a_malformed_range_or_empty_node_id(token_id):
+    with pytest.raises(ConlluParseError) as info:
+        parse_conllu(f"{token_id}\tx\t_\t_\t_\t_\t_\t_\t_\t_\n")
+    assert str(info.value) == f"line 1: malformed multiword range or empty node id {token_id!r}"
 
 
 def test_parse_error_line_number_skips_earlier_sentences():
@@ -175,6 +187,7 @@ _SCAN_LINES = [
     "1.1\tx\t_\t_\t_\t_\t_\t_\t_\t_",
     "1-2\tab",
     "1\ta\ta\tBLORP\t_\t_\t0\troot\t_\t_",
+    "1.x\tx\t_\t_\t_\t_\t_\t_\t_\t_",
 ]
 
 
