@@ -4,8 +4,9 @@ The result is an operation prefix (``M`` missing, ``U`` unnecessary, ``R``
 replacement), a body, and optional suffixes, rendered as
 ``<OP>:<Body>[:<Suffix>...]``.
 
-This module also owns the per-edit facts.  :func:`build_context` slices the
-annotated tokens of each side once, finds each non-empty side's span head
+This module also owns the per-edit facts.  :func:`build_context` builds the
+tokens of each side's span once (the only tokens built from a sentence's
+columns besides the span heads), finds each non-empty side's span head
 once, and rejects edits that are empty or lack an annotation; the base
 cascade, the SErCl classifier and :func:`combine` all read that one
 :class:`EditContext`.
@@ -135,7 +136,10 @@ def _side(
         return (), None
     if sentence is None:
         raise AnnotationMissingError(f"no annotation for the {which} sentence")
-    return sentence.tokens[start:end], span_head(sentence, start, end)
+    head = span_head(sentence, start, end)  # rejects a span outside the sentence
+    if end - start == 1:  # most spans: the head is the span's one token
+        return (head,), head
+    return tuple(map(sentence.token, range(start, end))), head
 
 
 def combine(base: BaseType, sercl: SerclType, ctx: EditContext) -> SerrantType:

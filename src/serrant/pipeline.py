@@ -315,12 +315,7 @@ def _classify_pair(
     """
     src, trg = pair
     trg_sentence = _annotate(cor_sentence, trg, "corrected", index)
-    ops = align(
-        src,
-        trg,
-        src_lemmas=[t.lemma for t in src_sentence.tokens],
-        trg_lemmas=[t.lemma for t in trg_sentence.tokens],
-    )
+    ops = align(src, trg, src_lemmas=src_sentence.lemmas, trg_lemmas=trg_sentence.lemmas)
     m2_edits = []
     for edit in merge(ops, src, trg):
         typed = classify_edit(edit, src_sentence, trg_sentence, wordlist, config.granularity)

@@ -1,15 +1,25 @@
 """Universal Dependencies annotations: CoNLL-U parsing and span heads.
 
 Only the columns this package consumes are modelled: form, lemma, UPOS tag,
-morphological features, and the dependency head.  Heads are stored 0-based;
-the root points at the :data:`ROOT` sentinel.  Lemmas are lowercased on the
-way in because every lemma comparison in the classifiers is
-case-insensitive.
+morphological features, the dependency head and its relation.  Heads are
+stored 0-based; the root points at the :data:`ROOT` sentinel.  Lemmas are
+lowercased on the way in because every lemma comparison in the classifiers
+is case-insensitive.
 
-A :class:`Token` is a named tuple, and its ``feats`` dict is read-only by
-contract: :func:`parse_conllu` parses each distinct FEATS column once and
-hands the same dict to every token that carries it, and the fallback
-annotator shares its lexicon's dicts in the same way.
+An :class:`AnnotatedSentence` holds one tuple per column: ``forms``,
+``lemmas``, ``upos``, ``feats``, ``heads`` and ``deprels``, where position
+``i`` of each describes word ``i``.  Each distinct UPOS tag and DEPREL value
+is held as one shared string, and each distinct FEATS value as one shared
+dict that is read-only by contract: :func:`parse_conllu` parses each
+distinct FEATS column once per text and hands the same dict to every word
+that carries it, and the fallback annotator shares its lexicon's dicts in
+the same way.  A :class:`Token` is the named-tuple view of one word, built
+on demand: the classifiers build them only for the words of edited spans,
+and :func:`span_head` builds one for the head it finds.
+
+:func:`parse_conllu` reads a text in chunks of several hundred rows, each
+cut after a blank line, and checks and slices each chunk column by column.
+A chunk that fails a check is walked row by row to name its first error.
 
 A small rule-plus-lexicon annotator (:func:`fallback_annotate`) provides
 annotations for tests and demos when no parser output is available.  It is
@@ -18,8 +28,12 @@ deliberately crude and not meant for accuracy-bearing use.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import chain, repeat
+from operator import eq, gt, sub
+from typing import NamedTuple, NoReturn
 
 from .errors import AttachmentError, ConfigurationError, ConlluParseError
 
@@ -31,6 +45,7 @@ UPOS_TAGS = frozenset(
         "PART", "PRON", "PROPN", "PUNCT", "SCONJ", "SYM", "VERB", "X",
     }
 )
+_SHARED_UPOS = {tag: tag for tag in UPOS_TAGS}
 
 
 class Token(NamedTuple):
@@ -53,14 +68,43 @@ class Token(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class AnnotatedSentence:
-    tokens: tuple[Token, ...]
+    """One sentence's annotation, one tuple per column, all of equal length.
+
+    :func:`parse_conllu` and :func:`fallback_annotate` build them;
+    :meth:`token` and :attr:`tokens` give the :class:`Token` view.
+    """
+
+    forms: tuple[str, ...]
+    lemmas: tuple[str, ...]
+    upos: tuple[str, ...]
+    feats: tuple[dict[str, str], ...]
+    heads: tuple[int, ...]
+    deprels: tuple[str, ...]
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.forms)
+
+    def token(self, index: int) -> Token:
+        """Word ``index`` as a :class:`Token`."""
+        # tuple.__new__ skips the named tuple's Python-level __new__, which
+        # costs more than the rest of this call
+        return tuple.__new__(
+            Token,
+            (
+                index,
+                self.forms[index],
+                self.lemmas[index],
+                self.upos[index],
+                self.feats[index],
+                self.heads[index],
+                self.deprels[index],
+            ),
+        )
 
     @property
-    def forms(self) -> tuple[str, ...]:
-        return tuple(t.form for t in self.tokens)
+    def tokens(self) -> tuple[Token, ...]:
+        """Every word as a :class:`Token`."""
+        return tuple(map(self.token, range(len(self.forms))))
 
 
 def parse_feats(value: str) -> dict[str, str]:
@@ -76,69 +120,39 @@ def parse_feats(value: str) -> dict[str, str]:
     return feats
 
 
+# Characters per chunk before the cut at the next blank line: several
+# hundred rows, so that a chunk's field strings stay a small part of the
+# memory its sentences take.
+_CHUNK_CHARS = 1 << 15
+# a line that ``str.isspace`` calls blank, with the line breaks around it
+_BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
+
+
 def parse_conllu(text: str) -> list[AnnotatedSentence]:
     """Parse CoNLL-U text into sentences.
 
+    Lines split on ``\\n`` only, and whitespace-only lines are blank.
     Comment lines are skipped, as are multiword-range rows (ids like
     ``1-2``) and empty-node rows (ids like ``1.1``); an id holding ``-`` or
     ``.`` that is not two integers around one of them is an error.  Every
-    kept row must have 10 tab-separated columns, a contiguous integer id, a
-    known UPOS tag, and an in-range head; each sentence must form a tree
-    with exactly one root.  Each distinct FEATS column is parsed once, and the tokens
-    that carry it share the resulting dict.
+    kept row must have 10 tab-separated columns, a contiguous id, a known
+    UPOS tag, and an in-range head; ids and heads are ASCII digits.  Each
+    sentence must form a tree with exactly one root.  Each distinct FEATS
+    column is parsed once, and the words that carry it share the
+    resulting dict.
 
     Raises:
         ConlluParseError: carrying the offending 1-based line number.
     """
     sentences: list[AnnotatedSentence] = []
-    # the current sentence's tokens, heads not yet checked, and their lines
-    tokens: list[Token] = []
-    linenos: list[int] = []
-    feats_by_column: dict[str, dict[str, str]] = {}
-
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        if not raw or raw.isspace():  # blank, "\r" included
-            if tokens:
-                sentences.append(_build_sentence(tokens, linenos))
-                tokens, linenos = [], []
-            continue
-        if raw.startswith("#"):
-            continue
-        cols = raw.rstrip("\r").split("\t")
-        if len(cols) != 10:
-            raise ConlluParseError(lineno, f"expected 10 columns, got {len(cols)}")
-        if "-" in cols[0] or "." in cols[0]:
-            if not _range_or_empty_node(cols[0]):
-                raise ConlluParseError(
-                    lineno, f"malformed multiword range or empty node id {cols[0]!r}"
-                )
-            continue  # multiword ranges and empty nodes carry no tree structure
-        try:
-            token_id = int(cols[0])
-        except ValueError:
-            raise ConlluParseError(lineno, f"non-integer token id {cols[0]!r}") from None
-        if token_id != len(tokens) + 1:
-            raise ConlluParseError(lineno, f"token id {token_id} not contiguous")
-        form = cols[1]
-        lemma = (cols[2] if cols[2] != "_" else form).lower()
-        upos = cols[3]
-        if upos not in UPOS_TAGS:
-            raise ConlluParseError(lineno, f"unknown UPOS tag {upos!r}")
-        feats = feats_by_column.get(cols[5])
-        if feats is None:
-            try:
-                feats = feats_by_column[cols[5]] = parse_feats(cols[5])
-            except ValueError as exc:
-                raise ConlluParseError(lineno, str(exc)) from None
-        try:
-            head = int(cols[6])
-        except ValueError:
-            raise ConlluParseError(lineno, f"non-integer head {cols[6]!r}") from None
-        # the 1-based head less one is the 0-based head, and 0 becomes ROOT
-        tokens.append(Token(token_id - 1, form, lemma, upos, feats, head - 1, cols[7]))
-        linenos.append(lineno)
-    if tokens:
-        sentences.append(_build_sentence(tokens, linenos))
+    feats_by_value: dict[str, dict[str, str]] = {}
+    deprel_by_value: dict[str, str] = {}
+    for _, first_line, lines in _chunks(text):
+        rows, _, ends = _blocks(lines)
+        parsed = _parse_rows(rows, ends, feats_by_value, deprel_by_value)
+        if parsed is None:
+            _raise_first_error(lines, first_line)
+        sentences += parsed
     return sentences
 
 
@@ -151,29 +165,69 @@ def conllu_sentence_starts(text: str) -> list[int]:
     pieces of ``text`` cut at any of them gives the sentences of parsing
     the whole, and a piece fails when the whole does.
 
-    The rules are those of ``parse_conllu``: lines split on ``\\n`` only,
-    whitespace-only lines are blank, ``#`` lines are comments, and a block
-    yields a sentence when it holds a row that is not a multiword range or
-    an empty node.  A malformed row counts as a word, and is left for
+    The line pass is the one ``parse_conllu`` makes: a block yields a
+    sentence when it holds a row that is not a multiword range or an empty
+    node.  A malformed row counts as a word, and is left for
     ``parse_conllu`` to reject.
     """
     starts: list[int] = []
-    block: int | None = None  # offset of the current block's first line
-    counted = False
-    offset = 0
-    for raw in text.split("\n"):
-        if not raw or raw.isspace():
-            block = None
-        else:
-            if block is None:
-                block, counted = offset, False
-            if not counted and not raw.startswith("#"):
-                cols = raw.rstrip("\r").split("\t")
-                if len(cols) != 10 or not _range_or_empty_node(cols[0]):
-                    starts.append(block)
-                    counted = True
-        offset += len(raw) + 1
+    for offset, _, lines in _chunks(text):
+        rows, firsts, ends = _blocks(lines)
+        line = 0  # the line ``offset`` starts
+        for first, start, end in zip(firsts, [0, *ends], ends):
+            offset += sum(map(len, lines[line:first])) + first - line
+            line = first
+            if any(map(_is_word, rows[start:end])):
+                starts.append(offset)
     return starts
+
+
+def _chunks(text: str) -> Iterator[tuple[int, int, list[str]]]:
+    """Cut ``text`` after the first blank line past every ``_CHUNK_CHARS`` characters.
+
+    Yields each piece's character offset, the 1-based number of its first
+    line, and its lines.  No block of non-blank lines spans two pieces.
+    """
+    start, first_line = 0, 1
+    while True:
+        blank = _BLANK_LINE.search(text, start + _CHUNK_CHARS)
+        end = len(text) if blank is None else blank.end() - 1
+        lines = text[start:end].split("\n")
+        yield start, first_line, lines
+        if blank is None:
+            return
+        start, first_line = end + 1, first_line + len(lines)
+
+
+def _blocks(lines: list[str]) -> tuple[list[str], list[int], list[int]]:
+    """Find the rows of ``lines`` and the blocks of non-blank lines that hold them.
+
+    A row is a line that is neither blank nor a ``#`` comment.  Returns the
+    rows, and for each block that holds one, the index of its first line
+    and the number of rows up to its end.
+    """
+    rows: list[str] = []
+    firsts: list[int] = []
+    ends: list[int] = []
+    first = -1  # the open block's first line; -1 between blocks
+    for index, line in enumerate(chain(lines, [""])):  # the added blank line ends the last block
+        if not line or line.isspace():  # blank, "\r" included
+            if first >= 0 and len(rows) > (ends[-1] if ends else 0):
+                firsts.append(first)
+                ends.append(len(rows))
+            first = -1
+        else:
+            if first < 0:
+                first = index
+            if line[0] != "#":
+                rows.append(line)
+    return rows, firsts, ends
+
+
+def _is_word(row: str) -> bool:
+    """False for a multiword-range or empty-node row: 10 columns and an id ``N-M`` or ``N.M``."""
+    token_id, _, rest = row.partition("\t")
+    return rest.count("\t") != 8 or not _range_or_empty_node(token_id)
 
 
 def _range_or_empty_node(token_id: str) -> bool:
@@ -181,14 +235,154 @@ def _range_or_empty_node(token_id: str) -> bool:
     for separator in "-.":
         first, found, second = token_id.partition(separator)
         if found:
-            return first.isdecimal() and second.isdecimal()
+            return _digits(first) and _digits(second)
     return False
 
 
-def _build_sentence(tokens: list[Token], linenos: list[int]) -> AnnotatedSentence:
-    """Check that the tokens of one sentence form a tree, reporting the row's line."""
-    n = len(tokens)
-    heads = [token.head for token in tokens]
+def _digits(value: str) -> bool:
+    """True for a non-empty run of ASCII digits, the only integers CoNLL-U ids and heads take."""
+    return value.isascii() and value.isdigit()
+
+
+def _parse_rows(
+    rows: list[str],
+    ends: list[int],
+    feats_by_value: dict[str, dict[str, str]],
+    deprel_by_value: dict[str, str],
+) -> list[AnnotatedSentence] | None:
+    """Check and slice a chunk's rows column by column; None when any check fails.
+
+    ``ends`` holds the number of rows up to the end of each sentence.
+
+    The checks are exact: a chunk passes them when its rows hold no error.
+    The rows are split into one flat list of fields, ten per row, so each
+    column is a stride slice.  The cycle check follows every word's head
+    pointer up to a sink past each root, doubling the pointers' reach each
+    round (pointer jumping) until it covers the longest sentence; a word
+    that has not reached the sink by then lies on or under a cycle.
+    """
+    if not rows:
+        return []
+    if list(map(str.count, rows, repeat("\t"))).count(9) != len(rows):
+        return None
+    fields = "\t".join(rows).split("\t")
+    if not _digits("".join(fields[0::10])):
+        # multiword ranges and empty nodes, or a malformed id
+        words: list[str] = []
+        word_ends: list[int] = []
+        for start, end in zip([0, *ends], ends):
+            words += filter(_is_word, rows[start:end])
+            if len(words) > (word_ends[-1] if word_ends else 0):
+                word_ends.append(len(words))
+        if len(words) == len(rows):
+            return None
+        return _parse_rows(words, word_ends, feats_by_value, deprel_by_value)
+    heads = fields[6::10]
+    if not _digits("".join(heads)):
+        return None
+    try:
+        ids, heads = list(map(int, fields[0::10])), list(map(int, heads))
+        upos = tuple(map(_SHARED_UPOS.__getitem__, fields[3::10]))
+    except (ValueError, KeyError):  # an empty id or head, or an unknown tag
+        return None
+
+    starts = [0, *ends[:-1]]
+    sizes = list(map(sub, ends, starts))
+    # each word's 1-based position in its sentence, and its sentence's length
+    positions = list(chain.from_iterable(range(1, size + 1) for size in sizes))
+    lengths = list(chain.from_iterable(map(repeat, sizes, sizes)))
+    if ids != positions or any(map(gt, heads, lengths)) or any(map(eq, heads, positions)):
+        return None
+    if heads.count(0) != len(sizes):
+        return None
+    # each word's head as an index into the chunk, or the sink for a root
+    sink = len(rows)
+    bases = chain.from_iterable(map(repeat, starts, sizes))
+    parents = [base + head - 1 if head else sink for base, head in zip(bases, heads)]
+    parents.append(sink)
+    longest, reach = max(sizes), 1
+    while reach < longest:
+        parents = list(map(parents.__getitem__, parents))
+        reach *= 2
+    if parents.count(sink) != len(parents):
+        return None
+
+    feats_column = fields[5::10]
+    for value in set(feats_column).difference(feats_by_value):
+        try:
+            feats_by_value[value] = parse_feats(value)
+        except ValueError:
+            return None
+    feats = tuple(map(feats_by_value.__getitem__, feats_column))
+    forms = tuple(fields[1::10])
+    lemmas = fields[2::10]
+    if "_" in lemmas:
+        lemmas = [form if lemma == "_" else lemma for form, lemma in zip(forms, lemmas)]
+    lemmas = tuple(map(str.lower, lemmas))
+    head_indices = tuple(map(sub, heads, repeat(1)))  # 1-based less one; 0 becomes ROOT
+    deprel_column = fields[7::10]
+    deprels = tuple(map(deprel_by_value.setdefault, deprel_column, deprel_column))
+
+    spans = list(map(slice, starts, ends))
+    return list(
+        map(
+            AnnotatedSentence,
+            map(forms.__getitem__, spans),
+            map(lemmas.__getitem__, spans),
+            map(upos.__getitem__, spans),
+            map(feats.__getitem__, spans),
+            map(head_indices.__getitem__, spans),
+            map(deprels.__getitem__, spans),
+        )
+    )
+
+
+def _raise_first_error(lines: list[str], first_line: int) -> NoReturn:
+    """Walk the lines of a chunk that failed a column check, and raise its first error.
+
+    The rows are checked in order, and each sentence's tree when its block
+    ends, so the error is the one a row-by-row parse meets first.
+    """
+    heads: list[int] = []  # the open sentence's 0-based heads
+    linenos: list[int] = []
+    for lineno, line in enumerate(lines + [""], start=first_line):
+        if not line or line.isspace():
+            if heads:
+                _check_tree(heads, linenos)
+                heads, linenos = [], []
+            continue
+        if line[0] == "#":
+            continue
+        cols = line.split("\t")
+        if len(cols) != 10:
+            raise ConlluParseError(lineno, f"expected 10 columns, got {len(cols)}")
+        if "-" in cols[0] or "." in cols[0]:
+            if not _range_or_empty_node(cols[0]):
+                raise ConlluParseError(
+                    lineno, f"malformed multiword range or empty node id {cols[0]!r}"
+                )
+            continue  # multiword ranges and empty nodes carry no tree structure
+        if not _digits(cols[0]):
+            raise ConlluParseError(lineno, f"non-integer token id {cols[0]!r}")
+        token_id = int(cols[0])
+        if token_id != len(heads) + 1:
+            raise ConlluParseError(lineno, f"token id {token_id} not contiguous")
+        if cols[3] not in UPOS_TAGS:
+            raise ConlluParseError(lineno, f"unknown UPOS tag {cols[3]!r}")
+        try:
+            parse_feats(cols[5])
+        except ValueError as exc:
+            raise ConlluParseError(lineno, str(exc)) from None
+        if not _digits(cols[6]):
+            raise ConlluParseError(lineno, f"non-integer head {cols[6]!r}")
+        heads.append(int(cols[6]) - 1)
+        linenos.append(lineno)
+    raise AssertionError(f"lines {first_line}-{lineno} failed a column check but hold no error")
+
+
+def _check_tree(heads: list[int], linenos: list[int]) -> None:
+    """Check that one sentence's 0-based heads form a tree, reporting the row's line."""
+    n = len(heads)
     root_count = 0
     for position, head in enumerate(heads):
         if not ROOT <= head < n:
@@ -219,7 +413,6 @@ def _build_sentence(tokens: list[Token], linenos: list[int]) -> AnnotatedSentenc
         while current != ROOT and not reaches_root[current]:
             reaches_root[current] = True
             current = heads[current]
-    return AnnotatedSentence(tuple(tokens))
 
 
 def attach(annotated: AnnotatedSentence, surface_tokens: tuple[str, ...] | list[str]) -> AnnotatedSentence:
@@ -230,15 +423,15 @@ def attach(annotated: AnnotatedSentence, surface_tokens: tuple[str, ...] | list[
             length mismatch or any form mismatch.
     """
     forms = annotated.forms
+    if forms == tuple(surface_tokens):
+        return annotated
     for i, (have, want) in enumerate(zip(forms, surface_tokens)):
         if have != want:
             raise AttachmentError(i, f"annotation form {have!r} != surface token {want!r} at index {i}")
-    if len(forms) != len(surface_tokens):
-        index = min(len(forms), len(surface_tokens))
-        raise AttachmentError(
-            index, f"annotation has {len(forms)} tokens, surface has {len(surface_tokens)}"
-        )
-    return annotated
+    index = min(len(forms), len(surface_tokens))
+    raise AttachmentError(
+        index, f"annotation has {len(forms)} tokens, surface has {len(surface_tokens)}"
+    )
 
 
 def span_head(sentence: AnnotatedSentence, start: int, end: int) -> Token:
@@ -247,12 +440,14 @@ def span_head(sentence: AnnotatedSentence, start: int, end: int) -> Token:
     The head is the leftmost token whose dependency head lies outside the
     span (the root qualifies).
     """
-    if not 0 <= start < end <= len(sentence.tokens):
-        raise ValueError(f"invalid span [{start}, {end}) for {len(sentence.tokens)} tokens")
-    for token in sentence.tokens[start:end]:
-        if token.head == ROOT or not start <= token.head < end:
-            return token
-    return sentence.tokens[start]  # unreachable for acyclic trees
+    if not 0 <= start < end <= len(sentence):
+        raise ValueError(f"invalid span [{start}, {end}) for {len(sentence)} tokens")
+    heads = sentence.heads
+    for index in range(start, end):
+        head = heads[index]
+        if head == ROOT or not start <= head < end:
+            return sentence.token(index)
+    return sentence.token(start)  # unreachable for acyclic trees
 
 
 # --- fallback annotation -------------------------------------------------
@@ -375,7 +570,8 @@ def fallback_annotate(tokens: tuple[str, ...] | list[str], lexicon: Lexicon | No
     first matching heuristic applies, in order: ``-ing`` verb, ``-ed`` past
     verb, ``-ly`` adverb, ``-s`` plural noun, capitalised mid-sentence
     proper noun, singular noun.  The tree is flat: every token attaches to
-    the last non-punctuation token, which becomes the root.
+    the last non-punctuation token, which becomes the root.  The columns are
+    filled directly; no :class:`Token` is built.
     """
     lexicon = DEFAULT_LEXICON if lexicon is None else lexicon
     analysed: list[tuple[str, str, dict[str, str]]] = []
@@ -396,12 +592,14 @@ def fallback_annotate(tokens: tuple[str, ...] | list[str], lexicon: Lexicon | No
         else:
             analysed.append((form.lower(), "NOUN", {"Number": "Sing"}))
 
-    root = len(analysed) - 1
-    while root > 0 and analysed[root][1] == "PUNCT":
+    if not analysed:
+        return AnnotatedSentence((), (), (), (), (), ())
+    lemmas, upos, feats = zip(*analysed)
+    root = len(upos) - 1
+    while root > 0 and upos[root] == "PUNCT":
         root -= 1
-    out = []
-    for i, (form, (lemma, upos, feats)) in enumerate(zip(tokens, analysed)):
-        head = ROOT if i == root else root
-        deprel = "root" if i == root else ("punct" if upos == "PUNCT" else "dep")
-        out.append(Token(i, form, lemma, upos, feats, head, deprel))
-    return AnnotatedSentence(tuple(out))
+    heads = [root] * len(upos)
+    heads[root] = ROOT
+    deprels = ["punct" if tag == "PUNCT" else "dep" for tag in upos]
+    deprels[root] = "root"
+    return AnnotatedSentence(tuple(tokens), lemmas, upos, feats, tuple(heads), tuple(deprels))

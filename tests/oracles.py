@@ -16,12 +16,20 @@ All accept the same lemma arguments as ``serrant.alignment.align``.
 ``ops_cost`` prices an operation sequence under the shared cost model,
 and ``rgs_strings`` enumerates equality patterns for sweeps that are
 exhaustive up to token renaming.
+
+``reference_parse_conllu`` is the row-by-row CoNLL-U parser that the
+column-wise ``serrant.ud.parse_conllu`` is checked against: it builds
+every token as it reads its row and checks each sentence's tree when the
+sentence ends.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
+
+from serrant.errors import ConlluParseError
+from serrant.ud import ROOT, UPOS_TAGS, Token, parse_feats
 
 
 def _sub_cost(
@@ -265,3 +273,96 @@ def canonical_pattern(src: list[str], trg: list[str]) -> tuple[tuple[int, int], 
         out.append((exact, folded))
     out.append((-1, len(src)))
     return tuple(out)
+
+
+# --- CoNLL-U -----------------------------------------------------------------
+
+
+def reference_parse_conllu(text: str) -> list[tuple[Token, ...]]:
+    """Parse CoNLL-U text row by row into each sentence's tokens.
+
+    The rules and messages are those of ``serrant.ud.parse_conllu``: lines
+    split on ``\\n``, whitespace-only lines end a sentence, ``#`` lines are
+    comments, multiword ranges and empty nodes are skipped, and ids and
+    heads are ASCII digits.
+    """
+    sentences: list[tuple[Token, ...]] = []
+    tokens: list[Token] = []  # the current sentence's, heads not yet checked
+    linenos: list[int] = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        if not raw or raw.isspace():  # blank, "\r" included
+            if tokens:
+                sentences.append(_checked_tree(tokens, linenos))
+                tokens, linenos = [], []
+            continue
+        if raw.startswith("#"):
+            continue
+        cols = raw.rstrip("\r").split("\t")
+        if len(cols) != 10:
+            raise ConlluParseError(lineno, f"expected 10 columns, got {len(cols)}")
+        if "-" in cols[0] or "." in cols[0]:
+            if not _range_or_empty_node_id(cols[0]):
+                raise ConlluParseError(
+                    lineno, f"malformed multiword range or empty node id {cols[0]!r}"
+                )
+            continue
+        if not _ascii_integer(cols[0]):
+            raise ConlluParseError(lineno, f"non-integer token id {cols[0]!r}")
+        token_id = int(cols[0])
+        if token_id != len(tokens) + 1:
+            raise ConlluParseError(lineno, f"token id {token_id} not contiguous")
+        form = cols[1]
+        lemma = (cols[2] if cols[2] != "_" else form).lower()
+        if cols[3] not in UPOS_TAGS:
+            raise ConlluParseError(lineno, f"unknown UPOS tag {cols[3]!r}")
+        try:
+            feats = parse_feats(cols[5])
+        except ValueError as exc:
+            raise ConlluParseError(lineno, str(exc)) from None
+        if not _ascii_integer(cols[6]):
+            raise ConlluParseError(lineno, f"non-integer head {cols[6]!r}")
+        head = int(cols[6]) - 1  # 0 becomes ROOT
+        tokens.append(Token(token_id - 1, form, lemma, cols[3], feats, head, cols[7]))
+        linenos.append(lineno)
+    if tokens:
+        sentences.append(_checked_tree(tokens, linenos))
+    return sentences
+
+
+def _ascii_integer(value: str) -> bool:
+    return value != "" and all(c in "0123456789" for c in value)
+
+
+def _range_or_empty_node_id(token_id: str) -> bool:
+    for separator in "-.":
+        first, found, second = token_id.partition(separator)
+        if found:
+            return _ascii_integer(first) and _ascii_integer(second)
+    return False
+
+
+def _checked_tree(tokens: list[Token], linenos: list[int]) -> tuple[Token, ...]:
+    n = len(tokens)
+    heads = [token.head for token in tokens]
+    root_count = 0
+    for position, head in enumerate(heads):
+        if not ROOT <= head < n:
+            raise ConlluParseError(
+                linenos[position], f"head {head + 1} out of range for {n} tokens"
+            )
+        if head == position:
+            raise ConlluParseError(linenos[position], f"token {position + 1} heads itself")
+        if head == ROOT:
+            root_count += 1
+    if root_count != 1:
+        raise ConlluParseError(linenos[0], f"sentence has {root_count} roots, expected 1")
+    # the first token met twice when walking to the root from each token in order
+    for start in range(n):
+        seen = set()
+        current = start
+        while current != ROOT:
+            if current in seen:
+                raise ConlluParseError(linenos[0], f"dependency cycle through token {current + 1}")
+            seen.add(current)
+            current = heads[current]
+    return tuple(tokens)

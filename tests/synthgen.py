@@ -13,7 +13,7 @@ import random
 
 from serrant.alignment import Edit, align, merge
 from serrant.m2 import M2Edit, M2Record, emit_m2
-from serrant.ud import ROOT, AnnotatedSentence, Token
+from serrant.ud import ROOT, AnnotatedSentence
 
 Entry = tuple[str, str, str, str]
 
@@ -85,25 +85,18 @@ def annotate_entries(entries: list[Entry]) -> AnnotatedSentence:
         if entries[i][2] != "PUNCT":
             root_index = i
             break
-    tokens = []
-    for i, (form, lemma, upos, feats) in enumerate(entries):
-        if i == root_index:
-            head, deprel = ROOT, "root"
-        else:
-            head = root_index
-            deprel = "punct" if upos == "PUNCT" else "dep"
-        tokens.append(
-            Token(
-                index=i,
-                form=form,
-                lemma=lemma,
-                upos=upos,
-                feats=parse_feats_text(feats),
-                head=head,
-                deprel=deprel,
-            )
-        )
-    return AnnotatedSentence(tokens=tuple(tokens))
+    heads = [root_index] * len(entries)
+    deprels = ["punct" if entry[2] == "PUNCT" else "dep" for entry in entries]
+    if entries:
+        heads[root_index], deprels[root_index] = ROOT, "root"
+    return AnnotatedSentence(
+        forms=tuple(entry[0] for entry in entries),
+        lemmas=tuple(entry[1] for entry in entries),
+        upos=tuple(entry[2] for entry in entries),
+        feats=tuple(parse_feats_text(entry[3]) for entry in entries),
+        heads=tuple(heads),
+        deprels=tuple(deprels),
+    )
 
 
 def entries_to_conllu(entries: list[Entry]) -> str:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_parse_conllu
+from serrant import ud
 from serrant.errors import AttachmentError, ConfigurationError, ConlluParseError
 from serrant.ud import (
     DEFAULT_LEXICON,
@@ -69,6 +72,10 @@ def test_parse_skips_ranges_and_empty_nodes():
     assert sentence.forms == ("can", "go")
 
 
+def _row(token_id: str, head: str) -> str:
+    return f"{token_id}\tx\tx\tNOUN\t_\t_\t{head}\tdep\t_\t_\n"
+
+
 @pytest.mark.parametrize(
     "line, expected_lineno",
     [
@@ -85,6 +92,14 @@ def test_parse_skips_ranges_and_empty_nodes():
         ("-\tx\t_\t_\t_\t_\t_\t_\t_\t_\n", 1),
         ("1-2-3\tx\t_\t_\t_\t_\t_\t_\t_\t_\n", 1),
         ("1\tx\tx\tNOUN\t_\t_\t0\troot\t_\t_\n.1\tx\t_\t_\t_\t_\t_\t_\t_\t_\n", 2),
+        # ids and heads are ASCII digits: int() would take each of these
+        *((f"# c\n{_row(token_id, '0')}", 2) for token_id in ("+1", " 1", "１")),
+        ("".join(_row(str(i), "0" if i == 1 else "1") for i in range(1, 10)) + _row("1_0", "1"), 10),
+        *(
+            (f"{_row('1', '0')}# c\n{_row('2', head)}", 3)
+            for head in ("+1", " 1", "-0", "１")
+        ),
+        ("".join(_row(str(i), "0" if i == 1 else "1") for i in range(1, 11)) + _row("11", "1_0"), 11),
     ],
 )
 def test_parse_errors_carry_line_numbers(line, expected_lineno):
@@ -227,6 +242,108 @@ def test_sentence_starts_cut_like_parse(lines, data):
         assert str(piece_error).split(": ", 1)[1] == str(error).split(": ", 1)[1]
 
 
+# --- the column parser against the row-by-row reference -----------------------
+
+_BAD_INTEGERS = ("", "x", "+1", " 1", "1_0", "-0", "１", "٣", "-1", "1.5")
+
+
+@st.composite
+def _conllu_texts(draw) -> str:
+    """Valid sentences, some rows corrupted, with comments, ranges and empty nodes.
+
+    Each sentence is a random tree.  In about half of the texts, some
+    sentences then get one row broken in one way (columns, id, UPOS, FEATS,
+    head, a malformed range or empty node) or one head rewired, which may
+    leave a self-head, no root, two roots or a cycle.
+    """
+    faulty = draw(st.booleans())
+    lines: list[str] = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.integers(1, 7))
+        order = draw(st.permutations(range(n)))  # order[0] is the root
+        heads = [0] * n  # 1-based, 0 for the root
+        for rank, token in enumerate(order[1:], start=1):
+            heads[token] = order[draw(st.integers(0, rank - 1))] + 1
+        rows = [
+            [
+                str(i + 1),
+                draw(st.sampled_from(["a", "B", "_", "cat", "Cats"])),
+                draw(st.sampled_from(["a", "_", "Cat"])),
+                draw(st.sampled_from(["NOUN", "VERB", "PUNCT"])),
+                "_",
+                draw(st.sampled_from(["_", "Number=Sing", "Number=Plur|Person=3"])),
+                str(head),
+                draw(st.sampled_from(["dep", "root", "obl:tmod"])),
+                "_",
+                "_",
+            ]
+            for i, head in enumerate(heads)
+        ]
+        row = rows[draw(st.integers(0, n - 1))]
+        fault = "none"
+        if faulty:
+            fault = draw(
+                st.sampled_from(
+                    ["none", "columns", "id", "upos", "feats", "head", "rewire", "roots", "cycle", "range"]
+                )
+            )
+        if fault == "columns":
+            row[:] = row[: draw(st.integers(1, 9))] if draw(st.booleans()) else row + ["_"]
+        elif fault == "id":
+            row[0] = draw(st.sampled_from([*_BAD_INTEGERS, "0", str(n + 1), "0" + row[0]]))
+        elif fault == "upos":
+            row[3] = draw(st.sampled_from(["BLORP", "noun", ""]))
+        elif fault == "feats":
+            row[5] = draw(st.sampled_from(["Number", "=Sing", "Number=", "a=b|", "a=b||c=d"]))
+        elif fault == "head":
+            row[6] = draw(st.sampled_from([*_BAD_INTEGERS, str(n + 1), "00", "0" + row[6]]))
+        elif fault == "rewire":
+            row[6] = str(draw(st.integers(0, n)))
+        elif fault == "roots" and n > 1:  # a second root, or none
+            if draw(st.booleans()):
+                rows[order[1]][6] = "0"
+            else:
+                rows[order[0]][6] = str(order[1] + 1)
+        elif fault == "cycle" and n > 2:  # two words other than the root head each other
+            first, second = draw(st.permutations(order[1:]))[:2]
+            rows[first][6], rows[second][6] = str(second + 1), str(first + 1)
+        block = ["\t".join(cols) for cols in rows]
+        for _ in range(draw(st.integers(0, 2))):  # ranges and empty nodes
+            token_id = draw(st.sampled_from(["1-2", "2-3", "1.1", "3.1"]))
+            block.insert(draw(st.integers(0, len(block))), "\t".join([token_id] + ["_"] * 9))
+        if fault == "range":
+            token_id = draw(st.sampled_from(["1-x", "-", "1-2-3", "１-2", "1.", "2-3"]))
+            columns = draw(st.sampled_from([9, 10]))
+            block.insert(draw(st.integers(0, len(block))), "\t".join([token_id] + ["_"] * (columns - 1)))
+        for _ in range(draw(st.integers(0, 2))):
+            block.insert(draw(st.integers(0, len(block))), draw(st.sampled_from(["# sent_id = 1", "#"])))
+        if draw(st.booleans()):
+            block = [line + "\r" for line in block]
+        lines += block
+        lines += draw(st.lists(st.sampled_from(["", " ", "\r", "\t\r", "\x0c"]), min_size=1, max_size=2))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _tokens_or_error(parse, text: str):
+    try:
+        return [tuple(sentence) for sentence in parse(text)], None
+    except ConlluParseError as exc:
+        return None, (exc.line_number, str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_conllu_texts(), st.integers(1, 400))
+def test_column_parse_matches_the_row_by_row_reference(text, chunk_chars):
+    # small chunks put the chunk cuts among the sentences of these short texts
+    with mock.patch.object(ud, "_CHUNK_CHARS", chunk_chars):
+        got = _tokens_or_error(lambda t: [s.tokens for s in parse_conllu(t)], text)
+        starts = conllu_sentence_starts(text)
+    expected = _tokens_or_error(reference_parse_conllu, text)
+    assert got == expected
+    if expected[1] is None:
+        assert len(starts) == len(expected[0])
+
+
 def test_parse_feats_column():
     assert parse_feats("_") == {}
     assert parse_feats("Number=Sing|Person=3") == {"Number": "Sing", "Person": "3"}
@@ -290,12 +407,12 @@ def test_attach_reports_length_mismatch():
 
 
 TREE = AnnotatedSentence(
-    tokens=(
-        Token(0, "the", "the", "DET", {}, 2, "det"),
-        Token(1, "big", "big", "ADJ", {}, 2, "amod"),
-        Token(2, "cat", "cat", "NOUN", {}, 3, "nsubj"),
-        Token(3, "sat", "sit", "VERB", {}, ROOT, "root"),
-    )
+    forms=("the", "big", "cat", "sat"),
+    lemmas=("the", "big", "cat", "sit"),
+    upos=("DET", "ADJ", "NOUN", "VERB"),
+    feats=({}, {}, {}, {}),
+    heads=(2, 2, 3, ROOT),
+    deprels=("det", "amod", "nsubj", "root"),
 )
 
 
