@@ -12,10 +12,11 @@ An :class:`AnnotatedSentence` holds one tuple per column: ``forms``,
 is held as one shared string, and each distinct FEATS value as one shared
 dict that is read-only by contract: :func:`parse_conllu` parses each
 distinct FEATS column once per text and hands the same dict to every word
-that carries it, and the fallback annotator shares its lexicon's dicts in
-the same way.  A :class:`Token` is the named-tuple view of one word, built
-on demand: the classifiers build them only for the words of edited spans,
-and :func:`span_head` builds one for the head it finds.
+that carries it, and the fallback annotator shares its lexicon's and its
+suffix rules' dicts in the same way.  A :class:`Token` is the named-tuple
+view of one word, built on demand: the classifiers build them only for the
+words of edited spans, and :func:`span_head` builds one for the head it
+finds.
 
 :func:`parse_conllu` reads a text in chunks of several hundred rows, each
 cut after a blank line, and checks and slices each chunk column by column.
@@ -23,7 +24,9 @@ A chunk that fails a check is walked row by row to name its first error.
 
 A small rule-plus-lexicon annotator (:func:`fallback_annotate`) provides
 annotations for tests and demos when no parser output is available.  It is
-deliberately crude and not meant for accuracy-bearing use.
+deliberately crude and not meant for accuracy-bearing use.  With the default
+lexicon it memoises each form's analysis, for at most :data:`_MEMO_SIZE`
+forms (about 2 MB).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import chain, repeat
 from operator import eq, gt, sub
 from typing import NamedTuple, NoReturn
@@ -563,6 +567,18 @@ DEFAULT_LEXICON: Lexicon = {
 }
 
 
+# feature dicts of the suffix rules, shared like the lexicon's
+_GERUND = {"VerbForm": "Ger"}
+_PAST = {"Tense": "Past"}
+_PLURAL = {"Number": "Plur"}
+_SINGULAR = {"Number": "Sing"}
+_NO_FEATS: dict[str, str] = {}
+
+# The most forms whose default-lexicon analysis the memo holds; the least
+# recently used one goes first.
+_MEMO_SIZE = 1 << 13
+
+
 def fallback_annotate(tokens: tuple[str, ...] | list[str], lexicon: Lexicon | None = None) -> AnnotatedSentence:
     """Annotate tokens with the lexicon plus crude suffix heuristics.
 
@@ -572,25 +588,19 @@ def fallback_annotate(tokens: tuple[str, ...] | list[str], lexicon: Lexicon | No
     proper noun, singular noun.  The tree is flat: every token attaches to
     the last non-punctuation token, which becomes the root.  The columns are
     filled directly; no :class:`Token` is built.
+
+    With the default lexicon, the analysis of each form is memoised in a
+    bounded least-recently-used cache, apart from the capitalised-word rule,
+    which depends on the position.  Words of the same analysis share its
+    feature dict, which is read-only by contract.
     """
-    lexicon = DEFAULT_LEXICON if lexicon is None else lexicon
-    analysed: list[tuple[str, str, dict[str, str]]] = []
-    for i, form in enumerate(tokens):
-        entry = lexicon.get(form) or lexicon.get(form.lower())
-        if entry is not None:
-            analysed.append(entry)
-        elif form.endswith("ing") and len(form) > 4:
-            analysed.append((form[:-3].lower(), "VERB", {"VerbForm": "Ger"}))
-        elif form.endswith("ed") and len(form) > 3:
-            analysed.append((form[:-2].lower(), "VERB", {"Tense": "Past"}))
-        elif form.endswith("ly") and len(form) > 3:
-            analysed.append((form[:-2].lower(), "ADV", {}))
-        elif form.endswith("s") and len(form) > 2:
-            analysed.append((form[:-1].lower(), "NOUN", {"Number": "Plur"}))
-        elif i > 0 and form[:1].isupper():
-            analysed.append((form.lower(), "PROPN", {}))
-        else:
-            analysed.append((form.lower(), "NOUN", {"Number": "Sing"}))
+    analyse = _analyse_default if lexicon is None else partial(_analyse, lexicon=lexicon)
+    analysed = list(map(analyse, tokens))
+    if None in analysed:
+        for i, entry in enumerate(analysed):
+            if entry is None:
+                lemma = tokens[i].lower()
+                analysed[i] = (lemma, "PROPN", _NO_FEATS) if i else (lemma, "NOUN", _SINGULAR)
 
     if not analysed:
         return AnnotatedSentence((), (), (), (), (), ())
@@ -603,3 +613,35 @@ def fallback_annotate(tokens: tuple[str, ...] | list[str], lexicon: Lexicon | No
     deprels = ["punct" if tag == "PUNCT" else "dep" for tag in upos]
     deprels[root] = "root"
     return AnnotatedSentence(tuple(tokens), lemmas, upos, feats, tuple(heads), tuple(deprels))
+
+
+def _analyse(form: str, lexicon: Lexicon) -> LexiconEntry | None:
+    """The analysis of ``form`` that does not depend on its position.
+
+    None for a capitalised word that no lexicon entry or suffix rule
+    covers: it is a proper noun unless it starts the sentence.
+    """
+    entry = lexicon.get(form) or lexicon.get(form.lower())
+    if entry is not None:
+        return entry
+    if form.endswith("ing") and len(form) > 4:
+        return (form[:-3].lower(), "VERB", _GERUND)
+    if form.endswith("ed") and len(form) > 3:
+        return (form[:-2].lower(), "VERB", _PAST)
+    if form.endswith("ly") and len(form) > 3:
+        return (form[:-2].lower(), "ADV", _NO_FEATS)
+    if form.endswith("s") and len(form) > 2:
+        return (form[:-1].lower(), "NOUN", _PLURAL)
+    if form[:1].isupper():
+        return None
+    return (form.lower(), "NOUN", _SINGULAR)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _analyse_default(form: str) -> LexiconEntry | None:
+    """:func:`_analyse` with :data:`DEFAULT_LEXICON`, memoised.
+
+    The memo does not notice a rebound ``DEFAULT_LEXICON``; whoever rebinds
+    it calls ``_analyse_default.cache_clear()``.
+    """
+    return _analyse(form, DEFAULT_LEXICON)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import serrant
-from serrant import ud
+from serrant import cli, ud
 
 from conftest import GOLDEN_FLAGSHIP, golden_wordlist_words, write_golden_corpus
 from serrant.cli import main
@@ -527,7 +528,17 @@ def _golden_outputs(golden, tmp_path) -> list[str]:
     return outputs
 
 
-def test_classifiers_never_write_to_shared_feats(golden, tmp_path, monkeypatch):
+@pytest.fixture
+def fresh_fallback_memo():
+    """An empty fallback memo before and after a test that rebinds ``ud.DEFAULT_LEXICON``."""
+    ud._analyse_default.cache_clear()
+    yield
+    ud._analyse_default.cache_clear()
+
+
+def test_classifiers_never_write_to_shared_feats(
+    golden, tmp_path, monkeypatch, fresh_fallback_memo
+):
     expected = _golden_outputs(golden, tmp_path)
     parse_feats = ud.parse_feats
     monkeypatch.setattr(ud, "parse_feats", lambda value: MappingProxyType(parse_feats(value)))
@@ -536,7 +547,90 @@ def test_classifiers_never_write_to_shared_feats(golden, tmp_path, monkeypatch):
         for form, (lemma, upos, feats) in ud.DEFAULT_LEXICON.items()
     }
     monkeypatch.setattr(ud, "DEFAULT_LEXICON", lexicon)
+    for name in ("_GERUND", "_PAST", "_PLURAL", "_SINGULAR", "_NO_FEATS"):  # the suffix rules'
+        monkeypatch.setattr(ud, name, MappingProxyType(getattr(ud, name)))
     assert _golden_outputs(golden, tmp_path) == expected
     sentence = ud.parse_conllu(Path(golden["conllu_orig"]).read_text(encoding="utf-8"))[0]
     assert isinstance(sentence.tokens[1].feats, MappingProxyType)
-    assert isinstance(ud.fallback_annotate(["these", "cats"]).tokens[0].feats, MappingProxyType)
+    feats = [token.feats for token in ud.fallback_annotate(["these", "cats", "Rome"]).tokens]
+    assert all(isinstance(value, MappingProxyType) for value in feats)
+
+
+# --- the cyclic garbage collector ---------------------------------------------------
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_collector_on_every_exit(
+    golden, tmp_path, capsys, monkeypatch, collecting
+):
+    bad = tmp_path / "bad.m2"
+    bad.write_text("A 0 1|||X|||y|||REQUIRED|||-NONE-|||0\n", encoding="utf-8")
+    during = []
+    write_outputs = cli._write_outputs
+    monkeypatch.setattr(
+        cli, "_write_outputs", lambda *args: (during.append(gc.isenabled()), write_outputs(*args))
+    )
+    exits = [
+        (classify_args(golden, tmp_path), 0),
+        (["stats", "--m2", str(bad)], 1),
+        (classify_args(golden, tmp_path, "--jobs", "0"), 2),
+        (["frobnicate"], "usage"),
+    ]
+    was = gc.isenabled()
+    try:
+        for argv, expected in exits:
+            (gc.enable if collecting else gc.disable)()
+            if expected == "usage":
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == expected
+            assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
+
+
+def _garbage_left_by(argv: list[str]) -> tuple[int, int]:
+    """Run ``main`` with the collector off; its exit code and the unreachable objects it left."""
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        return main(argv), gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+@pytest.mark.parametrize("run", ["classify", "classify-jobs", "fallback", "retype", "error"])
+def test_a_run_leaves_no_garbage_that_grows_with_the_corpus(tmp_path, capfd, run):
+    left = []
+    for size in (40, 40, 400):  # the first run also leaves what a first run caches
+        corpus = SyntheticCorpus(size, seed=5)
+        files = {
+            "orig": corpus.orig_text,
+            "cor": corpus.cor_text,
+            "conllu_orig": corpus.conllu_orig,
+            "conllu_cor": corpus.conllu_cor,
+            # the last record's added edit is empty on both sides
+            "m2": corpus.untyped_m2() + "A 0 0|||UNK||||||REQUIRED|||-NONE-|||0\n"
+            if run == "error"
+            else corpus.untyped_m2(),
+        }
+        paths = {name: tmp_path / f"{size}.{name}" for name in files}
+        for name, text in files.items():
+            paths[name].write_text(text, encoding="utf-8")
+        out = ["--out", str(tmp_path / "out.m2"), "--report", str(tmp_path / "report.tsv")]
+        conllu_orig = ["--conllu-orig", str(paths["conllu_orig"])]
+        if run in ("retype", "error"):
+            argv = ["retype", "--m2", str(paths["m2"]), *conllu_orig, *out]
+        else:
+            argv = ["classify", "--orig", str(paths["orig"]), "--cor", str(paths["cor"]), *out]
+            if run != "fallback":
+                argv += [*conllu_orig, "--conllu-cor", str(paths["conllu_cor"])]
+            argv += ["--jobs", "2"] if run == "classify-jobs" else []
+        left.append(_garbage_left_by(argv))
+    code = 1 if run == "error" else 0
+    assert left[1:] == [(code, left[1][1])] * 2
+    assert "Traceback" not in capfd.readouterr().err

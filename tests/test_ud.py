@@ -482,6 +482,34 @@ def test_fallback_all_punctuation():
     assert sentence.tokens[0].head == ROOT
 
 
+_FALLBACK_FORMS = st.sampled_from(
+    ["Rome", "Blorp", "blorp", "I", "The", "the", "Walking", "walked", "Dogs", "ran", "Ed"]
+    + [".", "!"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_FALLBACK_FORMS, max_size=6), max_size=4))
+def test_memoised_fallback_matches_the_unmemoised_path(sentences):
+    for tokens in sentences:
+        for _ in range(2):  # the second pass reads the memo
+            assert fallback_annotate(tokens) == fallback_annotate(tokens, DEFAULT_LEXICON)
+
+
+def test_memo_leaves_the_capitalised_word_rule_to_the_position():
+    sentence = fallback_annotate(["Rome", "Rome", "Rome"])
+    assert sentence.upos == ("NOUN", "PROPN", "PROPN")
+    assert sentence.lemmas == ("rome",) * 3
+    assert fallback_annotate(["Rome"]).upos == ("NOUN",)
+
+
+def test_fallback_memo_stays_within_its_size():
+    forms = [f"w{i}" for i in range(ud._MEMO_SIZE + 100)]
+    assert fallback_annotate(forms) == fallback_annotate(forms, DEFAULT_LEXICON)
+    info = ud._analyse_default.cache_info()
+    assert (info.currsize, info.maxsize) == (ud._MEMO_SIZE, ud._MEMO_SIZE)
+
+
 def test_load_lexicon_parses_and_lowercases_lemma():
     lexicon = load_lexicon("# comment\nCats\tCat\tNOUN\tNumber=Plur\n\nran\trun\tVERB\t_\n")
     assert lexicon["Cats"] == ("cat", "NOUN", {"Number": "Plur"})
