@@ -9,10 +9,11 @@ configuration errors (argparse reports usage errors with 2 as well).  The
 ``SERRANT_WORDLIST`` environment variable supplies a wordlist path when
 ``--wordlist`` is not given.
 
+Output is UTF-8 whatever the locale: standard output gets the same bytes
+as ``--out``.
+
 The cyclic garbage collector is off while a command runs, and
-:func:`main` returns with it as the caller had it.  ``--jobs`` workers
-inherit it off under the ``fork`` start method, the default on Linux
-before Python 3.14.
+:func:`main` returns with it as the caller had it.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _run_retype(args: argparse.Namespace) -> int:
 def _run_stats(args: argparse.Namespace) -> int:
     records = parse_m2(read_input(args.m2))
     distribution = type_distribution(records, annotator_filter=args.annotator)
-    sys.stdout.write(emit_report(distribution, args.report_format))
+    _write_stdout(emit_report(distribution, args.report_format))
     return 0
 
 
@@ -149,9 +150,16 @@ def _write_outputs(records, args: argparse.Namespace) -> None:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     if args.report:
         distribution = type_distribution(records)
         Path(args.report).write_text(
             emit_report(distribution, args.report_format), encoding="utf-8"
         )
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to standard output as UTF-8, whatever the locale's encoding."""
+    sys.stdout.flush()
+    sys.stdout.buffer.write(text.encode("utf-8"))
+    sys.stdout.buffer.flush()

@@ -43,12 +43,13 @@ multi-token edits whose body is an unqualified tag or tag pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import base as base_types
 from .alignment import Edit
 from .base import BaseType
 from .errors import AnnotationMissingError
-from .sercl import ARROW_ASCII, SerclType, display_tag, render
+from .sercl import ARROW_ASCII, SerclSide, SerclType, render
 from .ud import AnnotatedSentence, Token, span_head
 
 MODAL_FORMS = frozenset({"can", "could", "may", "might", "shall", "should", "will", "would", "must"})
@@ -74,11 +75,6 @@ _NAMED_BODIES = {
     base_types.NOUN_NUM: "Noun:Num",
     base_types.ADJ_FORM: "Adj:Form",
 }
-
-# body kinds, used only to decide suffix eligibility
-_NAMED = "named"
-_TAG = "tag"
-_PAIR = "pair"
 
 
 @dataclass(frozen=True)
@@ -151,98 +147,100 @@ def combine(base: BaseType, sercl: SerclType, ctx: EditContext) -> SerrantType:
     else:
         op = REPLACEMENT
 
-    kind, body, qualified = _pick_body(base, sercl, ctx)
+    body = _pick_body(base, sercl, ctx)
+    if isinstance(body, str):
+        return SerrantType(op, body)
 
     suffixes: list[str] = []
-    if kind == _TAG and op == REPLACEMENT and ctx.src_head.lemma != ctx.trg_head.lemma:
+    if op == REPLACEMENT and body.collapsed and ctx.src_head.lemma != ctx.trg_head.lemma:
         suffixes.append(WORD_CHOICE)
     multi_word = len(ctx.src_tokens) > 1 or len(ctx.trg_tokens) > 1
-    if multi_word and kind in (_TAG, _PAIR) and not qualified:
+    if multi_word and not (body.left.qualifiers or body.right.qualifiers):
         suffixes.append(MULTI_WORD)
-    return SerrantType(op, body, tuple(suffixes))
+    return SerrantType(op, render(body), tuple(suffixes))
 
 
-def _pick_body(base: BaseType, sercl: SerclType, ctx: EditContext) -> tuple[str, str, bool]:
+def _pick_body(base: BaseType, sercl: SerclType, ctx: EditContext) -> str | SerclType:
+    """The body a rule picks: a named body, or the tag or tag pair the label shows."""
     category = base.category
     s = ctx.src_head.upos if ctx.src_head is not None else None
     t = ctx.trg_head.upos if ctx.trg_head is not None else None
 
     if category == base_types.OTHER:
-        if _unreliable(s, t):
-            return _named(base_types.OTHER)
-        if (s == "PROPN") != (t == "PROPN"):
-            return _named(base_types.OTHER)
+        if _screened(s, t):
+            return _NAMED_BODIES[base_types.OTHER]
         if s == "PROPN" and t == "PROPN":
-            return (_TAG, display_tag("PROPN"), False)
+            return _tag_body("PROPN")
         return _sercl_body(sercl)
 
     if category == base_types.MORPH:
         if {s, t} == {"ADJ", "PROPN"}:
             return _sercl_body(sercl)
-        if _unreliable(s, t) or (s == "PROPN") != (t == "PROPN"):
-            return _named(base_types.OTHER)
+        if _screened(s, t):
+            return _NAMED_BODIES[base_types.OTHER]
         return _sercl_body(sercl)
 
     if category == base_types.ORTH:
         if not ctx.sentence_initial and t == "PROPN" and s != "PROPN":
             return _sercl_body(sercl)
-        return _named(base_types.ORTH)
+        return _NAMED_BODIES[base_types.ORTH]
 
     if category == base_types.POS and base.pos_payload == "VERB":
         if s == "AUX" and t == "AUX":
-            return (_TAG, display_tag("AUX"), False)
+            return _tag_body("AUX")
         if (s == "AUX" and t is None) or (t == "AUX" and s is None):
-            return (_TAG, display_tag("AUX"), False)
+            return _tag_body("AUX")
         if s == "AUX" or t == "AUX":
             return _sercl_body(sercl)
-        return (_TAG, display_tag("VERB"), False)
+        return _tag_body("VERB")
 
     if category == base_types.VERB_FORM:
         if s == "NOUN" and t == "VERB":
             return _sercl_body(sercl)
-        return _named(base_types.VERB_FORM)
+        return _NAMED_BODIES[base_types.VERB_FORM]
 
     if category == base_types.POS and base.pos_payload in ("PRON", "DET"):
         if {s, t} == {"PRON", "DET"}:
             return _sercl_body(sercl)
-        return (_TAG, display_tag(base.pos_payload), False)
+        return _tag_body(base.pos_payload)
 
     if category == base_types.VERB_TENSE:
         if _tense_anchored(ctx.src_tokens) and _tense_anchored(ctx.trg_tokens):
-            return _named(base_types.VERB_TENSE)
+            return _NAMED_BODIES[base_types.VERB_TENSE]
         if (
             len(ctx.src_tokens) == 1
             and len(ctx.trg_tokens) == 1
             and ctx.src_tokens[0].form.lower() in MODAL_FORMS
             and ctx.trg_tokens[0].form.lower() in MODAL_FORMS
         ):
-            return (_NAMED, "Modal", False)
+            return "Modal"
         return _sercl_body(sercl)
 
     if category == base_types.POS:
-        return (_TAG, display_tag(base.pos_payload), False)
-    return _named(category)
+        return _tag_body(base.pos_payload)
+    return _NAMED_BODIES[category]
 
 
-def _named(category: str) -> tuple[str, str, bool]:
-    return (_NAMED, _NAMED_BODIES[category], False)
-
-
-def _unreliable(s: str | None, t: str | None) -> bool:
-    return s in UNRELIABLE_TAGS or t in UNRELIABLE_TAGS
+def _screened(s: str | None, t: str | None) -> bool:
+    """The OTHER and MORPH screen: an unreliable tag, or a proper noun on one side only."""
+    return s in UNRELIABLE_TAGS or t in UNRELIABLE_TAGS or (s == "PROPN") != (t == "PROPN")
 
 
 def _tense_anchored(tokens: tuple[Token, ...]) -> bool:
     return any(t.lemma in TENSE_LEMMAS or t.form.lower() == "will" for t in tokens)
 
 
-def _sercl_body(sercl: SerclType) -> tuple[str, str, bool]:
-    left, right = sercl.left, sercl.right
+@cache
+def _tag_body(tag: str) -> SerclType:
+    """The one collapsed, unqualified type of ``tag``, shared by every edit."""
+    side = SerclSide(tag)
+    return SerclType(side, side)
+
+
+def _sercl_body(sercl: SerclType) -> SerclType:
     # the M/U prefix already records an absent side; keep only the real tag
-    if left.tag is None:
-        left = right
-    elif right.tag is None:
-        right = left
-    shown = SerclType(left, right)
-    kind = _TAG if shown.collapsed else _PAIR
-    return (kind, render(shown), bool(left.qualifiers or right.qualifiers))
+    if sercl.left.tag is None:
+        return SerclType(sercl.right, sercl.right)
+    if sercl.right.tag is None:
+        return SerclType(sercl.left, sercl.left)
+    return sercl

@@ -21,9 +21,10 @@ processes; :data:`classify_corpus_parallel` is another name for it.
 
 from __future__ import annotations
 
+import gc
 import os
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -92,11 +93,13 @@ def run(
     worker processes: the parent cuts the CoNLL-U texts at sentence
     boundaries without parsing them, and each worker parses, attaches and
     types its own shard.  The items are cut by ``worker_count``, but the
-    pool starts at most one worker per usable core.  Output is identical
-    for any worker count, and so is the error raised on bad input: when
-    the CoNLL-U sentence counts disagree with the item count, or a shard
+    pool starts at most one worker per usable core, each with the cyclic
+    garbage collector off.  Output is identical for any worker count, and
+    so is the error raised on bad input: when the shards cannot be cut
+    (a CoNLL-U file is unreadable, or its sentence count disagrees with
+    the item count), the pool cannot start or loses a worker, or a shard
     fails, the parent types the whole corpus as one shard itself and
-    raises what that raises.
+    returns or raises what that does.
     """
     if worker_count < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {worker_count}")
@@ -104,16 +107,18 @@ def run(
     retype = _is_retype(inputs)
     task = partial(_type_shard, retype=retype, wordlist=_load_wordlist(config), config=config)
     items = parse_m2(inputs.m2) if retype else read_parallel(inputs.original, inputs.corrected)
-    shards = _cut(config, items, worker_count) if worker_count > 1 else []
-    if len(shards) > 1:
+    if worker_count > 1 and len(items) > 1:  # then there are at least two shards
         try:
+            shards = _cut(config, items, worker_count)
+            workers = min(worker_count, len(shards), _usable_cores())
             # The platform's default start method: "spawn" would re-run the
             # caller's main module in every worker, which breaks scripts
             # that call this without an ``if __name__ == "__main__"`` guard.
-            with ProcessPoolExecutor(min(worker_count, len(shards), _usable_cores())) as executor:
+            # A shard builds no reference cycles, so workers skip the collector.
+            with ProcessPoolExecutor(workers, initializer=gc.disable) as executor:
                 return [record for part in executor.map(task, shards) for record in part]
-        except SerrantError:
-            pass  # typing the corpus as one shard below raises the error in serial order
+        except (SerrantError, OSError, BrokenExecutor):
+            pass  # typing the corpus as one shard below gives the serial result or error
     # each CoNLL-U file is read when its side is parsed, so one text is held at a time
     whole = _Shard(
         items,
@@ -229,19 +234,15 @@ def _cut(
 ) -> list[_Shard]:
     """Cut the corpus into about four shards per worker.
 
-    Returns no shards when a CoNLL-U file cannot be read or is not UTF-8,
-    or does not hold one sentence per item, so that typing the whole
-    corpus reports the error in serial order.
+    Raises:
+        OSError: when a CoNLL-U file cannot be read.
+        IngestionError: when a CoNLL-U file is not UTF-8, or does not hold
+            one sentence per item.
     """
     size = max(1, len(items) // (worker_count * 4))
     firsts = range(0, len(items), size)
-    try:
-        orig = _pieces(config.conllu_orig_path, firsts, len(items))
-        cor = _pieces(config.conllu_cor_path, firsts, len(items))
-    except (OSError, IngestionError):
-        return []
-    if orig is None or cor is None:
-        return []
+    orig = _pieces(config.conllu_orig_path, firsts, len(items))
+    cor = _pieces(config.conllu_cor_path, firsts, len(items))
     return [
         _Shard(items[first : first + size], partial(_given, orig_text), partial(_given, cor_text))
         for first, orig_text, cor_text in zip(firsts, orig, cor)
@@ -253,19 +254,21 @@ def _given(text: str | None) -> str | None:
     return text
 
 
-def _pieces(path: str | None, firsts: range, count: int) -> list[str | None] | None:
+def _pieces(path: str | None, firsts: range, count: int) -> list[str | None]:
     """Cut a CoNLL-U file before each sentence index in ``firsts``.
 
     The first piece starts at the top of the text and the last runs to its
-    end, so every line is parsed by exactly one piece.  ``None`` when the
-    text does not hold ``count`` sentences.
+    end, so every line is parsed by exactly one piece.
+
+    Raises:
+        IngestionError: when the text does not hold ``count`` sentences.
     """
     conllu = _read_conllu(path)
     if conllu is None:
         return [None] * len(firsts)
     starts = conllu_sentence_starts(conllu)
     if len(starts) != count:
-        return None
+        raise IngestionError(f"{path}: {len(starts)} sentences for {count} inputs")
     cuts = [0] + [starts[first] for first in firsts[1:]]
     return [conllu[cut:end] for cut, end in zip(cuts, cuts[1:] + [len(conllu)])]
 

@@ -270,13 +270,16 @@ def in_process_pool(monkeypatch):
     """Stand in for the pipeline's ProcessPoolExecutor, mapping in this process.
 
     Returns an object whose ``workers`` lists the worker count of each pool
-    started and whose ``shards`` lists the number of shards each one typed.
+    started, ``initializers`` the worker initializer each was given, and
+    ``shards`` the number of shards each one typed.  Setting its ``error``
+    makes ``map`` raise that exception, as a failing pool would.
     """
-    started = SimpleNamespace(workers=[], shards=[])
+    started = SimpleNamespace(workers=[], initializers=[], shards=[], error=None)
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             started.workers.append(max_workers)
+            started.initializers.append(initializer)
 
         def __enter__(self):
             return self
@@ -287,6 +290,8 @@ def in_process_pool(monkeypatch):
         def map(self, fn, items):
             items = list(items)
             started.shards.append(len(items))
+            if started.error is not None:
+                raise started.error
             return map(fn, items)
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)

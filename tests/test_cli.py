@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import gc
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 from types import MappingProxyType
 
@@ -15,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import serrant
-from serrant import cli, ud
+from serrant import cli, pipeline, ud
 
 from conftest import GOLDEN_FLAGSHIP, golden_wordlist_words, write_golden_corpus
 from serrant.cli import main
@@ -181,13 +185,18 @@ def test_malformed_m2_is_exit_1(tmp_path, capsys):
     assert "serrant:" in capsys.readouterr().err
 
 
-def run_module(*args):
-    """Run ``python -m serrant`` in a fresh interpreter; returns the finished process."""
-    env = dict(os.environ)
+def _module_env(**extra: str) -> dict[str, str]:
+    """This environment with ``serrant`` importable, plus ``extra``."""
+    env = dict(os.environ, **extra)
     src = str(Path(serrant.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module(*args):
+    """Run ``python -m serrant`` in a fresh interpreter; returns the finished process."""
     return subprocess.run(
-        [sys.executable, "-m", "serrant", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "serrant", *args], capture_output=True, text=True, env=_module_env()
     )
 
 
@@ -223,6 +232,35 @@ def test_classify_rejects_a_correction_that_would_not_read_back(tmp_path, capsys
     assert main(["classify", "--orig", str(orig), "--cor", str(cor), "--jobs", jobs]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "serrant: record 0: invalid correction token 'x|'\n")
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_standard_output_is_the_utf8_of_the_output_files(tmp_path, encoding):
+    orig, cor = tmp_path / "orig.txt", tmp_path / "cor.txt"
+    orig.write_text("we met çelik today .\n", encoding="utf-8")
+    cor.write_text("we met Çelik today .\n", encoding="utf-8")
+    m2, report = tmp_path / "out.m2", tmp_path / "report.tsv"
+    classify = ["classify", "--orig", str(orig), "--cor", str(cor), "--arrow", "unicode"]
+    assert run_module(*classify, "--out", str(m2), "--report", str(report)).returncode == 0
+    assert "R:Noun→Propn|||Çelik" in m2.read_text(encoding="utf-8")
+    expected = {
+        "classify": m2.read_bytes(),
+        "retype": m2.read_bytes(),
+        "stats": report.read_bytes(),
+    }
+    argvs = {
+        "classify": classify,
+        "retype": ["retype", "--m2", str(m2), "--arrow", "unicode"],
+        "stats": ["stats", "--m2", str(m2)],
+    }
+    for command, argv in argvs.items():
+        done = subprocess.run(
+            [sys.executable, "-m", "serrant", *argv],
+            capture_output=True,
+            env=_module_env(PYTHONIOENCODING=encoding),
+        )
+        assert (command, done.returncode, done.stderr) == (command, 0, b"")
+        assert done.stdout == expected[command]
 
 
 # --- the same result for any --jobs ------------------------------------------
@@ -361,6 +399,61 @@ def test_jobs_agree_that_a_bad_original_beats_a_missing_corrected_file(sharded, 
     code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
     line = _first_row_line(blocks, 60)
     assert (code, err) == (1, f"serrant: line {line}: unknown UPOS tag 'BLORP'\n")
+
+
+_TYPE_SHARD = pipeline._type_shard
+
+
+def _die_in_a_worker(shard, marker, **kwargs):
+    """Stand in for ``pipeline._type_shard``: a pool worker leaves ``marker`` and kills itself."""
+    if multiprocessing.parent_process() is None:
+        return _TYPE_SHARD(shard, **kwargs)
+    Path(marker).touch()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("bad_row", [False, True])
+def test_a_killed_worker_gives_the_serial_result(sharded, capfd, monkeypatch, bad_row):
+    tmp_path, texts = sharded
+    if bad_row:
+        blocks = _blocks(texts["conllu_cor"])
+        _set_column(blocks, 62, 3, "BLORP")
+        texts["conllu_cor"] = _join(blocks)
+    serial = _run_jobs(tmp_path, texts, 1, capfd)
+    marker = tmp_path / "killed"
+    monkeypatch.setattr(pipeline, "_type_shard", partial(_die_in_a_worker, marker=str(marker)))
+    # fork, so that the workers run the patched function
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=fork))
+    assert _run_jobs(tmp_path, texts, 2, capfd) == serial
+    assert serial[0] == (1 if bad_row else 0)
+    assert "Traceback" not in serial[2]
+    assert marker.exists()
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_jobs_agree_under_any_start_method(sharded, capfd, method):
+    tmp_path, texts = sharded
+    code, out, _ = _run_jobs(tmp_path, texts, 1, capfd)
+    assert code == 0
+    argv = [
+        "classify",
+        *("--orig", str(tmp_path / "orig.in"), "--cor", str(tmp_path / "cor.in")),
+        *("--conllu-orig", str(tmp_path / "conllu_orig.in")),
+        *("--conllu-cor", str(tmp_path / "conllu_cor.in")),
+        *("--jobs", "2"),
+    ]
+    program = (
+        "import multiprocessing, sys\n"
+        "from serrant.cli import main\n"
+        "multiprocessing.set_start_method(sys.argv[1])\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", program, method, *argv], capture_output=True, env=_module_env()
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == out.encode("utf-8")
 
 
 def test_crlf_inputs_classify_like_lf(sharded, capfd):

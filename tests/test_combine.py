@@ -8,11 +8,16 @@ import pytest
 
 from serrant.alignment import Edit
 from serrant.base import (
+    ADJ_FORM,
     MORPH,
+    NOUN_NUM,
     ORTH,
     OTHER,
     POS,
+    SPELL,
     VERB_FORM,
+    VERB_INFL,
+    VERB_SVA,
     VERB_TENSE,
     BaseType,
 )
@@ -511,6 +516,22 @@ def test_named_bodies_never_take_word_choice():
         trg_head_lemma="have",
     )
     assert combine(base, sercl, ctx) == SerrantType("R", "Verb:Tense")
+
+
+@pytest.mark.parametrize(
+    "category, body",
+    [
+        (SPELL, "Spell"),
+        (VERB_INFL, "Verb:Infl"),
+        (VERB_SVA, "Verb:SVA"),
+        (NOUN_NUM, "Noun:Num"),
+        (ADJ_FORM, "Adj:Form"),
+    ],
+)
+def test_bases_without_a_rule_keep_their_named_body(category, body):
+    # no suffix either, on a multi-word replacement whose head lemmas differ
+    ctx = context(src_forms=("x", "z"), src_head_lemma="x", trg_head_lemma="y")
+    assert combine(BaseType(category), pair("NOUN", "NOUN"), ctx) == SerrantType("R", body)
 
 
 def test_multi_word_applies_to_unqualified_pair_bodies():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from conftest import GOLDEN_FLAGSHIP, write_golden_corpus
@@ -194,6 +197,7 @@ def test_pool_starts_at_most_one_worker_per_usable_core(monkeypatch, in_process_
     # 2 jobs cut 9 shards of up to 12 pairs; 64 and 5000 jobs cut 100 one-pair shards
     assert in_process_pool.workers == [2, 3, 3]
     assert in_process_pool.shards == [9, 100, 100]
+    assert in_process_pool.initializers == [gc.disable] * 3
 
 
 def _retype_corpus(tmp_path):
@@ -259,6 +263,33 @@ def test_parallel_run_matches_serial_run():
     parallel = classify_corpus_parallel(config, inputs, worker_count=3)
     assert serial == parallel
     assert emit_m2(serial) == emit_m2(parallel)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OSError(11, "Resource temporarily unavailable"), BrokenProcessPool("a worker died")],
+    ids=["os-error", "broken-pool"],
+)
+def test_a_failing_pool_gives_the_serial_records(in_process_pool, error):
+    corpus = SyntheticCorpus(40, seed=3)
+    config = PipelineConfig()
+    inputs = PipelineInputs(original=corpus.orig_text, corrected=corpus.cor_text)
+    serial = run(config, inputs)
+    in_process_pool.error = error
+    assert run(config, inputs, 2) == serial
+    assert in_process_pool.shards == [8]
+
+
+def test_a_pool_that_cannot_start_gives_the_serial_records(monkeypatch):
+    def cannot_start(*args, **kwargs):
+        raise OSError(11, "Resource temporarily unavailable")
+
+    corpus = SyntheticCorpus(40, seed=3)
+    config = PipelineConfig()
+    inputs = PipelineInputs(original=corpus.orig_text, corrected=corpus.cor_text)
+    serial = run(config, inputs)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", cannot_start)
+    assert run(config, inputs, 2) == serial
 
 
 def test_parallel_single_worker_equals_run():
