@@ -123,12 +123,8 @@ def _config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _run_classify(args: argparse.Namespace) -> int:
-    config = _config(args)
-    # read without newline translation, so that read_parallel applies its own line rules
-    inputs = PipelineInputs(
-        original=read_input(args.orig, newline=""), corrected=read_input(args.cor, newline="")
-    )
-    _write_outputs(run(config, inputs, args.jobs), args)
+    inputs = PipelineInputs(original=read_input(args.orig), corrected=read_input(args.cor))
+    _write_outputs(run(_config(args), inputs, args.jobs), args)
     return 0
 
 

@@ -139,7 +139,19 @@ def _side(
 
 
 def combine(base: BaseType, sercl: SerclType, ctx: EditContext) -> SerrantType:
-    """Produce the final type from both classifications and the edit context."""
+    """Produce the final type from both classifications and the edit context.
+
+    Two combination rules cannot fire on the base types that
+    :func:`~serrant.base.classify_base` gives, so they change no label of
+    ``classify_edit`` and act only when ``combine`` is called directly:
+
+    * the VERB:FORM noun-to-verb rule, since VERB:FORM is given only to
+      one-to-one edits whose tokens are both VERB or AUX;
+    * the PRON/DET crossing rule, since a PRON or DET base is given only
+      when every token on both sides carries that one tag.
+
+    Both are SERRANT's rules and are kept.
+    """
     if not ctx.src_tokens:
         op = MISSING
     elif not ctx.trg_tokens:

@@ -273,7 +273,12 @@ def apply_edits(
 
     Returns the corrected token sequence together with, for each span in the
     given order, the position its correction starts at in the corrected
-    sequence.  Spans must be sortable into a non-overlapping order.
+    sequence.
+
+    Raises:
+        ValueError: for a noop span, a span empty on both sides (the message
+            names its offsets), or spans that cannot be sorted into a
+            non-overlapping order.
     """
     ordered = sorted(enumerate(spans), key=lambda item: (item[1].start, item[1].end))
     out = list(source_tokens)
@@ -283,6 +288,8 @@ def apply_edits(
     for original_index, span in ordered:
         if span.is_noop:
             raise ValueError("noop spans cannot be applied")
+        if span.start == span.end and not span.correction:
+            raise ValueError(f"edit {span.start} {span.end} is empty on both sides")
         if span.start < previous_end:
             raise ValueError(f"overlapping edit spans at {span.start}")
         previous_end = max(previous_end, span.end)

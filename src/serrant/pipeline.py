@@ -160,14 +160,17 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def read_input(path: str, newline: str | None = None) -> str:
-    """Read a UTF-8 input file; ``newline`` is passed to :func:`open`.
+def read_input(path: str) -> str:
+    """Read a UTF-8 input file as it is, without newline translation.
+
+    Each parser then applies its own line rule, so a file read here parses
+    as its text does when passed to the parser directly.
 
     Raises:
         IngestionError: naming the path, the first byte that is not UTF-8
             and its 1-based line, when the file does not decode.
     """
-    with open(path, encoding="utf-8", newline=newline) as handle:
+    with open(path, encoding="utf-8", newline="") as handle:
         try:
             return handle.read()
         except UnicodeDecodeError as exc:
@@ -335,15 +338,10 @@ def _retype_record(
     record_index: int,
 ) -> M2Record:
     """Retype one record; ``cor_sentence`` is the unattached corrected CoNLL-U sentence."""
-    real_positions = [i for i, e in enumerate(record.edits) if not e.span.is_noop]
     by_annotator: dict[int, list[int]] = {}
-    for position in real_positions:
-        span = record.edits[position].span
-        if span.start == span.end and not span.correction:
-            raise M2ValidationError(
-                record_index, f"edit {span.start} {span.end} is empty on both sides"
-            )
-        by_annotator.setdefault(record.edits[position].annotator_id, []).append(position)
+    for position, edit in enumerate(record.edits):
+        if not edit.span.is_noop:
+            by_annotator.setdefault(edit.annotator_id, []).append(position)
 
     if cor_sentence is not None and len(by_annotator) > 1:
         raise ConfigurationError(

@@ -1,10 +1,11 @@
 """Universal Dependencies annotations: CoNLL-U parsing and span heads.
 
-Only the columns this package consumes are modelled: form, lemma, UPOS tag,
-morphological features, the dependency head and its relation.  Heads are
-stored 0-based; the root points at the :data:`ROOT` sentinel.  Lemmas are
-lowercased on the way in because every lemma comparison in the classifiers
-is case-insensitive.
+Only these columns are modelled: form, lemma, UPOS tag, morphological
+features and the dependency head, which the classifiers read, and the
+dependency relation (DEPREL), which is parsed and kept for callers but read
+by no classifier.  Heads are stored 0-based; the root points at the
+:data:`ROOT` sentinel.  Lemmas are lowercased on the way in because every
+lemma comparison in the classifiers is case-insensitive.
 
 An :class:`AnnotatedSentence` holds one tuple per column: ``forms``,
 ``lemmas``, ``upos``, ``feats``, ``heads`` and ``deprels``, where position
@@ -25,8 +26,8 @@ A chunk that fails a check is walked row by row to name its first error.
 A small rule-plus-lexicon annotator (:func:`fallback_annotate`) provides
 annotations for tests and demos when no parser output is available.  It is
 deliberately crude and not meant for accuracy-bearing use.  With the default
-lexicon it memoises each form's analysis, for at most :data:`_MEMO_SIZE`
-forms (about 2 MB).
+lexicon it memoises the analysis of each form, at the start of a sentence or
+after it, for at most :data:`_MEMO_SIZE` entries (about 2 MB).
 """
 
 from __future__ import annotations
@@ -589,22 +590,15 @@ def fallback_annotate(tokens: tuple[str, ...] | list[str], lexicon: Lexicon | No
     the last non-punctuation token, which becomes the root.  The columns are
     filled directly; no :class:`Token` is built.
 
-    With the default lexicon, the analysis of each form is memoised in a
-    bounded least-recently-used cache, apart from the capitalised-word rule,
-    which depends on the position.  Words of the same analysis share its
-    feature dict, which is read-only by contract.
+    With the default lexicon, the analysis of each form, at the start of
+    the sentence or after it, is memoised in a bounded least-recently-used
+    cache.  Words of the same analysis share its feature dict, which is
+    read-only by contract.
     """
-    analyse = _analyse_default if lexicon is None else partial(_analyse, lexicon=lexicon)
-    analysed = list(map(analyse, tokens))
-    if None in analysed:
-        for i, entry in enumerate(analysed):
-            if entry is None:
-                lemma = tokens[i].lower()
-                analysed[i] = (lemma, "PROPN", _NO_FEATS) if i else (lemma, "NOUN", _SINGULAR)
-
-    if not analysed:
+    if not tokens:
         return AnnotatedSentence((), (), (), (), (), ())
-    lemmas, upos, feats = zip(*analysed)
+    analyse = _analyse_default if lexicon is None else partial(_analyse, lexicon=lexicon)
+    lemmas, upos, feats = zip(*map(analyse, tokens, chain((True,), repeat(False))))
     root = len(upos) - 1
     while root > 0 and upos[root] == "PUNCT":
         root -= 1
@@ -615,11 +609,11 @@ def fallback_annotate(tokens: tuple[str, ...] | list[str], lexicon: Lexicon | No
     return AnnotatedSentence(tuple(tokens), lemmas, upos, feats, tuple(heads), tuple(deprels))
 
 
-def _analyse(form: str, lexicon: Lexicon) -> LexiconEntry | None:
-    """The analysis of ``form`` that does not depend on its position.
+def _analyse(form: str, initial: bool, lexicon: Lexicon) -> LexiconEntry:
+    """The analysis of ``form``, where ``initial`` says it starts the sentence.
 
-    None for a capitalised word that no lexicon entry or suffix rule
-    covers: it is a proper noun unless it starts the sentence.
+    A capitalised word that no lexicon entry or suffix rule covers is a
+    proper noun unless it starts the sentence.
     """
     entry = lexicon.get(form) or lexicon.get(form.lower())
     if entry is not None:
@@ -632,16 +626,16 @@ def _analyse(form: str, lexicon: Lexicon) -> LexiconEntry | None:
         return (form[:-2].lower(), "ADV", _NO_FEATS)
     if form.endswith("s") and len(form) > 2:
         return (form[:-1].lower(), "NOUN", _PLURAL)
-    if form[:1].isupper():
-        return None
+    if not initial and form[:1].isupper():
+        return (form.lower(), "PROPN", _NO_FEATS)
     return (form.lower(), "NOUN", _SINGULAR)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _analyse_default(form: str) -> LexiconEntry | None:
-    """:func:`_analyse` with :data:`DEFAULT_LEXICON`, memoised.
+def _analyse_default(form: str, initial: bool) -> LexiconEntry:
+    """:func:`_analyse` with :data:`DEFAULT_LEXICON`, memoised on ``(form, initial)``.
 
     The memo does not notice a rebound ``DEFAULT_LEXICON``; whoever rebinds
     it calls ``_analyse_default.cache_clear()``.
     """
-    return _analyse(form, DEFAULT_LEXICON)
+    return _analyse(form, initial, DEFAULT_LEXICON)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,6 +80,19 @@ def test_lemma_match_lowers_substitution_cost():
     assert kinds(with_lemmas) == [SUBSTITUTE]
     assert total_cost(with_lemmas, src, trg, ["go"], ["go"]) == 1
     assert total_cost(align(src, trg), src, trg) == 2
+
+
+@pytest.mark.parametrize(
+    "lemmas, message",
+    [
+        ({"src_lemmas": ["a"]}, "src_lemmas does not parallel src"),
+        ({"trg_lemmas": ["a", "b", "c"]}, "trg_lemmas does not parallel trg"),
+    ],
+)
+def test_lemmas_must_parallel_their_tokens(lemmas, message):
+    with pytest.raises(ValueError) as info:
+        align(["a", "b"], ["a", "c"], **lemmas)
+    assert str(info.value) == message
 
 
 def test_alignment_is_deterministic():

@@ -316,3 +316,17 @@ def test_empty_edit_is_rejected():
     edit = Edit(span=EditSpan(0, 0, ()), src_tokens=(), cor_start=0)
     with pytest.raises(ValueError):
         classify_base(build_context(edit, None, None))
+
+
+@pytest.mark.parametrize(
+    "category, payload, message",
+    [
+        ("NOPE", None, "unknown base category 'NOPE'"),
+        (POS, None, "pos_payload must be present exactly for POS categories"),
+        (OTHER, "DET", "pos_payload must be present exactly for POS categories"),
+    ],
+)
+def test_base_type_checks_its_category_and_payload(category, payload, message):
+    with pytest.raises(ValueError) as info:
+        BaseType(category, payload)
+    assert str(info.value) == message

@@ -22,8 +22,11 @@ import serrant
 from serrant import cli, pipeline, ud
 
 from conftest import GOLDEN_FLAGSHIP, golden_wordlist_words, write_golden_corpus
+from serrant.base import load_wordlist
 from serrant.cli import main
-from serrant.m2 import parse_m2
+from serrant.errors import ConfigurationError, SerrantError
+from serrant.m2 import emit_m2, parse_m2, read_parallel
+from serrant.report import emit_report, type_distribution
 from synthgen import SyntheticCorpus
 
 
@@ -462,6 +465,96 @@ def test_crlf_inputs_classify_like_lf(sharded, capfd):
     crlf = {name: text.replace("\n", "\r\n") for name, text in texts.items()}
     assert _same_for_any_jobs(tmp_path, crlf, capfd) == lf
     assert lf[0] == 0
+
+
+# --- the command line parses a file's bytes as the library parses its text ----
+
+
+def _cli_result(tmp_path, capfd, command: str, texts: dict[str, str]) -> tuple[int, str, str]:
+    """Run ``command`` with each text written byte for byte to the file of its flag."""
+    argv = [command]
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.in"
+        path.write_bytes(text.encode("utf-8"))
+        argv += [f"--{name.replace('_', '-')}", str(path)]
+    capfd.readouterr()
+    code = main(argv)
+    return (code, *capfd.readouterr())
+
+
+def _library_result(command: str, texts: dict[str, str]) -> tuple[int, str, str]:
+    """What the library makes of the same texts given as strings, as exit code, output, error."""
+    try:
+        if command == "stats":
+            return 0, emit_report(type_distribution(parse_m2(texts["m2"])), "tsv"), ""
+        wordlist = load_wordlist(texts["wordlist"]) if "wordlist" in texts else None
+        retype = command == "retype"
+        items = parse_m2(texts["m2"]) if retype else read_parallel(texts["orig"], texts["cor"])
+        shard = pipeline._Shard(
+            items, partial(texts.get, "conllu_orig"), partial(texts.get, "conllu_cor")
+        )
+        records = pipeline._type_shard(
+            shard, retype=retype, wordlist=wordlist, config=pipeline.PipelineConfig()
+        )
+        return 0, emit_m2(records), ""
+    except ConfigurationError as exc:
+        return 2, "", f"serrant: {exc}\n"
+    except SerrantError as exc:
+        return 1, "", f"serrant: {exc}\n"
+
+
+def _misc_holds_a_carriage_return(conllu: str) -> str:
+    """``conllu`` with a lone ``\\r`` inside the MISC column of its first row."""
+    blocks = _blocks(conllu)
+    _set_column(blocks, 0, 9, "Space\rAfter=No")
+    return _join(blocks)
+
+
+def _line_ending_cases() -> list:
+    """Each command on inputs with ``\\r\\n`` line ends or a lone ``\\r``, and its exit code."""
+    corpus = SyntheticCorpus(12, seed=29)
+    words = "".join(f"{word}\n" for word in sorted(set(corpus.orig_text.split())))
+    m2 = corpus.untyped_m2()
+    classify = {
+        "orig": corpus.orig_text,
+        "cor": corpus.cor_text,
+        "conllu_orig": corpus.conllu_orig,
+        "conllu_cor": corpus.conllu_cor,
+        "wordlist": words,
+    }
+    retype = {"m2": m2, "conllu_orig": corpus.conllu_orig, "wordlist": words}
+    crlf = {name: text.replace("\n", "\r\n") for name, text in classify.items()}
+    retype_crlf = {name: text.replace("\n", "\r\n") for name, text in retype.items()}
+    misc = {
+        name: _misc_holds_a_carriage_return(classify[name])
+        for name in ("conllu_orig", "conllu_cor")
+    }
+    # a source token holding a lone "\r" on the first sentence line
+    token = m2.replace(" ", " do\rg ", 1)
+    cases = [
+        ("classify", "crlf", crlf, 0),
+        ("retype", "crlf", retype_crlf, 0),
+        ("stats", "crlf", {"m2": retype_crlf["m2"]}, 0),
+        ("classify", "misc-cr", {**classify, **misc}, 0),
+        ("retype", "misc-cr", {**retype, "conllu_orig": misc["conllu_orig"]}, 0),
+        ("classify", "wordlist-cr", {**classify, "wordlist": words.replace("\n", "\r", 3)}, 0),
+        # parsed, the token is written back only to be rejected by emit_m2
+        ("retype", "token-cr", {"m2": token}, 1),
+        ("stats", "token-cr", {"m2": token}, 0),
+    ]
+    return [
+        pytest.param(command, texts, code, id=f"{command}-{case}")
+        for command, case, texts, code in cases
+    ]
+
+
+@pytest.mark.parametrize("command, texts, code", _line_ending_cases())
+def test_the_command_line_reads_files_as_the_library_reads_texts(
+    tmp_path, capfd, command, texts, code
+):
+    result = _cli_result(tmp_path, capfd, command, texts)
+    assert result == _library_result(command, texts)
+    assert result[0] == code
 
 
 def test_a_lone_carriage_return_in_the_text_is_rejected(sharded, capfd):

@@ -93,6 +93,8 @@ def test_parse_tolerates_extra_blank_lines():
         "S a\nA 0 1|||X|||y|||REQUIRED|||-NONE-|||nope\n",
         "S a\nA 0 1|||X|||y|||REQUIRED|||-NONE-|||-2\n",
         "S a\nQ what\n",
+        "S a\nA 0|||X|||y|||REQUIRED|||-NONE-|||0\n",
+        "S a\nA 0 1|||X|||y  z|||REQUIRED|||-NONE-|||0\n",
     ],
 )
 def test_parse_errors_carry_line_numbers(text):
@@ -172,6 +174,10 @@ def test_emit_blocks_joined_by_single_blank_line():
         M2Record(
             source_tokens=("a",),
             edits=(M2Edit(span=EditSpan(0, 1, ("-NONE-",)), type_label="T", annotator_id=0),),
+        ),
+        M2Record(
+            source_tokens=("a",),
+            edits=(M2Edit(span=EditSpan(0, 1, ("x",)), type_label="T", annotator_id=-1),),
         ),
     ],
 )
@@ -353,6 +359,22 @@ def test_apply_edits_rejects_overlap():
 def test_apply_edits_rejects_noop():
     with pytest.raises(ValueError):
         apply_edits(["a"], [EditSpan(-1, -1, ())])
+
+
+@pytest.mark.parametrize(
+    "spans, message",
+    [
+        ([EditSpan(1, 1, ())], "edit 1 1 is empty on both sides"),
+        ([EditSpan(0, 0, ())], "edit 0 0 is empty on both sides"),
+        ([EditSpan(2, 2, ())], "edit 2 2 is empty on both sides"),
+        ([EditSpan(1, 2, ("x",)), EditSpan(0, 0, ())], "edit 0 0 is empty on both sides"),
+        ([EditSpan(0, 1, ()), EditSpan(1, 1, ())], "edit 1 1 is empty on both sides"),
+    ],
+)
+def test_apply_edits_rejects_an_edit_empty_on_both_sides(spans, message):
+    with pytest.raises(ValueError) as info:
+        apply_edits(["a", "b"], spans)
+    assert str(info.value) == message
 
 
 def test_apply_edits_random_consistency():

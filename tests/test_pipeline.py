@@ -232,8 +232,9 @@ def test_retype_runs_on_shards(tmp_path, in_process_pool):
             True,
             ConfigurationError,
         ),
+        (["A 2 2|||UNK||||||REQUIRED|||-NONE-|||0"], False, M2ValidationError),
     ],
-    ids=["overlapping-spans", "two-annotators-with-corrected-conllu"],
+    ids=["overlapping-spans", "two-annotators-with-corrected-conllu", "empty-edit"],
 )
 def test_retype_shard_errors_are_the_serial_errors(
     tmp_path, in_process_pool, edit_lines, both_conllu, error
