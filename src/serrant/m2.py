@@ -1,7 +1,7 @@
 """Reading and writing the M2 annotation format and parallel text files.
 
 An M2 file stores one block per sentence: an ``S`` line holding the
-whitespace-tokenised original sentence followed by one ``A`` line per edit::
+space-tokenised original sentence followed by one ``A`` line per edit::
 
     S I werk
     A 1 2|||R:Spell|||work|||REQUIRED|||-NONE-|||0
@@ -9,6 +9,15 @@ whitespace-tokenised original sentence followed by one ``A`` line per edit::
 ``A`` line fields are separated by ``|||``: token span, type label,
 correction, two fixed flag fields, annotator id.  Blocks are separated by a
 blank line.  Files are UTF-8 with LF line endings.
+
+M2 and parallel text share one line rule (:func:`_lines`): lines end at
+``\\n``, one ``\\r`` before a line end is dropped, so CRLF files read like
+LF files, and any other whitespace or line-break character (a lone
+``\\r``, a tab, NBSP, U+2028, ...) anywhere in the text is an error naming
+its line, such as ``line 3: unsupported whitespace character U+0009`` for
+M2.  Tokens on ``S`` lines and in correction fields are separated by single
+spaces.  So every record :func:`parse_m2` returns is one :func:`emit_m2`
+writes back.
 
 Canonical emission rules, chosen to match the most common usage of the
 format: deletions carry an empty correction field, the no-edit sentinel
@@ -24,9 +33,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
-from .errors import IngestionError, M2ParseError, M2ValidationError
+from .errors import IngestionError, M2ParseError, M2ValidationError, SerrantError
 
 NOOP_TYPE = "noop"
 
@@ -78,10 +88,11 @@ def parse_m2(text: str) -> list[M2Record]:
     """Parse M2 text into records.
 
     Raises:
-        M2ParseError: on malformed lines, annotations appearing before any
-            sentence line, non-integer or out-of-range offsets, or a
-            negative annotator id.  The error carries the 1-based line
-            number.
+        M2ParseError: on whitespace other than the space and the line end,
+            malformed lines, annotations appearing before any sentence
+            line, empty tokens (two spaces in a row), non-integer or
+            out-of-range offsets, or a negative annotator id.  The error
+            carries the 1-based line number.
     """
     records: list[M2Record] = []
     tokens: tuple[str, ...] | None = None
@@ -94,8 +105,7 @@ def parse_m2(text: str) -> list[M2Record]:
         tokens = None
         edits = []
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
+    for lineno, line in enumerate(_lines(text, M2ParseError), start=1):
         if not line.strip():
             close()
             continue
@@ -159,6 +169,8 @@ def emit_m2(records: Sequence[M2Record]) -> str:
             correction tokens containing the field separator, a correction
             or type label ending in ``|``, a correction that is just
             ``-NONE-``, spans out of range, negative annotator ids).
+            Records from :func:`parse_m2` always pass, so the checks guard
+            records that callers build by hand.
     """
     blocks = []
     for index, record in enumerate(records):
@@ -225,8 +237,9 @@ def _plain_tokens(tokens: Sequence[str]) -> bool:
 def read_parallel(original: str, corrected: str) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Pair up two one-sentence-per-line texts, tokenised on spaces.
 
-    Lines split on ``\\n`` only, each losing one trailing ``\\r``, and
-    tokens on runs of the space character, as in M2 and CoNLL-U.
+    Lines follow the line rule of M2 (:func:`_lines`): they split on
+    ``\\n`` only, each losing one trailing ``\\r``.  Tokens split on runs of
+    the space character, where an M2 line needs single spaces.
 
     Raises:
         IngestionError: when a line holds any other whitespace or line
@@ -234,8 +247,8 @@ def read_parallel(original: str, corrected: str) -> list[tuple[tuple[str, ...], 
             and the character), or when the two texts have different line
             counts (the message reports both counts).
     """
-    orig_lines = _text_lines(original, "original")
-    cor_lines = _text_lines(corrected, "corrected")
+    orig_lines = _lines(original, partial(_text_error, "original"))
+    cor_lines = _lines(corrected, partial(_text_error, "corrected"))
     if len(orig_lines) != len(cor_lines):
         raise IngestionError(
             f"parallel texts differ in length: {len(orig_lines)} original lines"
@@ -245,21 +258,33 @@ def read_parallel(original: str, corrected: str) -> list[tuple[tuple[str, ...], 
     return [(tuple(o.split()), tuple(c.split())) for o, c in zip(orig_lines, cor_lines)]
 
 
+def _text_error(side: str, line: int, message: str) -> IngestionError:
+    return IngestionError(f"{side} text line {line}: {message}")
+
+
 # whitespace other than the space and the line break
 _OTHER_SPACE = re.compile(r"[^\S \n]")
 
 
-def _text_lines(text: str, side: str) -> list[str]:
-    if "\r" in text:  # drop one "\r" before each line end, the end of the text included
+def _lines(text: str, error: Callable[[int, str], SerrantError]) -> list[str]:
+    """Split ``text`` into lines: the one line rule of text and M2 input.
+
+    Lines end at ``\\n``, and one ``\\r`` before each line end, the end of
+    the text included, is dropped.  A final line end adds no empty line.
+
+    Raises:
+        SerrantError: ``error(line, message)``, naming the 1-based line of
+            the first whitespace or line-break character other than the
+            space and the line end.
+    """
+    if "\r" in text:
         text = text.replace("\r\n", "\n")
         if text.endswith("\r"):
             text = text[:-1] + "\n"
     bad = _OTHER_SPACE.search(text)
     if bad is not None:
         line = text.count("\n", 0, bad.start()) + 1
-        raise IngestionError(
-            f"{side} text line {line}: unsupported whitespace character U+{ord(bad.group()):04X}"
-        )
+        raise error(line, f"unsupported whitespace character U+{ord(bad.group()):04X}")
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()

@@ -5,7 +5,8 @@ features and the dependency head, which the classifiers read, and the
 dependency relation (DEPREL), which is parsed and kept for callers but read
 by no classifier.  Heads are stored 0-based; the root points at the
 :data:`ROOT` sentinel.  Lemmas are lowercased on the way in because every
-lemma comparison in the classifiers is case-insensitive.
+lemma comparison in the classifiers is case-insensitive, and a ``_`` LEMMA
+becomes the lowercased FORM.
 
 An :class:`AnnotatedSentence` holds one tuple per column: ``forms``,
 ``lemmas``, ``upos``, ``feats``, ``heads`` and ``deprels``, where position
@@ -113,7 +114,10 @@ class AnnotatedSentence:
 
 
 def parse_feats(value: str) -> dict[str, str]:
-    """Parse a ``Name=Value|Name=Value`` feature column; ``_`` is empty."""
+    """Parse a ``Name=Value|Name=Value`` feature column; ``_`` is empty.
+
+    Feature names must be unique within the column.
+    """
     if value in ("_", ""):
         return {}
     feats = {}
@@ -121,6 +125,8 @@ def parse_feats(value: str) -> dict[str, str]:
         name, sep, val = pair.partition("=")
         if not sep or not name or not val:
             raise ValueError(f"malformed feature pair {pair!r}")
+        if name in feats:
+            raise ValueError(f"repeated feature name {name!r}")
         feats[name] = val
     return feats
 
@@ -141,10 +147,10 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
     ``1-2``) and empty-node rows (ids like ``1.1``); an id holding ``-`` or
     ``.`` that is not two integers around one of them is an error.  Every
     kept row must have 10 tab-separated columns, a contiguous id, a known
-    UPOS tag, and an in-range head; ids and heads are ASCII digits.  Each
-    sentence must form a tree with exactly one root.  Each distinct FEATS
-    column is parsed once, and the words that carry it share the
-    resulting dict.
+    UPOS tag, FEATS pairs with unique names, and an in-range head; ids and
+    heads are ASCII digits.  Each sentence must form a tree with exactly
+    one root.  Each distinct FEATS column is parsed once, and the words
+    that carry it share the resulting dict.
 
     Raises:
         ConlluParseError: carrying the offending 1-based line number.

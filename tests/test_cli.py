@@ -511,7 +511,7 @@ def _misc_holds_a_carriage_return(conllu: str) -> str:
 
 
 def _line_ending_cases() -> list:
-    """Each command on inputs with ``\\r\\n`` line ends or a lone ``\\r``, and its exit code."""
+    """Each command on inputs with ``\\r\\n`` line ends or other whitespace, and its error."""
     corpus = SyntheticCorpus(12, seed=29)
     words = "".join(f"{word}\n" for word in sorted(set(corpus.orig_text.split())))
     m2 = corpus.untyped_m2()
@@ -532,29 +532,54 @@ def _line_ending_cases() -> list:
     # a source token holding a lone "\r" on the first sentence line
     token = m2.replace(" ", " do\rg ", 1)
     cases = [
-        ("classify", "crlf", crlf, 0),
-        ("retype", "crlf", retype_crlf, 0),
-        ("stats", "crlf", {"m2": retype_crlf["m2"]}, 0),
-        ("classify", "misc-cr", {**classify, **misc}, 0),
-        ("retype", "misc-cr", {**retype, "conllu_orig": misc["conllu_orig"]}, 0),
-        ("classify", "wordlist-cr", {**classify, "wordlist": words.replace("\n", "\r", 3)}, 0),
-        # parsed, the token is written back only to be rejected by emit_m2
-        ("retype", "token-cr", {"m2": token}, 1),
-        ("stats", "token-cr", {"m2": token}, 0),
+        ("classify", "crlf", crlf, ""),
+        ("retype", "crlf", retype_crlf, ""),
+        ("stats", "crlf", {"m2": retype_crlf["m2"]}, ""),
+        ("classify", "misc-cr", {**classify, **misc}, ""),
+        ("retype", "misc-cr", {**retype, "conllu_orig": misc["conllu_orig"]}, ""),
+        ("classify", "wordlist-cr", {**classify, "wordlist": words.replace("\n", "\r", 3)}, ""),
+    ]
+    # M2 whitespace other than the space and the line end fails at parse, on its line
+    cases += [
+        (command, "token-cr", {"m2": token}, _whitespace_error(1, "\r"))
+        for command in ("retype", "stats")
+    ]
+    # a tab, an NBSP or a second "\r" at the end of the first sentence line,
+    # in the first correction token or in the first type label
+    spots = {
+        "token": ("\n", "{}\n", 1),
+        "correction": ("|||a|||", "|||a{}|||", 2),
+        "label": ("|||UNK|||", "|||UNK{}|||", 2),
+    }
+    spliced = {"tab": "\t", "nbsp": "\xa0", "crcr": "\r\r"}
+    cases += [
+        (
+            command,
+            f"{spot}-{name}",
+            {"m2": m2.replace(old, new.format(char), 1)},
+            _whitespace_error(line, char),
+        )
+        for spot, (old, new, line) in spots.items()
+        for name, char in spliced.items()
+        for command in ("retype", "stats")
     ]
     return [
-        pytest.param(command, texts, code, id=f"{command}-{case}")
-        for command, case, texts, code in cases
+        pytest.param(command, texts, error, id=f"{command}-{case}")
+        for command, case, texts, error in cases
     ]
 
 
-@pytest.mark.parametrize("command, texts, code", _line_ending_cases())
+def _whitespace_error(line: int, char: str) -> str:
+    return f"serrant: line {line}: unsupported whitespace character U+{ord(char[0]):04X}\n"
+
+
+@pytest.mark.parametrize("command, texts, error", _line_ending_cases())
 def test_the_command_line_reads_files_as_the_library_reads_texts(
-    tmp_path, capfd, command, texts, code
+    tmp_path, capfd, command, texts, error
 ):
     result = _cli_result(tmp_path, capfd, command, texts)
     assert result == _library_result(command, texts)
-    assert result[0] == code
+    assert (result[0], result[2]) == (1 if error else 0, error)
 
 
 def test_a_lone_carriage_return_in_the_text_is_rejected(sharded, capfd):
@@ -692,6 +717,8 @@ def test_fuzzed_m2_fails_cleanly_in_retype_and_stats(tmp_path, capfd, data, gran
         results[command] = code, err
     if results["stats"][0] != 0:  # stats fails only when the file does not read or parse
         assert results["retype"] == results["stats"]
+    else:  # every M2 file stats reads is one that can be written back
+        emit_m2(parse_m2(data.decode("utf-8")))
 
 
 # --- shared feats are read-only -------------------------------------------------

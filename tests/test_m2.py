@@ -331,6 +331,25 @@ def test_read_parallel_rejects_other_whitespace(char, side):
     )
 
 
+# "\r\r" before a line end leaves one lone "\r"
+@pytest.mark.parametrize("char", ["\u2028", "\x85", "\xa0", "\t", "\r\r"])
+@pytest.mark.parametrize(
+    "template, line",
+    [
+        ("S a{}\nA 0 1|||X|||y|||REQUIRED|||-NONE-|||0\n", 1),
+        ("S a{}b\n", 1),
+        ("S a\nA 0 1|||X|||y{}|||REQUIRED|||-NONE-|||0\n", 2),
+        ("S a\nA 0 1|||X{}|||y|||REQUIRED|||-NONE-|||0\n", 2),
+        ("S a\n{}\nS b\n", 2),
+    ],
+    ids=["source-line-end", "source", "correction", "label", "separator"],
+)
+def test_parse_m2_rejects_other_whitespace_on_its_line(template, line, char):
+    with pytest.raises(M2ParseError) as info:
+        parse_m2(template.format(char))
+    assert str(info.value) == f"line {line}: unsupported whitespace character U+{ord(char[0]):04X}"
+
+
 def test_apply_edits_replacement():
     tokens, starts = apply_edits(["I", "werk", "for", "pen"], [EditSpan(1, 2, ("work",))])
     assert tokens == ("I", "work", "for", "pen")

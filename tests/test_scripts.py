@@ -26,3 +26,39 @@ def test_synthetic_corpus_script_runs_without_pythonpath(tmp_path):
     assert sorted(path.name for path in out.iterdir()) == sorted(names)
     assert len((out / "orig.txt").read_text(encoding="utf-8").splitlines()) == 5
     assert (out / "untyped.m2").read_text(encoding="utf-8").count("\nS ") == 4
+
+
+_SAMPLE = '''"""A module docstring."""
+
+import os  # a comment
+# a comment line
+
+
+def f(x):
+    """A docstring
+    over two lines."""
+    y = """a string
+    that is code"""
+    return (x +
+            y)
+'''
+
+
+def test_code_line_counter_skips_docstrings_comments_and_blank_lines(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(_SAMPLE, encoding="utf-8")
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\n\n", encoding="utf-8")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "count_code_lines.py"), str(tmp_path / "pkg")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = [line.split(maxsplit=1) for line in result.stdout.splitlines()]
+    assert rows == [
+        ["6", str(tmp_path / "pkg" / "a.py")],
+        ["1", str(tmp_path / "pkg" / "b.py")],
+        ["7", "total"],
+    ]

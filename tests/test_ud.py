@@ -84,6 +84,7 @@ def _row(token_id: str, head: str) -> str:
         ("2\tx\tx\tNOUN\t_\t_\t0\troot\t_\t_\n", 1),
         ("1\tx\tx\tBLORP\t_\t_\t0\troot\t_\t_\n", 1),
         ("1\tx\tx\tNOUN\t_\tNumber\t0\troot\t_\t_\n", 1),
+        ("# c\n1\tx\tx\tNOUN\t_\tNumber=Sing|Number=Plur\t0\troot\t_\t_\n", 2),
         ("1\tx\tx\tNOUN\t_\t_\tzero\troot\t_\t_\n", 1),
         ("1\tx\tx\tNOUN\t_\t_\t4\tdep\t_\t_\n", 1),
         ("1\tx\tx\tNOUN\t_\t_\t1\tdep\t_\t_\n", 1),
@@ -351,6 +352,8 @@ def test_parse_feats_column():
         parse_feats("Number")
     with pytest.raises(ValueError):
         parse_feats("=Sing")
+    with pytest.raises(ValueError, match="repeated feature name 'Number'"):
+        parse_feats("Number=Sing|Number=Plur")
 
 
 def test_token_is_a_named_tuple_without_a_dict():
@@ -518,11 +521,18 @@ def test_load_lexicon_parses_and_lowercases_lemma():
 
 @pytest.mark.parametrize(
     "text",
-    ["a\tb\tNOUN\n", "a\tb\tNOPE\t_\n", "a\tb\tNOUN\tNumber\n"],
+    [
+        "a\tb\tNOUN\n",
+        "a\tb\tNOPE\t_\n",
+        "a\tb\tNOUN\tNumber\n",
+        "# c\na\tb\tNOUN\tNumber=Sing|Number=Plur\n",
+    ],
 )
 def test_load_lexicon_rejects_bad_lines(text):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as info:
         load_lexicon(text)
+    last_line = text.count("\n")
+    assert str(info.value).startswith(f"lexicon line {last_line}: ")
 
 
 def test_default_lexicon_covers_function_words():
