@@ -10,11 +10,14 @@ with the left-to-right sweep makes the output deterministic.
 ``merge`` collapses every maximal run of non-match operations into a single
 :class:`Edit`, so edits are never adjacent and applying them left to right
 reproduces the corrected sentence exactly.
+
+:class:`AlignmentOp` and :class:`Edit` are named tuples, built once per
+operation and once per edit: they compare equal to plain tuples of their
+fields, and ``_replace`` gives a changed copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .m2 import EditSpan
@@ -36,8 +39,7 @@ class AlignmentOp(NamedTuple):
     trg_end: int
 
 
-@dataclass(frozen=True)
-class Edit:
+class Edit(NamedTuple):
     """A contiguous rewrite of the source, with its landing site in the target."""
 
     span: EditSpan

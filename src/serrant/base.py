@@ -7,11 +7,16 @@ the first matching rule wins.
 
 At this stage AUX is folded into VERB (the combiner separates them again
 from the head tags), ADP surfaces as PREP, and CCONJ/SCONJ surface as CONJ.
+
+:func:`classify_base` hands out shared values: one :class:`BaseType` per
+category and surface tag, from a cache of at most :data:`_SHARED_SIZE`
+values.  The constructor still validates values that callers build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .alignment import Edit
@@ -51,6 +56,18 @@ class BaseType:
             raise ValueError(f"unknown base category {self.category!r}")
         if (self.category == POS) != (self.pos_payload is not None):
             raise ValueError("pos_payload must be present exactly for POS categories")
+
+
+# The most BaseType values classify_base shares, least recently used first
+# out: the 10 named categories and the 15 surface names of the UPOS tags
+# need 25.
+_SHARED_SIZE = 1 << 6
+
+
+@lru_cache(maxsize=_SHARED_SIZE)
+def _shared(category: str, pos_payload: str | None = None) -> BaseType:
+    """The one :class:`BaseType` of a value, kept for the last :data:`_SHARED_SIZE` asked."""
+    return BaseType(category, pos_payload)
 
 
 def surface_tag(upos: str) -> str:
@@ -115,14 +132,14 @@ def classify_base(ctx: EditContext, wordlist: frozenset[str] | None = None) -> B
     if not src_tokens or not trg_tokens:
         tags = {surface_tag(t.upos) for t in trg_tokens or src_tokens}
         if len(tags) == 1:
-            return BaseType(POS, tags.pop())
-        return BaseType(OTHER)
+            return _shared(POS, tags.pop())
+        return _shared(OTHER)
 
     if detect_orthography(ctx.edit):
-        return BaseType(ORTH)
+        return _shared(ORTH)
 
     if wordlist is not None and detect_spelling(ctx.edit, wordlist):
-        return BaseType(SPELL)
+        return _shared(SPELL)
 
     if len(src_tokens) == 1 and len(trg_tokens) == 1:
         return _one_to_one(src_tokens[0], trg_tokens[0])
@@ -132,36 +149,36 @@ def classify_base(ctx: EditContext, wordlist: frozenset[str] | None = None) -> B
     if len(tags) == 1:
         src_head, trg_head = ctx.src_head, ctx.trg_head
         if _both_verbal(src_head, trg_head) and _differ(src_head, trg_head, "Tense"):
-            return BaseType(VERB_TENSE)
-        return BaseType(POS, tags.pop())
+            return _shared(VERB_TENSE)
+        return _shared(POS, tags.pop())
 
-    return BaseType(OTHER)
+    return _shared(OTHER)
 
 
 def _one_to_one(src: Token, trg: Token) -> BaseType:
     same_tag = surface_tag(src.upos) == surface_tag(trg.upos)
     if src.lemma == trg.lemma and same_tag:
         if src.upos == "NOUN" and trg.upos == "NOUN" and _differ(src, trg, "Number"):
-            return BaseType(NOUN_NUM)
+            return _shared(NOUN_NUM)
         if _both_verbal(src, trg) and _differ(src, trg, "Tense"):
-            return BaseType(VERB_TENSE)
+            return _shared(VERB_TENSE)
         if _both_verbal(src, trg) and _differ(src, trg, "VerbForm"):
-            return BaseType(VERB_FORM)
+            return _shared(VERB_FORM)
         if _both_verbal(src, trg) and (_differ(src, trg, "Person") or _differ(src, trg, "Number")):
-            return BaseType(VERB_SVA)
+            return _shared(VERB_SVA)
         if src.upos == "ADJ" and trg.upos == "ADJ" and _differ(src, trg, "Degree"):
-            return BaseType(ADJ_FORM)
+            return _shared(ADJ_FORM)
         if src.upos == "VERB" and trg.upos == "VERB" and src.feats == trg.feats:
-            return BaseType(VERB_INFL)
-        return BaseType(POS, surface_tag(src.upos))
+            return _shared(VERB_INFL)
+        return _shared(POS, surface_tag(src.upos))
     if src.lemma == trg.lemma:
-        return BaseType(MORPH)
+        return _shared(MORPH)
     # different lemmas: auxiliary pairs behave like tense alternations
     if src.upos == "AUX" and trg.upos == "AUX":
-        return BaseType(VERB_TENSE)
+        return _shared(VERB_TENSE)
     if same_tag:
-        return BaseType(POS, surface_tag(src.upos))
-    return BaseType(OTHER)
+        return _shared(POS, surface_tag(src.upos))
+    return _shared(OTHER)
 
 
 def _both_verbal(src: Token, trg: Token) -> bool:

@@ -9,7 +9,10 @@ tokens of each side's span once (the only tokens built from a sentence's
 columns besides the span heads), finds each non-empty side's span head
 once, and rejects edits that are empty or lack an annotation; the base
 cascade, the SErCl classifier and :func:`combine` all read that one
-:class:`EditContext`.
+:class:`EditContext`.  :class:`EditContext` and :class:`SerrantType` are
+named tuples, and every tag or tag-pair body is a shared
+:class:`~serrant.sercl.SerclType` rendered through the bounded caches of
+:mod:`serrant.sercl`.
 
 Bodies come from the base category unless one of the combination rules
 swaps in the SErCl pair:
@@ -42,14 +45,13 @@ multi-token edits whose body is an unqualified tag or tag pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
+from typing import NamedTuple
 
 from . import base as base_types
 from .alignment import Edit
 from .base import BaseType
 from .errors import AnnotationMissingError
-from .sercl import ARROW_ASCII, SerclSide, SerclType, render
+from .sercl import ARROW_ASCII, SerclType, render, shared_type
 from .ud import AnnotatedSentence, Token, span_head
 
 MODAL_FORMS = frozenset({"can", "could", "may", "might", "shall", "should", "will", "would", "must"})
@@ -77,8 +79,7 @@ _NAMED_BODIES = {
 }
 
 
-@dataclass(frozen=True)
-class EditContext:
+class EditContext(NamedTuple):
     """The one per-edit view every classifier reads: the edit, the annotated
     tokens on each side, and each side's span head (None for an absent side)."""
 
@@ -93,8 +94,7 @@ class EditContext:
         return self.edit.span.start == 0
 
 
-@dataclass(frozen=True)
-class SerrantType:
+class SerrantType(NamedTuple):
     op: str
     body: str
     suffixes: tuple[str, ...] = ()
@@ -116,8 +116,8 @@ def build_context(
         AnnotationMissingError: when the sentence carrying a non-empty side
             was not supplied.
     """
-    src_start, src_end = edit.span.start, edit.span.end
-    trg_start, trg_end = edit.cor_start, edit.cor_end
+    (src_start, src_end, correction), _, trg_start = edit
+    trg_end = trg_start + len(correction)
     if src_start == src_end and trg_start == trg_end:
         raise ValueError("edit is empty on both sides")
     src_tokens, src_head = _side(src_sentence, src_start, src_end, "source")
@@ -152,9 +152,10 @@ def combine(base: BaseType, sercl: SerclType, ctx: EditContext) -> SerrantType:
 
     Both are SERRANT's rules and are kept.
     """
-    if not ctx.src_tokens:
+    _, src_tokens, trg_tokens, src_head, trg_head = ctx
+    if not src_tokens:
         op = MISSING
-    elif not ctx.trg_tokens:
+    elif not trg_tokens:
         op = UNNECESSARY
     else:
         op = REPLACEMENT
@@ -164,9 +165,9 @@ def combine(base: BaseType, sercl: SerclType, ctx: EditContext) -> SerrantType:
         return SerrantType(op, body)
 
     suffixes: list[str] = []
-    if op == REPLACEMENT and body.collapsed and ctx.src_head.lemma != ctx.trg_head.lemma:
+    if op == REPLACEMENT and body.collapsed and src_head.lemma != trg_head.lemma:
         suffixes.append(WORD_CHOICE)
-    multi_word = len(ctx.src_tokens) > 1 or len(ctx.trg_tokens) > 1
+    multi_word = len(src_tokens) > 1 or len(trg_tokens) > 1
     if multi_word and not (body.left.qualifiers or body.right.qualifiers):
         suffixes.append(MULTI_WORD)
     return SerrantType(op, render(body), tuple(suffixes))
@@ -175,8 +176,9 @@ def combine(base: BaseType, sercl: SerclType, ctx: EditContext) -> SerrantType:
 def _pick_body(base: BaseType, sercl: SerclType, ctx: EditContext) -> str | SerclType:
     """The body a rule picks: a named body, or the tag or tag pair the label shows."""
     category = base.category
-    s = ctx.src_head.upos if ctx.src_head is not None else None
-    t = ctx.trg_head.upos if ctx.trg_head is not None else None
+    _, src_tokens, trg_tokens, src_head, trg_head = ctx
+    s = src_head.upos if src_head is not None else None
+    t = trg_head.upos if trg_head is not None else None
 
     if category == base_types.OTHER:
         if _screened(s, t):
@@ -217,13 +219,13 @@ def _pick_body(base: BaseType, sercl: SerclType, ctx: EditContext) -> str | Serc
         return _tag_body(base.pos_payload)
 
     if category == base_types.VERB_TENSE:
-        if _tense_anchored(ctx.src_tokens) and _tense_anchored(ctx.trg_tokens):
+        if _tense_anchored(src_tokens) and _tense_anchored(trg_tokens):
             return _NAMED_BODIES[base_types.VERB_TENSE]
         if (
-            len(ctx.src_tokens) == 1
-            and len(ctx.trg_tokens) == 1
-            and ctx.src_tokens[0].form.lower() in MODAL_FORMS
-            and ctx.trg_tokens[0].form.lower() in MODAL_FORMS
+            len(src_tokens) == 1
+            and len(trg_tokens) == 1
+            and src_tokens[0].form.lower() in MODAL_FORMS
+            and trg_tokens[0].form.lower() in MODAL_FORMS
         ):
             return "Modal"
         return _sercl_body(sercl)
@@ -242,17 +244,18 @@ def _tense_anchored(tokens: tuple[Token, ...]) -> bool:
     return any(t.lemma in TENSE_LEMMAS or t.form.lower() == "will" for t in tokens)
 
 
-@cache
 def _tag_body(tag: str) -> SerclType:
-    """The one collapsed, unqualified type of ``tag``, shared by every edit."""
-    side = SerclSide(tag)
-    return SerclType(side, side)
+    """The collapsed, unqualified type of ``tag``."""
+    return shared_type((tag, ()), (tag, ()))
 
 
 def _sercl_body(sercl: SerclType) -> SerclType:
     # the M/U prefix already records an absent side; keep only the real tag
     if sercl.left.tag is None:
-        return SerclType(sercl.right, sercl.right)
-    if sercl.right.tag is None:
-        return SerclType(sercl.left, sercl.left)
-    return sercl
+        side = sercl.right
+    elif sercl.right.tag is None:
+        side = sercl.left
+    else:
+        return sercl
+    key = (side.tag, side.qualifiers)
+    return shared_type(key, key)

@@ -26,15 +26,22 @@ the literals ``REQUIRED`` and ``-NONE-``, and records are separated by
 exactly one blank line.  ``parse_m2`` additionally accepts ``-NONE-`` for
 ordinary deletions and repeated blank lines between blocks, so
 ``emit_m2(parse_m2(text))`` is byte-identical only for canonically formatted
-input, while ``parse_m2(emit_m2(records))`` always returns equal records.
+input, while ``parse_m2(emit_m2(records))`` always returns equal records:
+``emit_m2`` rejects a type label holding whitespace other than the space,
+as the line rule would.
+
+:class:`EditSpan`, :class:`M2Edit` and :class:`M2Record` are named tuples:
+they compare equal to plain tuples of their fields, and ``_replace`` gives
+a changed copy.  Within one :func:`parse_m2` call, edits with equal type
+labels share one label string, and edits with equal correction fields one
+correction tuple.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import IngestionError, M2ParseError, M2ValidationError, SerrantError
 
@@ -44,8 +51,7 @@ _FLAG_REQUIRED = "REQUIRED"
 _FLAG_NONE = "-NONE-"
 
 
-@dataclass(frozen=True)
-class EditSpan:
+class EditSpan(NamedTuple):
     """A half-open token span ``[start, end)`` plus its replacement tokens.
 
     ``start == end`` is an insertion point, an empty ``correction`` is a
@@ -69,15 +75,13 @@ class EditSpan:
         return self.start == -1 and self.end == -1
 
 
-@dataclass(frozen=True)
-class M2Edit:
+class M2Edit(NamedTuple):
     span: EditSpan
     type_label: str
     annotator_id: int
 
 
-@dataclass(frozen=True)
-class M2Record:
+class M2Record(NamedTuple):
     """One sentence block: source tokens plus the edits annotated on them."""
 
     source_tokens: tuple[str, ...]
@@ -97,6 +101,9 @@ def parse_m2(text: str) -> list[M2Record]:
     records: list[M2Record] = []
     tokens: tuple[str, ...] | None = None
     edits: list[M2Edit] = []
+    # an M2 file holds few distinct labels and corrections: one object each
+    labels: dict[str, str] = {}
+    corrections: dict[str, tuple[str, ...]] = {}
 
     def close() -> None:
         nonlocal tokens, edits
@@ -115,7 +122,7 @@ def parse_m2(text: str) -> list[M2Record]:
         elif line.startswith("A "):
             if tokens is None:
                 raise M2ParseError(lineno, "annotation line before any sentence line")
-            edits.append(_parse_annotation_line(line, lineno, len(tokens)))
+            edits.append(_parse_annotation_line(line, lineno, len(tokens), labels, corrections))
         else:
             raise M2ParseError(lineno, f"unrecognised line {line!r}")
     close()
@@ -131,7 +138,14 @@ def _parse_sentence_line(line: str, lineno: int) -> tuple[str, ...]:
     return toks
 
 
-def _parse_annotation_line(line: str, lineno: int, n_tokens: int) -> M2Edit:
+def _parse_annotation_line(
+    line: str,
+    lineno: int,
+    n_tokens: int,
+    labels: dict[str, str],
+    corrections: dict[str, tuple[str, ...]],
+) -> M2Edit:
+    """Parse one ``A`` line, sharing its label and correction through the two dicts."""
     fields = line[2:].split("|||")
     if len(fields) != 6:
         raise M2ParseError(lineno, f"expected 6 |||-separated fields, got {len(fields)}")
@@ -144,20 +158,23 @@ def _parse_annotation_line(line: str, lineno: int, n_tokens: int) -> M2Edit:
         raise M2ParseError(lineno, f"non-integer span offsets {fields[0]!r}") from None
     if not ((start, end) == (-1, -1) or 0 <= start <= end <= n_tokens):
         raise M2ParseError(lineno, f"span {start} {end} out of range for {n_tokens} tokens")
-    correction: tuple[str, ...]
-    if fields[2] in ("", _FLAG_NONE):
-        correction = ()
-    else:
-        correction = tuple(fields[2].split(" "))
-        if any(not t for t in correction):
-            raise M2ParseError(lineno, "empty token in correction field")
+    correction = corrections.get(fields[2])
+    if correction is None:
+        if fields[2] in ("", _FLAG_NONE):
+            correction = ()
+        else:
+            correction = tuple(fields[2].split(" "))
+            if any(not t for t in correction):
+                raise M2ParseError(lineno, "empty token in correction field")
+        corrections[fields[2]] = correction
     try:
         annotator = int(fields[5])
     except ValueError:
         raise M2ParseError(lineno, f"non-integer annotator id {fields[5]!r}") from None
     if annotator < 0:
         raise M2ParseError(lineno, f"negative annotator id {annotator}")
-    return M2Edit(EditSpan(start, end, correction), fields[1], annotator)
+    label = labels.setdefault(fields[1], fields[1])
+    return M2Edit(EditSpan(start, end, correction), label, annotator)
 
 
 def emit_m2(records: Sequence[M2Record]) -> str:
@@ -167,56 +184,65 @@ def emit_m2(records: Sequence[M2Record]) -> str:
         M2ValidationError: naming the 0-based record index, when a record
             violates the format invariants (tokens containing whitespace,
             correction tokens containing the field separator, a correction
-            or type label ending in ``|``, a correction that is just
-            ``-NONE-``, spans out of range, negative annotator ids).
-            Records from :func:`parse_m2` always pass, so the checks guard
-            records that callers build by hand.
+            or type label ending in ``|``, a type label holding the field
+            separator, a line break or other whitespace than the space, a
+            correction that is just ``-NONE-``, spans out of range, negative
+            annotator ids).  Records from :func:`parse_m2` always pass, so
+            the checks guard records that callers build by hand and labels
+            that carry input FEATS values.
     """
     blocks = []
+    labels: set[str] = set()  # the labels checked so far, each checked once
     for index, record in enumerate(records):
-        _validate_record(record, index)
+        _validate_record(record, index, labels)
         lines = ["S " + " ".join(record.source_tokens) if record.source_tokens else "S"]
-        for edit in record.edits:
-            span = edit.span
-            if span.correction:
-                correction = " ".join(span.correction)
+        for (start, end, tokens), label, annotator_id in record.edits:
+            if tokens:
+                correction = " ".join(tokens)
             else:
-                correction = _FLAG_NONE if edit.type_label == NOOP_TYPE else ""
+                correction = _FLAG_NONE if label == NOOP_TYPE else ""
             lines.append(
-                f"A {span.start} {span.end}|||{edit.type_label}|||{correction}"
-                f"|||{_FLAG_REQUIRED}|||{_FLAG_NONE}|||{edit.annotator_id}"
+                f"A {start} {end}|||{label}|||{correction}"
+                f"|||{_FLAG_REQUIRED}|||{_FLAG_NONE}|||{annotator_id}"
             )
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 
-def _validate_record(record: M2Record, index: int) -> None:
-    if not _plain_tokens(record.source_tokens):
-        bad = next(tok for tok in record.source_tokens if not _plain_token(tok))
+def _validate_record(record: M2Record, index: int, labels: set[str]) -> None:
+    """Check one record; ``labels`` holds type labels that passed, and gains this record's."""
+    source_tokens, edits = record
+    if not _plain_tokens(source_tokens):
+        bad = next(tok for tok in source_tokens if not _plain_token(tok))
         raise M2ValidationError(index, f"invalid source token {bad!r}")
-    for edit in record.edits:
-        span = edit.span
-        if not ((span.start, span.end) == (-1, -1) or 0 <= span.start <= span.end <= len(record.source_tokens)):
-            raise M2ValidationError(index, f"span {span.start} {span.end} out of range")
-        correction = " ".join(span.correction)
+    for (start, end, tokens), label, annotator_id in edits:
+        if not ((start, end) == (-1, -1) or 0 <= start <= end <= len(source_tokens)):
+            raise M2ValidationError(index, f"span {start} {end} out of range")
+        correction = " ".join(tokens)
         # A field ends at the first "|||", so a trailing "|" would move into the next
         # field, and parse_m2 reads a lone -NONE- as a deletion.
         if (
-            not _plain_tokens(span.correction)
+            not _plain_tokens(tokens)
             or "|||" in correction
             or correction.endswith("|")
             or correction == _FLAG_NONE
         ):
             bad = next(
-                (tok for tok in span.correction if not _plain_token(tok) or "|||" in tok),
-                span.correction[-1],
+                (tok for tok in tokens if not _plain_token(tok) or "|||" in tok), tokens[-1]
             )
             raise M2ValidationError(index, f"invalid correction token {bad!r}")
-        label = edit.type_label
-        if "|||" in label or "\n" in label or label.endswith("|"):
-            raise M2ValidationError(index, f"invalid type label {label!r}")
-        if edit.annotator_id < 0:
-            raise M2ValidationError(index, f"negative annotator id {edit.annotator_id}")
+        if label not in labels:
+            # the line rule of parse_m2 would reject any whitespace but the space
+            if (
+                "|||" in label
+                or label.endswith("|")
+                or "\n" in label
+                or _OTHER_SPACE.search(label)
+            ):
+                raise M2ValidationError(index, f"invalid type label {label!r}")
+            labels.add(label)
+        if annotator_id < 0:
+            raise M2ValidationError(index, f"negative annotator id {annotator_id}")
 
 
 def _plain_token(token: str) -> bool:

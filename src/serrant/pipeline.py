@@ -24,7 +24,6 @@ from __future__ import annotations
 import gc
 import os
 from collections.abc import Callable
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -108,6 +107,9 @@ def run(
     task = partial(_type_shard, retype=retype, wordlist=_load_wordlist(config), config=config)
     items = parse_m2(inputs.m2) if retype else read_parallel(inputs.original, inputs.corrected)
     if worker_count > 1 and len(items) > 1:  # then there are at least two shards
+        # imported here, so that a serial run does not load multiprocessing
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
         try:
             shards = _cut(config, items, worker_count)
             workers = min(worker_count, len(shards), _usable_cores())
@@ -338,10 +340,11 @@ def _retype_record(
     record_index: int,
 ) -> M2Record:
     """Retype one record; ``cor_sentence`` is the unattached corrected CoNLL-U sentence."""
+    source_tokens, edits = record
     by_annotator: dict[int, list[int]] = {}
-    for position, edit in enumerate(record.edits):
-        if not edit.span.is_noop:
-            by_annotator.setdefault(edit.annotator_id, []).append(position)
+    for position, (span, _, annotator_id) in enumerate(edits):
+        if not span.is_noop:
+            by_annotator.setdefault(annotator_id, []).append(position)
 
     if cor_sentence is not None and len(by_annotator) > 1:
         raise ConfigurationError(
@@ -349,17 +352,16 @@ def _retype_record(
             f" {len(by_annotator)} annotators; drop the corrected CoNLL-U input"
         )
 
-    new_edits = list(record.edits)
-    for positions in by_annotator.values():
-        spans = [record.edits[p].span for p in positions]
+    new_edits = list(edits)
+    for annotator_id, positions in by_annotator.items():
+        spans = [edits[p].span for p in positions]
         try:
-            cor_tokens, cor_starts = apply_edits(record.source_tokens, spans)
+            cor_tokens, cor_starts = apply_edits(source_tokens, spans)
         except ValueError as exc:
             raise M2ValidationError(record_index, str(exc)) from None
         trg_sentence = _annotate(cor_sentence, cor_tokens, "corrected", record_index)
         for position, span, cor_start in zip(positions, spans, cor_starts):
-            edit = Edit(span, record.source_tokens[span.start : span.end], cor_start)
+            edit = Edit(span, source_tokens[span.start : span.end], cor_start)
             typed = classify_edit(edit, src_sentence, trg_sentence, wordlist, config.granularity)
-            old = record.edits[position]
-            new_edits[position] = M2Edit(old.span, typed.render(config.arrow), old.annotator_id)
-    return M2Record(record.source_tokens, tuple(new_edits))
+            new_edits[position] = M2Edit(span, typed.render(config.arrow), annotator_id)
+    return M2Record(source_tokens, tuple(new_edits))

@@ -11,11 +11,18 @@ ordered by feature name.  Values are written out long and lowercased
 (``Number=Sing`` becomes ``singular``); an unlisted value falls back to its
 lowercased spelling.  One-sided types never carry qualifiers, since there
 is no second head to disagree with.
+
+Types are shared values: :func:`classify_sercl` and :func:`shared_type`
+hand out one :class:`SerclType` per tag and qualifier strings, and
+:func:`render` keeps the text of the types it rendered, each from a cache
+of at most :data:`_SHARED_SIZE` entries.  The constructors still validate
+values that callers build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -100,9 +107,31 @@ def render_side(side: SerclSide) -> str:
 
 def render(sercl: SerclType, arrow: str = ARROW_ASCII) -> str:
     """Render a type: a single tag when collapsed, else ``left<arrow>right``."""
-    if sercl.collapsed:
-        return render_side(sercl.left)
-    return f"{render_side(sercl.left)}{arrow}{render_side(sercl.right)}"
+    left, right = sercl.left, sercl.right
+    return _rendered((left.tag, left.qualifiers), (right.tag, right.qualifiers), arrow)
+
+
+# The most types shared_type and render each hold, least recently used
+# first out (about 1.2 MB for both when full, with one qualifier a side):
+# at ``upos`` the 17 tags and the absent side make 324 pairs, and at
+# ``upos+feats`` each qualifier is an input FEATS value.
+_SHARED_SIZE = 1 << 10
+
+# one side of a type as the caches key it: the tag and the qualifiers
+_Side = tuple[str | None, tuple[str, ...]]
+
+
+@lru_cache(maxsize=_SHARED_SIZE)
+def _rendered(left: _Side, right: _Side, arrow: str) -> str:
+    """The text of a type, kept for the last :data:`_SHARED_SIZE` types rendered."""
+    text = render_side(SerclSide(*left))
+    return text if left == right else f"{text}{arrow}{render_side(SerclSide(*right))}"
+
+
+@lru_cache(maxsize=_SHARED_SIZE)
+def shared_type(left: _Side, right: _Side) -> SerclType:
+    """The one :class:`SerclType` of two sides, kept for the last :data:`_SHARED_SIZE` asked."""
+    return SerclType(SerclSide(*left), SerclSide(*right))
 
 
 def classify_sercl(ctx: EditContext, granularity: str = GRANULARITY_UPOS) -> SerclType:
@@ -123,6 +152,6 @@ def classify_sercl(ctx: EditContext, granularity: str = GRANULARITY_UPOS) -> Ser
         left_quals = tuple(qualifier_value(src_head.feats[name]) for name in differing)
         right_quals = tuple(qualifier_value(trg_head.feats[name]) for name in differing)
 
-    left = SerclSide(src_head.upos, left_quals) if src_head is not None else SerclSide(None)
-    right = SerclSide(trg_head.upos, right_quals) if trg_head is not None else SerclSide(None)
-    return SerclType(left, right)
+    left = (src_head.upos, left_quals) if src_head is not None else (None, ())
+    right = (trg_head.upos, right_quals) if trg_head is not None else (None, ())
+    return shared_type(left, right)

@@ -453,6 +453,8 @@ def span_head(sentence: AnnotatedSentence, start: int, end: int) -> Token:
     """
     if not 0 <= start < end <= len(sentence):
         raise ValueError(f"invalid span [{start}, {end}) for {len(sentence)} tokens")
+    if end - start == 1:  # most spans: the one token is the head
+        return sentence.token(start)
     heads = sentence.heads
     for index in range(start, end):
         head = heads[index]

@@ -8,12 +8,12 @@ them.
 
 from __future__ import annotations
 
+import concurrent.futures
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from serrant import pipeline
 
 Row = tuple[str, str, str, str, int, str]
 
@@ -267,7 +267,7 @@ def write_golden_corpus(tmp_path: Path, pairs: list[GoldenPair]) -> dict[str, st
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """Stand in for the pipeline's ProcessPoolExecutor, mapping in this process.
+    """Stand in for concurrent.futures.ProcessPoolExecutor, mapping in this process.
 
     Returns an object whose ``workers`` lists the worker count of each pool
     started, ``initializers`` the worker initializer each was given, and
@@ -294,5 +294,5 @@ def in_process_pool(monkeypatch):
                 raise started.error
             return map(fn, items)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return started

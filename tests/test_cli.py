@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import gc
 import json
 import multiprocessing
@@ -237,6 +238,41 @@ def test_classify_rejects_a_correction_that_would_not_read_back(tmp_path, capsys
     assert (out, err) == ("", "serrant: record 0: invalid correction token 'x|'\n")
 
 
+def test_classify_rejects_a_label_that_would_not_read_back(tmp_path, capsys):
+    # at upos-feats a FEATS value reaches the label, and M2 allows no NBSP
+    texts = {
+        "orig.txt": "good\n",
+        "cor.txt": "well\n",
+        "orig.conllu": "1\tgood\tgood\tADJ\t_\tFoo=a\u00a0b\t0\troot\t_\t_\n\n",
+        "cor.conllu": "1\twell\tgood\tADV\t_\tFoo=c\t0\troot\t_\t_\n\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    out = tmp_path / "out.m2"
+    argv = ["classify", "--orig", str(tmp_path / "orig.txt"), "--cor", str(tmp_path / "cor.txt")]
+    argv += ["--conllu-orig", str(tmp_path / "orig.conllu")]
+    argv += ["--conllu-cor", str(tmp_path / "cor.conllu")]
+    argv += ["--granularity", "upos-feats", "--out", str(out)]
+    assert main(argv) == 1
+    label = "R:Adj:a\u00a0b->Adv:c"
+    assert capsys.readouterr().err == f"serrant: record 0: invalid type label {label!r}\n"
+    assert not out.exists()
+
+
+def test_a_serial_run_does_not_import_multiprocessing(golden, tmp_path):
+    code = (
+        "import sys\n"
+        "from serrant.cli import main\n"
+        f"assert main({classify_args(golden, tmp_path)!r}) == 0\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_module_env()
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    assert (tmp_path / "out.m2").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
 def test_standard_output_is_the_utf8_of_the_output_files(tmp_path, encoding):
     orig, cor = tmp_path / "orig.txt", tmp_path / "cor.txt"
@@ -427,7 +463,9 @@ def test_a_killed_worker_gives_the_serial_result(sharded, capfd, monkeypatch, ba
     monkeypatch.setattr(pipeline, "_type_shard", partial(_die_in_a_worker, marker=str(marker)))
     # fork, so that the workers run the patched function
     fork = multiprocessing.get_context("fork")
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=fork))
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=fork)
+    )
     assert _run_jobs(tmp_path, texts, 2, capfd) == serial
     assert serial[0] == (1 if bad_row else 0)
     assert "Traceback" not in serial[2]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import pickle
 
 import pytest
 
@@ -85,6 +86,9 @@ def test_render_with_suffixes_and_arrows():
     assert t.render() == "R:Noun->Propn:MW"
     assert t.render(ARROW_UNICODE) == "R:Noun→Propn:MW"
     assert SerrantType("R", "Verb:Tense").render(ARROW_UNICODE) == "R:Verb:Tense"
+    assert t == ("R", "Noun->Propn", ("MW",))
+    assert pickle.loads(pickle.dumps(t)) == t
+    assert t._replace(suffixes=()).render() == "R:Noun->Propn"
 
 
 def test_operation_prefix_follows_edit_shape():
@@ -617,6 +621,12 @@ def test_build_context_shapes():
     assert ctx.src_head.upos == "VERB"
     assert ctx.trg_head.lemma == "eat"
     assert not (len(ctx.src_tokens) > 1 or len(ctx.trg_tokens) > 1)
+    # named tuples: they pickle, compare as plain tuples, and change with _replace
+    assert ctx == (edit, ctx.src_tokens, ctx.trg_tokens, ctx.src_head, ctx.trg_head)
+    assert edit == ((1, 2, ("ate",)), ("eat",), 1)
+    assert pickle.loads(pickle.dumps(ctx)) == ctx
+    assert edit._replace(cor_start=3).cor_end == 4
+    assert ctx._replace(edit=edit._replace(span=edit.span._replace(start=0))).sentence_initial
 
 
 def test_sentence_initial_flag():
@@ -661,6 +671,28 @@ def test_classify_edit_finds_each_head_once(monkeypatch):
         classify_edit(edit, src, trg, WORDLIST, GRANULARITY_UPOS_FEATS)
         sides = {id(src): "src", id(trg): "trg"}
         assert [(sides[id(sentence)], start, end) for sentence, start, end in calls] == want
+
+
+def test_every_typing_cache_stays_within_its_bound():
+    # more distinct qualifier values than any cache holds, on MORPH edits at upos+feats
+    caches = {
+        id(value): value
+        for name in ("serrant.base", "serrant.sercl", "serrant.combine")
+        for value in vars(importlib.import_module(name)).values()
+        if hasattr(value, "cache_info")
+    }.values()
+    assert len(caches) == 3
+    for i in range(max(cache.cache_info().maxsize for cache in caches) + 50):
+        src = [("good", "good", "ADJ", f"Foo=A{i}")]
+        trg = [("well", "good", "ADV", f"Foo=B{i}")]
+        assert typed(src, trg, 0, 1, 0, 1, granularity=GRANULARITY_UPOS_FEATS) == (
+            f"R:Adj:a{i}->Adv:b{i}"
+        )
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    src, trg = [("good", "good", "ADJ", "")], [("well", "good", "ADV", "")]
+    assert typed(src, trg, 0, 1, 0, 1) == "R:Adj->Adv"
 
 
 def test_unknown_base_category_is_impossible():

@@ -40,6 +40,19 @@ def test_parse_single_record():
     second = record.edits[1]
     assert second.span.correction == ("Pen",)
     assert second.span.start == 3
+    # named tuples: equal to plain tuples of their fields, and changed with _replace
+    assert first == ((1, 2, ("work",)), "R:SPELL", 0)
+    assert record == (("I", "werk", "for", "pen"), (first, second))
+    assert first._replace(type_label="R:Spell") == M2Edit(first.span, "R:Spell", 0)
+    assert first.span._replace(end=3) == EditSpan(1, 3, ("work",))
+    assert record._replace(edits=()) == M2Record(record.source_tokens)
+
+
+def test_parse_shares_equal_labels_and_corrections():
+    block = "S a b\nA 0 1|||R:X|||c d|||REQUIRED|||-NONE-|||0\n"
+    first, second = (record.edits[0] for record in parse_m2(block + "\n" + block))
+    assert first.type_label is second.type_label
+    assert first.span.correction is second.span.correction
 
 
 def test_parse_multiple_records_blank_line_separated():
@@ -178,6 +191,11 @@ def test_emit_blocks_joined_by_single_blank_line():
         M2Record(
             source_tokens=("a",),
             edits=(M2Edit(span=EditSpan(0, 1, ("x",)), type_label="T", annotator_id=-1),),
+        ),
+        # whitespace that the line rule rejects: the label would not read back
+        *(
+            M2Record(("a",), (M2Edit(EditSpan(0, 1, ("x",)), f"R:A{char}B", 0),))
+            for char in ("\t", "\r", "\u00a0")
         ),
     ],
 )

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import gc
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from conftest import GOLDEN_FLAGSHIP, write_golden_corpus
+from conftest import GOLDEN_ALL, GOLDEN_FLAGSHIP, write_golden_corpus
 from serrant import pipeline
 from serrant.errors import (
     AttachmentError,
@@ -22,7 +23,7 @@ from serrant.pipeline import (
     classify_corpus_parallel,
     run,
 )
-from serrant.sercl import ARROW_UNICODE
+from serrant.sercl import ARROW_UNICODE, GRANULARITY_UPOS_FEATS
 from synthgen import SyntheticCorpus
 
 
@@ -51,6 +52,30 @@ def test_classify_flagship_pairs(tmp_path, golden_wordlist):
     for record, pair in zip(records, GOLDEN_FLAGSHIP):
         got = [(e.span.start, e.span.end, e.type_label) for e in record.edits]
         assert got == pair.expected
+
+
+# the golden labels that upos+feats changes, by pair index
+GOLDEN_FEATS_CHANGES = {6: [(1, 2, "R:Verb:present->Verb:past")]}
+
+
+def test_one_process_types_the_golden_corpus_under_each_setting_in_turn(
+    tmp_path, golden_wordlist
+):
+    # the shared types and the kept label texts carry nothing from one setting to the next
+    paths = write_golden_corpus(tmp_path, GOLDEN_ALL)
+    upos = [pair.expected for pair in GOLDEN_ALL]
+    feats = [GOLDEN_FEATS_CHANGES.get(i, edits) for i, edits in enumerate(upos)]
+    unicode = [[(s, e, label.replace("->", "→")) for s, e, label in edits] for edits in upos]
+    assert feats != upos and unicode != upos
+    for settings, want in [
+        ({}, upos),
+        ({"granularity": GRANULARITY_UPOS_FEATS}, feats),
+        ({"arrow": ARROW_UNICODE}, unicode),
+        ({}, upos),
+    ]:
+        records = run(golden_config(paths, golden_wordlist, **settings), golden_inputs(paths))
+        got = [[(e.span.start, e.span.end, e.type_label) for e in r.edits] for r in records]
+        assert got == want
 
 
 def test_classify_identical_pair_yields_no_edits():
@@ -289,7 +314,7 @@ def test_a_pool_that_cannot_start_gives_the_serial_records(monkeypatch):
     config = PipelineConfig()
     inputs = PipelineInputs(original=corpus.orig_text, corrected=corpus.cor_text)
     serial = run(config, inputs)
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", cannot_start)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", cannot_start)
     assert run(config, inputs, 2) == serial
 
 
