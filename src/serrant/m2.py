@@ -95,8 +95,8 @@ def parse_m2(text: str) -> list[M2Record]:
         M2ParseError: on whitespace other than the space and the line end,
             malformed lines, annotations appearing before any sentence
             line, empty tokens (two spaces in a row), non-integer or
-            out-of-range offsets, or a negative annotator id.  The error
-            carries the 1-based line number.
+            out-of-range offsets, an empty type label, or a negative
+            annotator id.  The error carries the 1-based line number.
     """
     records: list[M2Record] = []
     tokens: tuple[str, ...] | None = None
@@ -158,6 +158,8 @@ def _parse_annotation_line(
         raise M2ParseError(lineno, f"non-integer span offsets {fields[0]!r}") from None
     if not ((start, end) == (-1, -1) or 0 <= start <= end <= n_tokens):
         raise M2ParseError(lineno, f"span {start} {end} out of range for {n_tokens} tokens")
+    if not fields[1]:
+        raise M2ParseError(lineno, "empty type label")
     correction = corrections.get(fields[2])
     if correction is None:
         if fields[2] in ("", _FLAG_NONE):
@@ -184,12 +186,12 @@ def emit_m2(records: Sequence[M2Record]) -> str:
         M2ValidationError: naming the 0-based record index, when a record
             violates the format invariants (tokens containing whitespace,
             correction tokens containing the field separator, a correction
-            or type label ending in ``|``, a type label holding the field
-            separator, a line break or other whitespace than the space, a
-            correction that is just ``-NONE-``, spans out of range, negative
-            annotator ids).  Records from :func:`parse_m2` always pass, so
-            the checks guard records that callers build by hand and labels
-            that carry input FEATS values.
+            or type label ending in ``|``, an empty type label or one
+            holding the field separator, a line break or other whitespace
+            than the space, a correction that is just ``-NONE-``, spans out
+            of range, negative annotator ids).  Records from
+            :func:`parse_m2` always pass, so the checks guard records that
+            callers build by hand and labels that carry input FEATS values.
     """
     blocks = []
     labels: set[str] = set()  # the labels checked so far, each checked once
@@ -234,7 +236,8 @@ def _validate_record(record: M2Record, index: int, labels: set[str]) -> None:
         if label not in labels:
             # the line rule of parse_m2 would reject any whitespace but the space
             if (
-                "|||" in label
+                not label
+                or "|||" in label
                 or label.endswith("|")
                 or "\n" in label
                 or _OTHER_SPACE.search(label)
@@ -331,21 +334,23 @@ def apply_edits(
             names its offsets), or spans that cannot be sorted into a
             non-overlapping order.
     """
-    ordered = sorted(enumerate(spans), key=lambda item: (item[1].start, item[1].end))
+    # by offsets, and in the given order among equal offsets
+    ordered = sorted(
+        (start, end, index, correction) for index, (start, end, correction) in enumerate(spans)
+    )
     out = list(source_tokens)
     starts = [0] * len(ordered)
     offset = 0
     previous_end = 0
-    for original_index, span in ordered:
-        if span.is_noop:
+    for start, end, index, correction in ordered:
+        if start == end == -1:
             raise ValueError("noop spans cannot be applied")
-        if span.start == span.end and not span.correction:
-            raise ValueError(f"edit {span.start} {span.end} is empty on both sides")
-        if span.start < previous_end:
-            raise ValueError(f"overlapping edit spans at {span.start}")
-        previous_end = max(previous_end, span.end)
-        start = span.start + offset
-        out[start : span.end + offset] = list(span.correction)
-        starts[original_index] = start
-        offset += len(span.correction) - (span.end - span.start)
+        if start == end and not correction:
+            raise ValueError(f"edit {start} {end} is empty on both sides")
+        if start < previous_end:
+            raise ValueError(f"overlapping edit spans at {start}")
+        previous_end = max(previous_end, end)
+        out[start + offset : end + offset] = correction
+        starts[index] = start + offset
+        offset += len(correction) - (end - start)
     return tuple(out), tuple(starts)

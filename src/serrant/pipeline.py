@@ -12,17 +12,21 @@ token-by-token against the surface), and with the built-in fallback
 annotator otherwise.  ``retype`` synthesises each annotator's corrected
 sentence by applying their edits before it is annotated.
 
-Both commands work on shards: contiguous runs of items (sentence pairs,
-or M2 records) with the CoNLL-U lines that annotate them.
-``run(config, inputs, worker_count=1)`` types the whole corpus as one
-shard, or with ``worker_count`` above 1 hands smaller shards to worker
-processes; :data:`classify_corpus_parallel` is another name for it.
+Both commands work on shards: slices of the input texts that hold a
+contiguous run of items (sentence pairs, or M2 records), with the CoNLL-U
+lines that annotate them.  ``run(config, inputs, worker_count=1)`` types
+the whole inputs as one shard.  With ``worker_count`` above 1 it cuts
+every text at the same items, after line ends of parallel text and after
+blank lines of M2 and CoNLL-U, and hands the slices to worker processes.
+Only :func:`_type_shard` parses items, in a worker or in the parent.
+:data:`classify_corpus_parallel` is another name for ``run``.
 """
 
 from __future__ import annotations
 
 import gc
 import os
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -40,13 +44,7 @@ from .errors import (
 )
 from .m2 import M2Edit, M2Record, apply_edits, parse_m2, read_parallel
 from .sercl import ARROW_ASCII, ARROW_UNICODE, GRANULARITIES, GRANULARITY_UPOS, classify_sercl
-from .ud import (
-    AnnotatedSentence,
-    attach,
-    conllu_sentence_starts,
-    fallback_annotate,
-    parse_conllu,
-)
+from .ud import BLANK_LINES, AnnotatedSentence, attach, fallback_annotate, parse_conllu
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -88,42 +86,41 @@ def run(
 ) -> list[M2Record]:
     """Run one full pass and return the resulting records.
 
-    With ``worker_count`` above 1 the items are cut into shards typed by
-    worker processes: the parent cuts the CoNLL-U texts at sentence
-    boundaries without parsing them, and each worker parses, attaches and
-    types its own shard.  The items are cut by ``worker_count``, but the
-    pool starts at most one worker per usable core, each with the cyclic
-    garbage collector off.  Output is identical for any worker count, and
-    so is the error raised on bad input: when the shards cannot be cut
-    (a CoNLL-U file is unreadable, or its sentence count disagrees with
-    the item count), the pool cannot start or loses a worker, or a shard
-    fails, the parent types the whole corpus as one shard itself and
-    returns or raises what that does.
+    With ``worker_count`` above 1 the inputs are cut into shards typed by
+    worker processes: the parent cuts every text at the same items without
+    parsing any, and each worker parses, attaches and types its own shard.
+    The items are cut by ``worker_count``, but the pool starts at most one
+    worker per usable core, each with the cyclic garbage collector off.
+    Output is identical for any worker count, and so is the error raised on
+    bad input: when the texts cannot be cut (a CoNLL-U file is unreadable,
+    or the texts hold different numbers of items), the pool cannot start
+    or loses a worker, or a shard fails, the parent types the whole corpus
+    as one shard itself and returns or raises what that does.
     """
     if worker_count < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {worker_count}")
     _check_config(config)
     retype = _is_retype(inputs)
     task = partial(_type_shard, retype=retype, wordlist=_load_wordlist(config), config=config)
-    items = parse_m2(inputs.m2) if retype else read_parallel(inputs.original, inputs.corrected)
-    if worker_count > 1 and len(items) > 1:  # then there are at least two shards
+    if worker_count > 1:
         # imported here, so that a serial run does not load multiprocessing
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         try:
-            shards = _cut(config, items, worker_count)
-            workers = min(worker_count, len(shards), _usable_cores())
-            # The platform's default start method: "spawn" would re-run the
-            # caller's main module in every worker, which breaks scripts
-            # that call this without an ``if __name__ == "__main__"`` guard.
-            # A shard builds no reference cycles, so workers skip the collector.
-            with ProcessPoolExecutor(workers, initializer=gc.disable) as executor:
-                return [record for part in executor.map(task, shards) for record in part]
+            shards = _cut(config, inputs, worker_count)
+            if len(shards) > 1:
+                workers = min(worker_count, len(shards), _usable_cores())
+                # The platform's default start method: "spawn" would re-run the
+                # caller's main module in every worker, which breaks scripts
+                # that call this without an ``if __name__ == "__main__"`` guard.
+                # A shard builds no reference cycles, so workers skip the collector.
+                with ProcessPoolExecutor(workers, initializer=gc.disable) as executor:
+                    return [record for part in executor.map(task, shards) for record in part]
         except (SerrantError, OSError, BrokenExecutor):
             pass  # typing the corpus as one shard below gives the serial result or error
     # each CoNLL-U file is read when its side is parsed, so one text is held at a time
     whole = _Shard(
-        items,
+        inputs,
         partial(_read_conllu, config.conllu_orig_path),
         partial(_read_conllu, config.conllu_cor_path),
     )
@@ -222,36 +219,75 @@ _Pair = tuple[tuple[str, ...], tuple[str, ...]]
 
 
 class _Shard(NamedTuple):
-    """Contiguous items and loaders of the CoNLL-U text that annotates them.
+    """The texts of contiguous items, and loaders of the CoNLL-U text that annotates them.
 
     The items are sentence pairs or M2 records.  Each loader takes no
     arguments and gives that side's text, or ``None`` when the side uses
     the fallback annotator.
     """
 
-    items: list[_Pair] | list[M2Record]
+    inputs: PipelineInputs
     orig: Callable[[], str | None]
     cor: Callable[[], str | None]
 
 
-def _cut(
-    config: PipelineConfig, items: list[_Pair] | list[M2Record], worker_count: int
-) -> list[_Shard]:
-    """Cut the corpus into about four shards per worker.
+# where the next item starts: after a line end of parallel text, and after
+# blank lines in M2 and CoNLL-U
+_LINE_END = re.compile("\n")
+
+
+def _cut(config: PipelineConfig, inputs: PipelineInputs, worker_count: int) -> list[_Shard]:
+    """Cut every text at the same items into about four shards per worker.
+
+    Nothing is parsed: an item is a line of parallel text, or a block of M2
+    or CoNLL-U text.  A block that is not one item (a CoNLL-U block that
+    holds no word, M2 records not separated by blank lines) makes the
+    counts of two texts disagree, and then the cut, or the count check of
+    the shard that holds it, fails.
 
     Raises:
         OSError: when a CoNLL-U file cannot be read.
-        IngestionError: when a CoNLL-U file is not UTF-8, or does not hold
-            one sentence per item.
+        IngestionError: when a CoNLL-U file is not UTF-8, or the texts hold
+            different numbers of items.
     """
-    size = max(1, len(items) // (worker_count * 4))
-    firsts = range(0, len(items), size)
-    orig = _pieces(config.conllu_orig_path, firsts, len(items))
-    cor = _pieces(config.conllu_cor_path, firsts, len(items))
-    return [
-        _Shard(items[first : first + size], partial(_given, orig_text), partial(_given, cor_text))
-        for first, orig_text, cor_text in zip(firsts, orig, cor)
+    texts = [
+        (inputs.original, _LINE_END),
+        (inputs.corrected, _LINE_END),
+        (inputs.m2, BLANK_LINES),
+        (_read_conllu(config.conllu_orig_path), BLANK_LINES),
+        (_read_conllu(config.conllu_cor_path), BLANK_LINES),
     ]
+    starts = [None if text is None else _starts(text, item_end) for text, item_end in texts]
+    counts = {len(text_starts) for text_starts in starts if text_starts is not None}
+    if len(counts) != 1:
+        raise IngestionError(f"the inputs hold different numbers of items: {sorted(counts)}")
+    count = counts.pop()
+    firsts = range(0, count, max(1, count // (worker_count * 4)))
+    pieces = [_slices(text, text_starts, firsts) for (text, _), text_starts in zip(texts, starts)]
+    return [
+        _Shard(PipelineInputs(original, corrected, m2), partial(_given, orig), partial(_given, cor))
+        for original, corrected, m2, orig, cor in zip(*pieces)
+    ]
+
+
+def _starts(text: str, item_end: re.Pattern[str]) -> list[int]:
+    """Where the items of ``text`` start: at 0, and after each ``item_end`` that text follows."""
+    starts = [0, *(match.end() for match in item_end.finditer(text))]
+    if starts[-1] == len(text):
+        starts.pop()
+    return starts
+
+
+def _slices(text: str | None, starts: list[int] | None, firsts: range) -> list[str | None]:
+    """Cut ``text`` before each item index in ``firsts``; ``None`` for each piece of no text.
+
+    The first piece starts at the top of the text and the last runs to its
+    end, so every line is parsed by exactly one piece.
+    """
+    if text is None:
+        return [None] * len(firsts)
+    cuts = [starts[first] for first in firsts]
+    return [text[cut:end] for cut, end in zip(cuts, cuts[1:] + [len(text)])]
 
 
 def _given(text: str | None) -> str | None:
@@ -259,38 +295,23 @@ def _given(text: str | None) -> str | None:
     return text
 
 
-def _pieces(path: str | None, firsts: range, count: int) -> list[str | None]:
-    """Cut a CoNLL-U file before each sentence index in ``firsts``.
-
-    The first piece starts at the top of the text and the last runs to its
-    end, so every line is parsed by exactly one piece.
-
-    Raises:
-        IngestionError: when the text does not hold ``count`` sentences.
-    """
-    conllu = _read_conllu(path)
-    if conllu is None:
-        return [None] * len(firsts)
-    starts = conllu_sentence_starts(conllu)
-    if len(starts) != count:
-        raise IngestionError(f"{path}: {len(starts)} sentences for {count} inputs")
-    cuts = [0] + [starts[first] for first in firsts[1:]]
-    return [conllu[cut:end] for cut, end in zip(cuts, cuts[1:] + [len(conllu)])]
-
-
 def _type_shard(
     shard: _Shard, retype: bool, wordlist: frozenset[str] | None, config: PipelineConfig
 ) -> list[M2Record]:
-    """Type a shard's items in order with :func:`_retype_record` or :func:`_classify_pair`.
+    """Parse a shard's items and type them in order, each with :func:`_retype_record`
+    or :func:`_classify_pair`.
 
-    Every original sentence is annotated, and then the corrected CoNLL-U
-    is parsed, before any item is typed; each item attaches its own
+    This is the only place that parses items, in a worker or in the
+    parent.  Every original sentence is annotated, and then the corrected
+    CoNLL-U is parsed, before any item is typed; each item attaches its own
     corrected sentence.
     """
     if retype:
-        type_item, sources = _retype_record, [record.source_tokens for record in shard.items]
+        items = parse_m2(shard.inputs.m2)
+        type_item, sources = _retype_record, [record.source_tokens for record in items]
     else:
-        type_item, sources = _classify_pair, [src for src, _ in shard.items]
+        items = read_parallel(shard.inputs.original, shard.inputs.corrected)
+        type_item, sources = _classify_pair, [src for src, _ in items]
     src_sentences = [
         _annotate(sentence, tokens, "original", index)
         for index, (sentence, tokens) in enumerate(
@@ -301,7 +322,7 @@ def _type_shard(
     return [
         type_item(item, src_sentence, cor_sentence, wordlist, config, index)
         for index, (item, src_sentence, cor_sentence) in enumerate(
-            zip(shard.items, src_sentences, cor_sentences)
+            zip(items, src_sentences, cor_sentences)
         )
     ]
 

@@ -21,8 +21,11 @@ words of edited spans, and :func:`span_head` builds one for the head it
 finds.
 
 :func:`parse_conllu` reads a text in chunks of several hundred rows, each
-cut after a blank line, and checks and slices each chunk column by column.
-A chunk that fails a check is walked row by row to name its first error.
+cut after blank lines (:data:`BLANK_LINES`), and checks and slices each
+chunk column by column.  A chunk that fails a check is walked row by row
+to name its first error.  A text cut after any run of blank lines parses,
+piece by piece, into the sentences of the whole, and a piece fails when
+the whole does; ``pipeline`` cuts the shards of ``--jobs`` there too.
 
 A small rule-plus-lexicon annotator (:func:`fallback_annotate`) provides
 annotations for tests and demos when no parser output is available.  It is
@@ -131,12 +134,13 @@ def parse_feats(value: str) -> dict[str, str]:
     return feats
 
 
-# Characters per chunk before the cut at the next blank line: several
+# Characters per chunk before the cut at the next blank lines: several
 # hundred rows, so that a chunk's field strings stay a small part of the
 # memory its sentences take.
 _CHUNK_CHARS = 1 << 15
-# a line that ``str.isspace`` calls blank, with the line breaks around it
-_BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
+# a run of lines that ``str.isspace`` calls blank, with the line break before
+# it: blocks of CoNLL-U and M2 end at one
+BLANK_LINES = re.compile(r"\n(?:[^\S\n]*\n)+")
 
 
 def parse_conllu(text: str) -> list[AnnotatedSentence]:
@@ -158,8 +162,8 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
     sentences: list[AnnotatedSentence] = []
     feats_by_value: dict[str, dict[str, str]] = {}
     deprel_by_value: dict[str, str] = {}
-    for _, first_line, lines in _chunks(text):
-        rows, _, ends = _blocks(lines)
+    for first_line, lines in _chunks(text):
+        rows, ends = _blocks(lines)
         parsed = _parse_rows(rows, ends, feats_by_value, deprel_by_value)
         if parsed is None:
             _raise_first_error(lines, first_line)
@@ -167,72 +171,38 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
     return sentences
 
 
-def conllu_sentence_starts(text: str) -> list[int]:
-    """Find where each sentence of :func:`parse_conllu` begins, without parsing it.
+def _chunks(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Cut ``text`` after the first blank lines past every ``_CHUNK_CHARS`` characters.
 
-    Returns one character offset per sentence that ``parse_conllu`` would
-    return: the start of the first line of the sentence's block (its
-    comments included).  Every offset follows a blank line, so parsing the
-    pieces of ``text`` cut at any of them gives the sentences of parsing
-    the whole, and a piece fails when the whole does.
-
-    The line pass is the one ``parse_conllu`` makes: a block yields a
-    sentence when it holds a row that is not a multiword range or an empty
-    node.  A malformed row counts as a word, and is left for
-    ``parse_conllu`` to reject.
-    """
-    starts: list[int] = []
-    for offset, _, lines in _chunks(text):
-        rows, firsts, ends = _blocks(lines)
-        line = 0  # the line ``offset`` starts
-        for first, start, end in zip(firsts, [0, *ends], ends):
-            offset += sum(map(len, lines[line:first])) + first - line
-            line = first
-            if any(map(_is_word, rows[start:end])):
-                starts.append(offset)
-    return starts
-
-
-def _chunks(text: str) -> Iterator[tuple[int, int, list[str]]]:
-    """Cut ``text`` after the first blank line past every ``_CHUNK_CHARS`` characters.
-
-    Yields each piece's character offset, the 1-based number of its first
-    line, and its lines.  No block of non-blank lines spans two pieces.
+    Yields the 1-based number of each piece's first line, and its lines.
+    No block of non-blank lines spans two pieces.
     """
     start, first_line = 0, 1
     while True:
-        blank = _BLANK_LINE.search(text, start + _CHUNK_CHARS)
+        blank = BLANK_LINES.search(text, start + _CHUNK_CHARS)
         end = len(text) if blank is None else blank.end() - 1
         lines = text[start:end].split("\n")
-        yield start, first_line, lines
+        yield first_line, lines
         if blank is None:
             return
         start, first_line = end + 1, first_line + len(lines)
 
 
-def _blocks(lines: list[str]) -> tuple[list[str], list[int], list[int]]:
+def _blocks(lines: list[str]) -> tuple[list[str], list[int]]:
     """Find the rows of ``lines`` and the blocks of non-blank lines that hold them.
 
     A row is a line that is neither blank nor a ``#`` comment.  Returns the
-    rows, and for each block that holds one, the index of its first line
-    and the number of rows up to its end.
+    rows, and for each block that holds one the number of rows up to its end.
     """
     rows: list[str] = []
-    firsts: list[int] = []
     ends: list[int] = []
-    first = -1  # the open block's first line; -1 between blocks
-    for index, line in enumerate(chain(lines, [""])):  # the added blank line ends the last block
+    for line in chain(lines, [""]):  # the added blank line ends the last block
         if not line or line.isspace():  # blank, "\r" included
-            if first >= 0 and len(rows) > (ends[-1] if ends else 0):
-                firsts.append(first)
+            if len(rows) > (ends[-1] if ends else 0):
                 ends.append(len(rows))
-            first = -1
-        else:
-            if first < 0:
-                first = index
-            if line[0] != "#":
-                rows.append(line)
-    return rows, firsts, ends
+        elif line[0] != "#":
+            rows.append(line)
+    return rows, ends
 
 
 def _is_word(row: str) -> bool:

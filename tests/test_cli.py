@@ -26,7 +26,7 @@ from conftest import GOLDEN_FLAGSHIP, golden_wordlist_words, write_golden_corpus
 from serrant.base import load_wordlist
 from serrant.cli import main
 from serrant.errors import ConfigurationError, SerrantError
-from serrant.m2 import emit_m2, parse_m2, read_parallel
+from serrant.m2 import emit_m2, parse_m2
 from serrant.report import emit_report, type_distribution
 from synthgen import SyntheticCorpus
 
@@ -527,9 +527,12 @@ def _library_result(command: str, texts: dict[str, str]) -> tuple[int, str, str]
             return 0, emit_report(type_distribution(parse_m2(texts["m2"])), "tsv"), ""
         wordlist = load_wordlist(texts["wordlist"]) if "wordlist" in texts else None
         retype = command == "retype"
-        items = parse_m2(texts["m2"]) if retype else read_parallel(texts["orig"], texts["cor"])
+        if retype:
+            inputs = pipeline.PipelineInputs(m2=texts["m2"])
+        else:
+            inputs = pipeline.PipelineInputs(original=texts["orig"], corrected=texts["cor"])
         shard = pipeline._Shard(
-            items, partial(texts.get, "conllu_orig"), partial(texts.get, "conllu_cor")
+            inputs, partial(texts.get, "conllu_orig"), partial(texts.get, "conllu_cor")
         )
         records = pipeline._type_shard(
             shard, retype=retype, wordlist=wordlist, config=pipeline.PipelineConfig()
@@ -655,6 +658,16 @@ def test_m2_that_is_not_utf8_is_exit_1(tmp_path, capfd, command):
     path.write_bytes(_not_utf8(SyntheticCorpus(4, seed=3).untyped_m2(), 2))
     assert main([command, "--m2", str(path)]) == 1
     assert capfd.readouterr().err == f"serrant: {path}: not valid UTF-8: byte 0xff on line 2\n"
+
+
+@pytest.mark.parametrize("command", ["retype", "stats"])
+def test_an_empty_type_label_is_exit_1_in_the_library_and_on_the_command_line(
+    tmp_path, capfd, command
+):
+    texts = {"m2": "S a b\nA 0 1||||||c|||REQUIRED|||-NONE-|||0\n"}
+    expected = (1, "", "serrant: line 2: empty type label\n")
+    assert _cli_result(tmp_path, capfd, command, texts) == expected
+    assert _library_result(command, texts) == expected
 
 
 _FIELD_VALUES = ["", "_", "0", "1", "99", "-1", "x y", "BLORP", "NOUN", "a=b", "a", "1-2", "1.1", "#"]

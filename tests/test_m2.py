@@ -117,6 +117,13 @@ def test_parse_errors_carry_line_numbers(text):
     assert str(info.value.line_number) in str(info.value)
 
 
+def test_parse_rejects_an_empty_type_label_on_its_line():
+    text = "S a b\nA 0 1|||X|||y|||REQUIRED|||-NONE-|||0\nA 1 2||||||c|||REQUIRED|||-NONE-|||0\n"
+    with pytest.raises(M2ParseError) as info:
+        parse_m2(text)
+    assert str(info.value) == "line 3: empty type label"
+
+
 def test_parse_error_line_number_points_at_offender():
     text = "S a b\nA 0 1|||X|||y|||REQUIRED|||-NONE-|||0\nA bad\n"
     with pytest.raises(M2ParseError) as info:
@@ -210,6 +217,7 @@ def test_emit_rejects_malformed_records(record):
     "correction, label, message",
     [
         (("x",), "T|", "invalid type label 'T|'"),
+        (("x",), "", "invalid type label ''"),
         (("-NONE-",), "T", "invalid correction token '-NONE-'"),
     ],
 )
@@ -225,7 +233,7 @@ def test_emit_names_a_label_or_correction_that_would_read_back_differently(
 def test_leading_and_inner_bars_round_trip():
     records = [
         M2Record(("a", "b"), (M2Edit(EditSpan(0, 1, ("|x", "a|", "y")), "|T", 0),)),
-        M2Record(("a",), (M2Edit(EditSpan(0, 1, ("||x", "-NONE-")), "", 1),)),
+        M2Record(("a",), (M2Edit(EditSpan(0, 1, ("||x", "-NONE-")), "||T", 1),)),
     ]
     assert parse_m2(emit_m2(records)) == records
 

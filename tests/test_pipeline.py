@@ -14,7 +14,9 @@ from serrant.errors import (
     AttachmentError,
     ConfigurationError,
     IngestionError,
+    M2ParseError,
     M2ValidationError,
+    SerrantError,
 )
 from serrant.m2 import M2Edit, NOOP_TYPE, emit_m2, parse_m2
 from serrant.pipeline import (
@@ -384,3 +386,149 @@ def test_synthetic_corpus_round_trips_through_retype():
     ]
     retyped = run(PipelineConfig(), PipelineInputs(m2=emit_m2(blanked)))
     assert retyped == classified
+
+
+# --- the cut: shards are slices of the texts, parsed in the workers -----------
+
+
+def _cut_texts() -> dict[str, str]:
+    """Every input text of 40 synthetic items."""
+    corpus = SyntheticCorpus(40, seed=31)
+    return {
+        "orig": corpus.orig_text,
+        "cor": corpus.cor_text,
+        "conllu_orig": corpus.conllu_orig,
+        "conllu_cor": corpus.conllu_cor,
+        "m2": corpus.untyped_m2(),
+    }
+
+
+def _cut_run(tmp_path, texts, command, conllu):
+    """The config and inputs of ``command``, with the CoNLL-U files named in ``conllu``."""
+    paths = {}
+    for name in conllu:
+        path = tmp_path / f"{name}.conllu"
+        path.write_text(texts[name], encoding="utf-8")
+        paths[f"{name}_path"] = str(path)
+    if command == "retype":
+        return PipelineConfig(**paths), PipelineInputs(m2=texts["m2"])
+    return PipelineConfig(**paths), PipelineInputs(original=texts["orig"], corrected=texts["cor"])
+
+
+def _records_or_error(config, inputs, worker_count):
+    try:
+        return run(config, inputs, worker_count)
+    except SerrantError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _set_block(texts, name, index, block, insert=False):
+    blocks = texts[name].rstrip("\n").split("\n\n")
+    blocks[index : index if insert else index + 1] = [block]
+    texts[name] = "\n\n".join(blocks) + "\n"
+
+
+def _comment_block_added(texts):
+    _set_block(texts, "conllu_orig", 20, "# sent_id = none", insert=True)
+
+
+def _comment_block_for_a_sentence(texts):
+    _set_block(texts, "conllu_orig", 20, "# sent_id = none")
+
+
+def _blank_lines_around(texts):
+    for name in ("conllu_orig", "conllu_cor", "m2"):
+        texts[name] = "\n \n" + texts[name] + "\n\n \n"
+
+
+def _m2_records_not_separated(texts):
+    blocks = texts["m2"].rstrip("\n").split("\n\n")
+    texts["m2"] = "".join(block + ("\n" if i % 3 else "\n\n") for i, block in enumerate(blocks))
+
+
+def _extra_original_line(texts):
+    texts["orig"] += "one more line\n"
+
+
+@pytest.mark.parametrize(
+    "command, conllu, change, shards, error",
+    [
+        ("classify", ("conllu_orig", "conllu_cor"), _comment_block_added, [], None),
+        (
+            "classify",
+            ("conllu_orig", "conllu_cor"),
+            _comment_block_for_a_sentence,
+            [8],
+            "IngestionError: original annotations: 39 sentences for 40 inputs",
+        ),
+        ("classify", ("conllu_orig", "conllu_cor"), _blank_lines_around, [], None),
+        ("retype", ("conllu_orig",), _blank_lines_around, [9], None),
+        ("retype", (), _blank_lines_around, [9], None),
+        ("retype", (), _m2_records_not_separated, [14], None),
+        ("retype", ("conllu_orig",), _m2_records_not_separated, [], None),
+        (
+            "classify",
+            (),
+            _extra_original_line,
+            [],
+            "IngestionError: parallel texts differ in length:"
+            " 41 original lines vs 40 corrected lines",
+        ),
+    ],
+    ids=[
+        "comment-only-block",
+        "comment-only-block-for-a-sentence",
+        "blank-lines-around-classify",
+        "blank-lines-around-retype",
+        "blank-lines-around-m2-alone",
+        "m2-records-not-separated",
+        "m2-records-not-separated-with-conllu",
+        "different-line-counts",
+    ],
+)
+def test_a_cut_that_does_not_hold_gives_the_serial_result(
+    tmp_path, in_process_pool, command, conllu, change, shards, error
+):
+    texts = _cut_texts()
+    change(texts)
+    config, inputs = _cut_run(tmp_path, texts, command, conllu)
+    serial = _records_or_error(config, inputs, 1)
+    assert _records_or_error(config, inputs, 2) == serial
+    # [] when the cut fails and no pool starts; a leading blank run is an item of no record
+    assert in_process_pool.shards == shards
+    if error is None:
+        assert len(serial) == 40
+    else:
+        assert serial == error
+
+
+@pytest.mark.parametrize(
+    "command, conllu", [("classify", ("conllu_orig", "conllu_cor")), ("retype", ("conllu_orig",))]
+)
+def test_well_formed_inputs_are_typed_on_their_shards_alone(
+    tmp_path, in_process_pool, monkeypatch, command, conllu
+):
+    config, inputs = _cut_run(tmp_path, _cut_texts(), command, conllu)
+    serial = run(config, inputs)
+    typed = []
+
+    def type_shard(shard, **kwargs):
+        typed.append(shard.inputs)
+        return type_whole(shard, **kwargs)
+
+    type_whole = pipeline._type_shard
+    monkeypatch.setattr(pipeline, "_type_shard", type_shard)
+    assert run(config, inputs, 2) == serial
+    # each of the 8 shards is typed once, and the whole corpus never
+    assert in_process_pool.shards == [8]
+    assert len(typed) == 8
+    assert inputs not in typed
+
+
+def test_an_empty_type_label_fails_on_its_line_for_any_worker_count(in_process_pool):
+    m2 = "S a b\n\nS we eat now\nA 1 2||||||ate|||REQUIRED|||-NONE-|||0\n"
+    for worker_count in (1, 2):
+        with pytest.raises(M2ParseError) as info:
+            run(PipelineConfig(), PipelineInputs(m2=m2), worker_count)
+        assert str(info.value) == "line 4: empty type label"
+    assert in_process_pool.shards == [2]
