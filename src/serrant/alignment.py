@@ -73,65 +73,77 @@ def align(
     # The table's backtrace always takes a shared suffix as matches: a free
     # match costs no more than deleting, inserting or transposing into it.
     # So the suffix skips the table and leads the reversed operation list.
+    # Operations here, and edits in merge, are built with tuple.__new__,
+    # which skips the named tuples' Python-level constructors.
+    new, Op = tuple.__new__, AlignmentOp
     ops: list[AlignmentOp] = []
     while n and m and src[n - 1] == trg[m - 1]:
-        ops.append(AlignmentOp(MATCH, n - 1, n, m - 1, m))
+        ops.append(new(Op, (MATCH, n - 1, n, m - 1, m)))
         n, m = n - 1, m - 1
 
-    src_lower = [t.lower() for t in src]
-    trg_lower = [t.lower() for t in trg]
+    src_lower = [t.lower() for t in src[:n]]
+    trg_lower = [t.lower() for t in trg[:m]]
+    trg_cells = list(zip(range(1, m + 1), trg, trg_lower))
     lemma_ties = src_lemmas is not None and trg_lemmas is not None
 
     # cost[i][j]: best cost aligning src[:i] with trg[:j]; choice records the op.
     # A transposition can never tie a match or substitution and win, because
     # both come first in the preference order, so only a strictly lower cost
     # replaces them; deletion and insertion likewise only win when cheaper.
+    # A match is never beaten: neighbouring cells differ by at most 1, and a
+    # transposition next to a match costs no less than the match's diagonal.
+    # The sweep carries the left, diagonal and above-left cells in locals.
     cost = [list(range(m + 1))]
     choice = [[MATCH] + [INSERT] * m]
+    above2: list[int] = []
+    s_prev_lower = None
     for i in range(1, n + 1):
         s, s_lower = src[i - 1], src_lower[i - 1]
         s_lemma = src_lemmas[i - 1] if lemma_ties else None
-        s_prev_lower = src_lower[i - 2] if i >= 2 else None
-        above, above2 = cost[i - 1], cost[i - 2] if i >= 2 else None
+        above = cost[i - 1]
         row, row_choice = [i], [DELETE]
-        for j in range(1, m + 1):
-            diagonal = above[j - 1]
-            if s == trg[j - 1]:
+        left, diagonal = i, i - 1
+        t_prev_lower = None
+        for j, t, t_lower in trg_cells:
+            up = above[j]
+            if s == t:
                 best, op = diagonal, MATCH
-            elif s_lower == trg_lower[j - 1] or (lemma_ties and s_lemma == trg_lemmas[j - 1]):
-                best, op = diagonal + 1, SUBSTITUTE
             else:
-                best, op = diagonal + 2, SUBSTITUTE
-            if (
-                j >= 2
-                and s_prev_lower == trg_lower[j - 1]
-                and s_lower == trg_lower[j - 2]
-                and above2[j - 2] + 1 < best
-            ):
-                best, op = above2[j - 2] + 1, TRANSPOSE
-            if above[j] + 1 < best:
-                best, op = above[j] + 1, DELETE
-            if row[j - 1] + 1 < best:
-                best, op = row[j - 1] + 1, INSERT
+                if s_lower == t_lower or (lemma_ties and s_lemma == trg_lemmas[j - 1]):
+                    best, op = diagonal + 1, SUBSTITUTE
+                else:
+                    best, op = diagonal + 2, SUBSTITUTE
+                if (
+                    s_prev_lower == t_lower
+                    and s_lower == t_prev_lower
+                    and above2[j - 2] + 1 < best
+                ):
+                    best, op = above2[j - 2] + 1, TRANSPOSE
+                if up + 1 < best:
+                    best, op = up + 1, DELETE
+                if left + 1 < best:
+                    best, op = left + 1, INSERT
             row.append(best)
             row_choice.append(op)
+            left, diagonal, t_prev_lower = best, up, t_lower
         cost.append(row)
         choice.append(row_choice)
+        above2, s_prev_lower = above, s_lower
 
     i, j = n, m
     while i > 0 or j > 0:
         op = choice[i][j]
-        if op in (MATCH, SUBSTITUTE):
-            ops.append(AlignmentOp(op, i - 1, i, j - 1, j))
+        if op is MATCH or op is SUBSTITUTE:
+            ops.append(new(Op, (op, i - 1, i, j - 1, j)))
             i, j = i - 1, j - 1
-        elif op == TRANSPOSE:
-            ops.append(AlignmentOp(op, i - 2, i, j - 2, j))
+        elif op is TRANSPOSE:
+            ops.append(new(Op, (op, i - 2, i, j - 2, j)))
             i, j = i - 2, j - 2
-        elif op == DELETE:
-            ops.append(AlignmentOp(op, i - 1, i, j, j))
+        elif op is DELETE:
+            ops.append(new(Op, (op, i - 1, i, j, j)))
             i -= 1
         else:
-            ops.append(AlignmentOp(op, i, i, j - 1, j))
+            ops.append(new(Op, (op, i, i, j - 1, j)))
             j -= 1
     ops.reverse()
     return ops
@@ -143,17 +155,18 @@ def merge(ops: Sequence[AlignmentOp], src: Sequence[str], trg: Sequence[str]) ->
     Returned edits are ordered, non-overlapping, never adjacent (a match
     always separates two edits), and never empty on both sides.
     """
+    new = tuple.__new__
     edits: list[Edit] = []
     first = last = None
     # a trailing None closes the final run like a match would
-    for op in [*ops, None]:
+    for op in (*ops, None):
         if op is not None and op.kind != MATCH:
             if first is None:
                 first = op
             last = op
         elif first is not None:
-            src_start, src_end = first.src_start, last.src_end
-            span = EditSpan(src_start, src_end, tuple(trg[first.trg_start : last.trg_end]))
-            edits.append(Edit(span, tuple(src[src_start:src_end]), first.trg_start))
+            src_start, src_end, cor_start = first.src_start, last.src_end, first.trg_start
+            span = new(EditSpan, (src_start, src_end, tuple(trg[cor_start : last.trg_end])))
+            edits.append(new(Edit, (span, tuple(src[src_start:src_end]), cor_start)))
             first = None
     return edits

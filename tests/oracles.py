@@ -8,9 +8,9 @@ Three independent oracles compute the minimum alignment cost:
 * ``recursive_min_cost`` memoises over (i, j) suffix states.  It scales
   to the fuzzing sizes while staying structurally different from the
   table-filling aligner.
-* ``dp_min_cost`` fills a flat integer table.  It is the cheapest of the
-  three and carries the bulk of the exhaustive sweeps; the other two
-  keep it honest on the smaller tiers.
+* ``dp_min_cost`` fills the prefix-cost table row by row.  It is the
+  cheapest of the three and carries the bulk of the exhaustive sweeps;
+  the other two keep it honest on the smaller tiers.
 
 All accept the same lemma arguments as ``serrant.alignment.align``.
 ``ops_cost`` prices an operation sequence under the shared cost model,
@@ -127,48 +127,36 @@ def dp_min_cost(
     src_lemmas: Sequence[str] | None = None,
     trg_lemmas: Sequence[str] | None = None,
 ) -> int:
-    n, m = len(src), len(trg)
-    width = m + 1
-    # row-major table of prefix costs; table[i * width + j] covers src[:i], trg[:j]
-    table = list(range(width))
-    for i in range(1, n + 1):
-        table.extend([i] + [0] * m)
     lowered_src = [token.lower() for token in src]
     lowered_trg = [token.lower() for token in trg]
-    for i in range(1, n + 1):
-        row = i * width
-        above = row - width
-        for j in range(1, m + 1):
-            if src[i - 1] == trg[j - 1]:
-                step = 0
-            elif lowered_src[i - 1] == lowered_trg[j - 1]:
-                step = 1
-            elif (
-                src_lemmas is not None
-                and trg_lemmas is not None
-                and src_lemmas[i - 1] == trg_lemmas[j - 1]
-            ):
-                step = 1
+    lemmas = src_lemmas is not None and trg_lemmas is not None
+    # rows of prefix costs: before covers src[:i-1], above src[:i], row src[:i+1]
+    before, above = None, list(range(len(trg) + 1))
+    for i, token in enumerate(src):
+        lowered = lowered_src[i]
+        lowered_before = lowered_src[i - 1] if i else None
+        lemma = src_lemmas[i] if lemmas else None
+        row = [i + 1]
+        for j, other in enumerate(trg):
+            if token == other:
+                best = above[j]
+            elif lowered == lowered_trg[j] or (lemmas and lemma == trg_lemmas[j]):
+                best = above[j] + 1
             else:
-                step = 2
-            best = table[above + j - 1] + step
-            candidate = table[above + j] + 1
+                best = above[j] + 2
+            candidate = above[j + 1] + 1
             if candidate < best:
                 best = candidate
-            candidate = table[row + j - 1] + 1
+            candidate = row[j] + 1
             if candidate < best:
                 best = candidate
-            if (
-                i > 1
-                and j > 1
-                and lowered_src[i - 1] == lowered_trg[j - 2]
-                and lowered_src[i - 2] == lowered_trg[j - 1]
-            ):
-                candidate = table[above - width + j - 2] + 1
+            if j and lowered == lowered_trg[j - 1] and lowered_before == lowered_trg[j]:
+                candidate = before[j - 1] + 1
                 if candidate < best:
                     best = candidate
-            table[row + j] = best
-    return table[-1]
+            row.append(best)
+        before, above = above, row
+    return above[-1]
 
 
 def ops_cost(

@@ -217,8 +217,8 @@ def test_emit_rejects_malformed_records(record):
     "correction, label, message",
     [
         (("x",), "T|", "invalid type label 'T|'"),
-        (("x",), "", "invalid type label ''"),
         (("-NONE-",), "T", "invalid correction token '-NONE-'"),
+        (("x",), "", "invalid type label ''"),
     ],
 )
 def test_emit_names_a_label_or_correction_that_would_read_back_differently(
