@@ -103,21 +103,9 @@ def run(
     retype = _is_retype(inputs)
     task = partial(_type_shard, retype=retype, wordlist=_load_wordlist(config), config=config)
     if worker_count > 1:
-        # imported here, so that a serial run does not load multiprocessing
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-        try:
-            shards = _cut(config, inputs, worker_count)
-            if len(shards) > 1:
-                workers = min(worker_count, len(shards), _usable_cores())
-                # The platform's default start method: "spawn" would re-run the
-                # caller's main module in every worker, which breaks scripts
-                # that call this without an ``if __name__ == "__main__"`` guard.
-                # A shard builds no reference cycles, so workers skip the collector.
-                with ProcessPoolExecutor(workers, initializer=gc.disable) as executor:
-                    return [record for part in executor.map(task, shards) for record in part]
-        except (SerrantError, OSError, BrokenExecutor):
-            pass  # typing the corpus as one shard below gives the serial result or error
+        records = _type_shards(task, config, inputs, worker_count)
+        if records is not None:
+            return records
     # each CoNLL-U file is read when its side is parsed, so one text is held at a time
     whole = _Shard(
         inputs,
@@ -229,6 +217,36 @@ class _Shard(NamedTuple):
     inputs: PipelineInputs
     orig: Callable[[], str | None]
     cor: Callable[[], str | None]
+
+
+def _type_shards(
+    task: Callable[[_Shard], list[M2Record]],
+    config: PipelineConfig,
+    inputs: PipelineInputs,
+    worker_count: int,
+) -> list[M2Record] | None:
+    """Cut the inputs into shards and type them on worker processes.
+
+    Returns None when the inputs make fewer than two shards, or when the
+    cut, the pool or a shard fails; the shard texts are then freed before
+    the caller types the whole corpus itself.
+    """
+    # imported here, so that a serial run does not load multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+    try:
+        shards = _cut(config, inputs, worker_count)
+        if len(shards) < 2:
+            return None
+        workers = min(worker_count, len(shards), _usable_cores())
+        # The platform's default start method: "spawn" would re-run the
+        # caller's main module in every worker, which breaks scripts that
+        # call this without an ``if __name__ == "__main__"`` guard.  A shard
+        # builds no reference cycles, so workers skip the collector.
+        with ProcessPoolExecutor(workers, initializer=gc.disable) as executor:
+            return [record for part in executor.map(task, shards) for record in part]
+    except (SerrantError, OSError, BrokenExecutor):
+        return None  # typing the corpus as one shard gives the serial result or error
 
 
 # where the next item starts: after a line end of parallel text, and after

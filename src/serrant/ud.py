@@ -20,12 +20,14 @@ view of one word, built on demand: the classifiers build them only for the
 words of edited spans, and :func:`span_head` builds one for the head it
 finds.
 
-:func:`parse_conllu` reads a text in chunks of several hundred rows, each
-cut after blank lines (:data:`BLANK_LINES`), and checks and slices each
-chunk column by column.  A chunk that fails a check is walked row by row
-to name its first error.  A text cut after any run of blank lines parses,
-piece by piece, into the sentences of the whole, and a piece fails when
-the whole does; ``pipeline`` cuts the shards of ``--jobs`` there too.
+:func:`parse_conllu` reads a text in one pass, checking each row as it
+builds the columns of its sentence and each sentence's tree when its block
+ends, so the error it raises is the first in the text.  It splits the
+text into lines in chunks of several hundred rows, each cut after blank
+lines (:data:`BLANK_LINES`), to keep the memory the line strings take
+small.  A text cut after any run of blank lines parses, piece by piece,
+into the sentences of the whole, and a piece fails when the whole does;
+``pipeline`` cuts the shards of ``--jobs`` there too.
 
 A small rule-plus-lexicon annotator (:func:`fallback_annotate`) provides
 annotations for tests and demos when no parser output is available.  It is
@@ -41,10 +43,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, repeat
-from operator import eq, gt, sub
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 from .errors import AttachmentError, ConfigurationError, ConlluParseError
+from .sercl import ARROW_ASCII, ARROW_UNICODE
 
 ROOT = -1
 
@@ -119,7 +121,9 @@ class AnnotatedSentence:
 def parse_feats(value: str) -> dict[str, str]:
     """Parse a ``Name=Value|Name=Value`` feature column; ``_`` is empty.
 
-    Feature names must be unique within the column.
+    Feature names must be unique within the column.  No value may hold an
+    arrow (``->`` or ``→``): a SErCl label shows feature values on both
+    sides of one, and could not be split back into its sides.
     """
     if value in ("_", ""):
         return {}
@@ -130,12 +134,14 @@ def parse_feats(value: str) -> dict[str, str]:
             raise ValueError(f"malformed feature pair {pair!r}")
         if name in feats:
             raise ValueError(f"repeated feature name {name!r}")
+        if ARROW_ASCII in val or ARROW_UNICODE in val:
+            raise ValueError(f"arrow in feature value {val!r}")
         feats[name] = val
     return feats
 
 
 # Characters per chunk before the cut at the next blank lines: several
-# hundred rows, so that a chunk's field strings stay a small part of the
+# hundred rows, so that a chunk's line strings stay a small part of the
 # memory its sentences take.
 _CHUNK_CHARS = 1 << 15
 # a run of lines that ``str.isspace`` calls blank, with the line break before
@@ -151,10 +157,15 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
     ``1-2``) and empty-node rows (ids like ``1.1``); an id holding ``-`` or
     ``.`` that is not two integers around one of them is an error.  Every
     kept row must have 10 tab-separated columns, a contiguous id, a known
-    UPOS tag, FEATS pairs with unique names, and an in-range head; ids and
-    heads are ASCII digits.  Each sentence must form a tree with exactly
-    one root.  Each distinct FEATS column is parsed once, and the words
-    that carry it share the resulting dict.
+    UPOS tag, FEATS pairs with unique names and no arrow in a value, and an
+    in-range head; ids and heads are ASCII digits.  Each sentence must form
+    a tree with exactly one root.  Each distinct FEATS column is parsed
+    once, and the words that carry it share the resulting dict.
+
+    One pass checks each row, in that order, as it reads it, and each
+    sentence's tree when its block ends, so the error raised is the first
+    in the text.  The text is split into lines one chunk at a time, so its
+    line strings stay a small part of the memory the sentences take.
 
     Raises:
         ConlluParseError: carrying the offending 1-based line number.
@@ -162,12 +173,56 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
     sentences: list[AnnotatedSentence] = []
     feats_by_value: dict[str, dict[str, str]] = {}
     deprel_by_value: dict[str, str] = {}
+    rows: list[tuple] = []  # the open sentence's words, and the line of each
     for first_line, lines in _chunks(text):
-        rows, ends = _blocks(lines)
-        parsed = _parse_rows(rows, ends, feats_by_value, deprel_by_value)
-        if parsed is None:
-            _raise_first_error(lines, first_line)
-        sentences += parsed
+        # the added blank line ends the text's last block; a chunk's own end in it
+        for lineno, line in enumerate(chain(lines, [""]), first_line):
+            if not line or line.isspace():  # blank, "\r" included
+                if rows:
+                    forms, lemmas, upos, feats, heads, deprels, linenos = zip(*rows)
+                    _check_tree(heads, linenos)
+                    sentences.append(AnnotatedSentence(forms, lemmas, upos, feats, heads, deprels))
+                    rows = []
+                continue
+            if line[0] == "#":
+                continue
+            try:
+                token_id, form, lemma, tag, _, feats_column, head, deprel, _, _ = line.split("\t")
+            except ValueError:
+                columns = line.count("\t") + 1
+                raise ConlluParseError(lineno, f"expected 10 columns, got {columns}") from None
+            if not (token_id.isascii() and token_id.isdigit()):  # _digits, inlined per row
+                if "-" not in token_id and "." not in token_id:
+                    raise ConlluParseError(lineno, f"non-integer token id {token_id!r}")
+                if not _range_or_empty_node(token_id):
+                    raise ConlluParseError(
+                        lineno, f"malformed multiword range or empty node id {token_id!r}"
+                    )
+                continue  # multiword ranges and empty nodes carry no tree structure
+            if int(token_id) != len(rows) + 1:
+                raise ConlluParseError(lineno, f"token id {int(token_id)} not contiguous")
+            shared_tag = _SHARED_UPOS.get(tag)
+            if shared_tag is None:
+                raise ConlluParseError(lineno, f"unknown UPOS tag {tag!r}")
+            word_feats = feats_by_value.get(feats_column)
+            if word_feats is None:
+                try:
+                    word_feats = feats_by_value[feats_column] = parse_feats(feats_column)
+                except ValueError as exc:
+                    raise ConlluParseError(lineno, str(exc)) from None
+            if not (head.isascii() and head.isdigit()):
+                raise ConlluParseError(lineno, f"non-integer head {head!r}")
+            rows.append(
+                (
+                    form,
+                    (form if lemma == "_" else lemma).lower(),
+                    shared_tag,
+                    word_feats,
+                    int(head) - 1,  # 0 becomes ROOT
+                    deprel_by_value.setdefault(deprel, deprel),
+                    lineno,
+                )
+            )
     return sentences
 
 
@@ -188,29 +243,6 @@ def _chunks(text: str) -> Iterator[tuple[int, list[str]]]:
         start, first_line = end + 1, first_line + len(lines)
 
 
-def _blocks(lines: list[str]) -> tuple[list[str], list[int]]:
-    """Find the rows of ``lines`` and the blocks of non-blank lines that hold them.
-
-    A row is a line that is neither blank nor a ``#`` comment.  Returns the
-    rows, and for each block that holds one the number of rows up to its end.
-    """
-    rows: list[str] = []
-    ends: list[int] = []
-    for line in chain(lines, [""]):  # the added blank line ends the last block
-        if not line or line.isspace():  # blank, "\r" included
-            if len(rows) > (ends[-1] if ends else 0):
-                ends.append(len(rows))
-        elif line[0] != "#":
-            rows.append(line)
-    return rows, ends
-
-
-def _is_word(row: str) -> bool:
-    """False for a multiword-range or empty-node row: 10 columns and an id ``N-M`` or ``N.M``."""
-    token_id, _, rest = row.partition("\t")
-    return rest.count("\t") != 8 or not _range_or_empty_node(token_id)
-
-
 def _range_or_empty_node(token_id: str) -> bool:
     """True for a multiword-range id ``N-M`` or an empty-node id ``N.M``, both parts integers."""
     for separator in "-.":
@@ -225,146 +257,9 @@ def _digits(value: str) -> bool:
     return value.isascii() and value.isdigit()
 
 
-def _parse_rows(
-    rows: list[str],
-    ends: list[int],
-    feats_by_value: dict[str, dict[str, str]],
-    deprel_by_value: dict[str, str],
-) -> list[AnnotatedSentence] | None:
-    """Check and slice a chunk's rows column by column; None when any check fails.
-
-    ``ends`` holds the number of rows up to the end of each sentence.
-
-    The checks are exact: a chunk passes them when its rows hold no error.
-    The rows are split into one flat list of fields, ten per row, so each
-    column is a stride slice.  The cycle check follows every word's head
-    pointer up to a sink past each root, doubling the pointers' reach each
-    round (pointer jumping) until it covers the longest sentence; a word
-    that has not reached the sink by then lies on or under a cycle.
-    """
-    if not rows:
-        return []
-    if list(map(str.count, rows, repeat("\t"))).count(9) != len(rows):
-        return None
-    fields = "\t".join(rows).split("\t")
-    if not _digits("".join(fields[0::10])):
-        # multiword ranges and empty nodes, or a malformed id
-        words: list[str] = []
-        word_ends: list[int] = []
-        for start, end in zip([0, *ends], ends):
-            words += filter(_is_word, rows[start:end])
-            if len(words) > (word_ends[-1] if word_ends else 0):
-                word_ends.append(len(words))
-        if len(words) == len(rows):
-            return None
-        return _parse_rows(words, word_ends, feats_by_value, deprel_by_value)
-    heads = fields[6::10]
-    if not _digits("".join(heads)):
-        return None
-    try:
-        ids, heads = list(map(int, fields[0::10])), list(map(int, heads))
-        upos = tuple(map(_SHARED_UPOS.__getitem__, fields[3::10]))
-    except (ValueError, KeyError):  # an empty id or head, or an unknown tag
-        return None
-
-    starts = [0, *ends[:-1]]
-    sizes = list(map(sub, ends, starts))
-    # each word's 1-based position in its sentence, and its sentence's length
-    positions = list(chain.from_iterable(range(1, size + 1) for size in sizes))
-    lengths = list(chain.from_iterable(map(repeat, sizes, sizes)))
-    if ids != positions or any(map(gt, heads, lengths)) or any(map(eq, heads, positions)):
-        return None
-    if heads.count(0) != len(sizes):
-        return None
-    # each word's head as an index into the chunk, or the sink for a root
-    sink = len(rows)
-    bases = chain.from_iterable(map(repeat, starts, sizes))
-    parents = [base + head - 1 if head else sink for base, head in zip(bases, heads)]
-    parents.append(sink)
-    longest, reach = max(sizes), 1
-    while reach < longest:
-        parents = list(map(parents.__getitem__, parents))
-        reach *= 2
-    if parents.count(sink) != len(parents):
-        return None
-
-    feats_column = fields[5::10]
-    for value in set(feats_column).difference(feats_by_value):
-        try:
-            feats_by_value[value] = parse_feats(value)
-        except ValueError:
-            return None
-    feats = tuple(map(feats_by_value.__getitem__, feats_column))
-    forms = tuple(fields[1::10])
-    lemmas = fields[2::10]
-    if "_" in lemmas:
-        lemmas = [form if lemma == "_" else lemma for form, lemma in zip(forms, lemmas)]
-    lemmas = tuple(map(str.lower, lemmas))
-    head_indices = tuple(map(sub, heads, repeat(1)))  # 1-based less one; 0 becomes ROOT
-    deprel_column = fields[7::10]
-    deprels = tuple(map(deprel_by_value.setdefault, deprel_column, deprel_column))
-
-    spans = list(map(slice, starts, ends))
-    return list(
-        map(
-            AnnotatedSentence,
-            map(forms.__getitem__, spans),
-            map(lemmas.__getitem__, spans),
-            map(upos.__getitem__, spans),
-            map(feats.__getitem__, spans),
-            map(head_indices.__getitem__, spans),
-            map(deprels.__getitem__, spans),
-        )
-    )
-
-
-def _raise_first_error(lines: list[str], first_line: int) -> NoReturn:
-    """Walk the lines of a chunk that failed a column check, and raise its first error.
-
-    The rows are checked in order, and each sentence's tree when its block
-    ends, so the error is the one a row-by-row parse meets first.
-    """
-    heads: list[int] = []  # the open sentence's 0-based heads
-    linenos: list[int] = []
-    for lineno, line in enumerate(lines + [""], start=first_line):
-        if not line or line.isspace():
-            if heads:
-                _check_tree(heads, linenos)
-                heads, linenos = [], []
-            continue
-        if line[0] == "#":
-            continue
-        cols = line.split("\t")
-        if len(cols) != 10:
-            raise ConlluParseError(lineno, f"expected 10 columns, got {len(cols)}")
-        if "-" in cols[0] or "." in cols[0]:
-            if not _range_or_empty_node(cols[0]):
-                raise ConlluParseError(
-                    lineno, f"malformed multiword range or empty node id {cols[0]!r}"
-                )
-            continue  # multiword ranges and empty nodes carry no tree structure
-        if not _digits(cols[0]):
-            raise ConlluParseError(lineno, f"non-integer token id {cols[0]!r}")
-        token_id = int(cols[0])
-        if token_id != len(heads) + 1:
-            raise ConlluParseError(lineno, f"token id {token_id} not contiguous")
-        if cols[3] not in UPOS_TAGS:
-            raise ConlluParseError(lineno, f"unknown UPOS tag {cols[3]!r}")
-        try:
-            parse_feats(cols[5])
-        except ValueError as exc:
-            raise ConlluParseError(lineno, str(exc)) from None
-        if not _digits(cols[6]):
-            raise ConlluParseError(lineno, f"non-integer head {cols[6]!r}")
-        heads.append(int(cols[6]) - 1)
-        linenos.append(lineno)
-    raise AssertionError(f"lines {first_line}-{lineno} failed a column check but hold no error")
-
-
-def _check_tree(heads: list[int], linenos: list[int]) -> None:
+def _check_tree(heads: tuple[int, ...], linenos: tuple[int, ...]) -> None:
     """Check that one sentence's 0-based heads form a tree, reporting the row's line."""
     n = len(heads)
-    root_count = 0
     for position, head in enumerate(heads):
         if not ROOT <= head < n:
             raise ConlluParseError(
@@ -372,27 +267,28 @@ def _check_tree(heads: list[int], linenos: list[int]) -> None:
             )
         if head == position:
             raise ConlluParseError(linenos[position], f"token {position + 1} heads itself")
-        if head == ROOT:
-            root_count += 1
     first_line = linenos[0]
+    root_count = heads.count(ROOT)
     if root_count != 1:
         raise ConlluParseError(first_line, f"sentence has {root_count} roots, expected 1")
-    # Walk up from each token in order until the root or a token already
-    # known to reach it.  Each token is walked past once, so the check is
-    # linear, and the first token met twice on a walk is the one that a
-    # walk from every token to the root would report.
-    visited_by = [-1] * n  # the walk that last passed each token
-    reaches_root = [False] * n
+    # Walk up from each token in order until a token known to reach the
+    # root, marking the tokens passed with the walk's start, then walk again
+    # to mark them as reaching it.  Each token is walked past at most twice,
+    # so the check is linear, and the first token met twice on a walk is the
+    # one that a walk from every token to the root would report.
+    # mark[t]: -1 before any walk, the start of the walk on t, or n once t
+    # is known to reach the root; the root itself is the last item, ROOT.
+    mark = [-1] * n + [n]
     for start in range(n):
         current = start
-        while current != ROOT and not reaches_root[current]:
-            if visited_by[current] == start:
-                raise ConlluParseError(first_line, f"dependency cycle through token {current + 1}")
-            visited_by[current] = start
+        while mark[current] < 0:
+            mark[current] = start
             current = heads[current]
+        if mark[current] == start:
+            raise ConlluParseError(first_line, f"dependency cycle through token {current + 1}")
         current = start
-        while current != ROOT and not reaches_root[current]:
-            reaches_root[current] = True
+        while mark[current] == start:
+            mark[current] = n
             current = heads[current]
 
 

@@ -394,6 +394,16 @@ def test_jobs_agree_on_a_bad_row_in_the_last_shard(sharded, capfd):
     assert (code, err) == (1, f"serrant: line {line}: unknown UPOS tag 'BLORP'\n")
 
 
+def test_jobs_agree_on_an_arrow_in_a_feature_value(sharded, capfd):
+    tmp_path, texts = sharded
+    blocks = _blocks(texts["conllu_cor"])
+    _set_column(blocks, 30, 5, "Foo=a->b")
+    texts["conllu_cor"] = _join(blocks)
+    line = _first_row_line(blocks, 30)
+    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
+    assert (code, err) == (1, f"serrant: line {line}: arrow in feature value 'a->b'\n")
+
+
 def test_jobs_agree_on_an_extra_block(sharded, capfd):
     tmp_path, texts = sharded
     blocks = _blocks(texts["conllu_orig"])

@@ -186,6 +186,43 @@ def test_cycle_check_names_the_token_the_full_walk_names():
     assert 300 < cycles < 2700
 
 
+def _chain_rows(heads: list[int]) -> list[str]:
+    """CoNLL-U rows of one sentence with the given 1-based heads (0 for the root)."""
+    return [
+        f"{i + 1}\tw\tw\tNOUN\t_\t_\t{head}\t{'root' if head == 0 else 'dep'}\t_\t_"
+        for i, head in enumerate(heads)
+    ]
+
+
+@pytest.mark.parametrize(
+    "heads, cycled, token",
+    [
+        # the right-branching chain of the long benchmark inputs: the first
+        # word is the root, and every other word hangs off its left neighbour
+        (list(range(1000)), (998, 1000), 999),
+        # left-branching: the walk up from the first word passes all others
+        ([*range(2, 1001), 0], (998, 998), 998),
+    ],
+    ids=["right-branching", "left-branching"],
+)
+def test_a_deep_chain_parses_and_a_cycle_at_its_end_fails_as_the_reference_does(
+    heads, cycled, token
+):
+    (sentence,) = parse_conllu("\n".join(_chain_rows(heads)) + "\n")
+    assert sentence.heads == tuple(head - 1 for head in heads)
+    position, head = cycled
+    heads = heads.copy()
+    heads[position] = head  # two words at the end of the chain head each other
+    text = "\n".join(_chain_rows(heads)) + "\n"
+    with pytest.raises(ConlluParseError) as info:
+        parse_conllu(text)
+    with pytest.raises(ConlluParseError) as expected:
+        reference_parse_conllu(text)
+    got = (info.value.line_number, str(info.value))
+    assert got == (expected.value.line_number, str(expected.value))
+    assert got == (1, f"line 1: dependency cycle through token {token}")
+
+
 _SCAN_LINES = [
     "",
     " ",
@@ -243,7 +280,7 @@ def test_sentence_starts_cut_like_parse(lines, data):
         assert str(piece_error).split(": ", 1)[1] == str(error).split(": ", 1)[1]
 
 
-# --- the column parser against the row-by-row reference -----------------------
+# --- the parser against the row-by-row reference ------------------------------
 
 _BAD_INTEGERS = ("", "x", "+1", " 1", "1_0", "-0", "１", "٣", "-1", "1.5")
 
@@ -351,6 +388,10 @@ def test_parse_feats_column():
         parse_feats("=Sing")
     with pytest.raises(ValueError, match="repeated feature name 'Number'"):
         parse_feats("Number=Sing|Number=Plur")
+    # a label shows values on both sides of an arrow, so none may hold one
+    for value, held in [("Foo=a->b", "a->b"), ("Foo=a→b", "a→b")]:
+        with pytest.raises(ValueError, match=f"^arrow in feature value '{held}'$"):
+            parse_feats(value)
 
 
 def test_token_is_a_named_tuple_without_a_dict():
@@ -523,6 +564,7 @@ def test_load_lexicon_parses_and_lowercases_lemma():
         "a\tb\tNOPE\t_\n",
         "a\tb\tNOUN\tNumber\n",
         "# c\na\tb\tNOUN\tNumber=Sing|Number=Plur\n",
+        "a\tb\tNOUN\t_\nc\td\tADJ\tFoo=a->b\n",
     ],
 )
 def test_load_lexicon_rejects_bad_lines(text):
