@@ -34,7 +34,6 @@ from .ud import (
     Token,
     attach,
     fallback_annotate,
-    load_lexicon,
     parse_conllu,
     span_head,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "emit_m2",
     "emit_report",
     "fallback_annotate",
-    "load_lexicon",
     "load_wordlist",
     "merge",
     "parse_conllu",

@@ -241,12 +241,32 @@ def _type_shards(
         workers = min(worker_count, len(shards), _usable_cores())
         # The platform's default start method: "spawn" would re-run the
         # caller's main module in every worker, which breaks scripts that
-        # call this without an ``if __name__ == "__main__"`` guard.  A shard
-        # builds no reference cycles, so workers skip the collector.
-        with ProcessPoolExecutor(workers, initializer=gc.disable) as executor:
-            return [record for part in executor.map(task, shards) for record in part]
+        # call this without an ``if __name__ == "__main__"`` guard.  The task,
+        # wordlist included, goes to each worker once; each shard sends only
+        # its texts.
+        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(task,)) as executor:
+            return [record for part in executor.map(_run_in_worker, shards) for record in part]
     except (SerrantError, OSError, BrokenExecutor):
         return None  # typing the corpus as one shard gives the serial result or error
+
+
+# the task a worker process runs on each of its shards, set by _start_worker
+_worker_task: Callable[[_Shard], list[M2Record]] | None = None
+
+
+def _start_worker(task: Callable[[_Shard], list[M2Record]]) -> None:
+    """Set up a worker process: keep ``task`` for its shards and switch the collector off.
+
+    A shard builds no reference cycles, so workers skip the collector.
+    """
+    global _worker_task
+    gc.disable()
+    _worker_task = task
+
+
+def _run_in_worker(shard: _Shard) -> list[M2Record]:
+    """Type ``shard`` with the task :func:`_start_worker` kept in this worker."""
+    return _worker_task(shard)
 
 
 # where the next item starts: after a line end of parallel text, and after

@@ -3,7 +3,9 @@
 An edit's SErCl type pairs the annotation of the source span's head with
 the annotation of the correction span's head, written source -> correction.
 A side missing entirely (insertion or deletion) is None.  When both sides
-carry the same annotation the pair collapses to a single tag.
+carry the same annotation the pair collapses to a single tag.  :func:`render`
+always writes the ASCII arrow ``->``; ``--arrow unicode`` is applied in one
+place, when ``combine.SerrantType.render`` writes the final label.
 
 At the ``upos+feats`` granularity each side is qualified with the values of
 the morphological features that are present on both heads but disagree,
@@ -105,10 +107,13 @@ def render_side(side: SerclSide) -> str:
     return text
 
 
-def render(sercl: SerclType, arrow: str = ARROW_ASCII) -> str:
-    """Render a type: a single tag when collapsed, else ``left<arrow>right``."""
+def render(sercl: SerclType) -> str:
+    """Render a type: a single tag when collapsed, else ``left->right``.
+
+    ``SerrantType.render`` swaps in the unicode arrow where a run asks for it.
+    """
     left, right = sercl.left, sercl.right
-    return _rendered((left.tag, left.qualifiers), (right.tag, right.qualifiers), arrow)
+    return _rendered((left.tag, left.qualifiers), (right.tag, right.qualifiers))
 
 
 # The most types shared_type and render each hold, least recently used
@@ -122,10 +127,10 @@ _Side = tuple[str | None, tuple[str, ...]]
 
 
 @lru_cache(maxsize=_SHARED_SIZE)
-def _rendered(left: _Side, right: _Side, arrow: str) -> str:
+def _rendered(left: _Side, right: _Side) -> str:
     """The text of a type, kept for the last :data:`_SHARED_SIZE` types rendered."""
     text = render_side(SerclSide(*left))
-    return text if left == right else f"{text}{arrow}{render_side(SerclSide(*right))}"
+    return text if left == right else f"{text}{ARROW_ASCII}{render_side(SerclSide(*right))}"
 
 
 @lru_cache(maxsize=_SHARED_SIZE)

@@ -31,9 +31,10 @@ into the sentences of the whole, and a piece fails when the whole does;
 
 A small rule-plus-lexicon annotator (:func:`fallback_annotate`) provides
 annotations for tests and demos when no parser output is available.  It is
-deliberately crude and not meant for accuracy-bearing use.  With the default
-lexicon it memoises the analysis of each form, at the start of a sentence or
-after it, for at most :data:`_MEMO_SIZE` entries (about 2 MB).
+deliberately crude and not meant for accuracy-bearing use.  It reads one
+lexicon, :data:`DEFAULT_LEXICON`, and memoises the analysis of each form, at
+the start of a sentence or after it, for at most :data:`_MEMO_SIZE` entries
+(about 2 MB).
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, repeat
 from typing import NamedTuple
 
-from .errors import AttachmentError, ConfigurationError, ConlluParseError
+from .errors import AttachmentError, ConlluParseError
 from .sercl import ARROW_ASCII, ARROW_UNICODE
 
 ROOT = -1
@@ -332,32 +333,6 @@ def span_head(sentence: AnnotatedSentence, start: int, end: int) -> Token:
 # --- fallback annotation -------------------------------------------------
 
 LexiconEntry = tuple[str, str, dict[str, str]]  # (lemma, upos, feats)
-Lexicon = dict[str, LexiconEntry]
-
-
-def load_lexicon(text: str) -> Lexicon:
-    """Load a lexicon from tab-separated ``form lemma upos feats`` lines.
-
-    Blank lines and ``#`` comments are skipped; feats uses the CoNLL-U
-    ``Name=Value|...`` syntax with ``_`` for none.
-    """
-    lexicon: Lexicon = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 4:
-            raise ConfigurationError(f"lexicon line {lineno}: expected 4 columns, got {len(cols)}")
-        if cols[2] not in UPOS_TAGS:
-            raise ConfigurationError(f"lexicon line {lineno}: unknown UPOS tag {cols[2]!r}")
-        try:
-            feats = parse_feats(cols[3])
-        except ValueError as exc:
-            raise ConfigurationError(f"lexicon line {lineno}: {exc}") from None
-        lexicon[cols[0]] = (cols[1].lower(), cols[2], feats)
-    return lexicon
-
 
 _DEFAULT_ENTRIES: list[tuple[str, str, str, str]] = [
     ("the", "the", "DET", "_"),
@@ -437,7 +412,7 @@ _DEFAULT_ENTRIES: list[tuple[str, str, str, str]] = [
     (":", ":", "PUNCT", "_"),
 ]
 
-DEFAULT_LEXICON: Lexicon = {
+DEFAULT_LEXICON: dict[str, LexiconEntry] = {
     form: (lemma, upos, parse_feats(feats)) for form, lemma, upos, feats in _DEFAULT_ENTRIES
 }
 
@@ -449,13 +424,13 @@ _PLURAL = {"Number": "Plur"}
 _SINGULAR = {"Number": "Sing"}
 _NO_FEATS: dict[str, str] = {}
 
-# The most forms whose default-lexicon analysis the memo holds; the least
-# recently used one goes first.
+# The most forms whose analysis the memo holds; the least recently used one
+# goes first.
 _MEMO_SIZE = 1 << 13
 
 
-def fallback_annotate(tokens: tuple[str, ...] | list[str], lexicon: Lexicon | None = None) -> AnnotatedSentence:
-    """Annotate tokens with the lexicon plus crude suffix heuristics.
+def fallback_annotate(tokens: tuple[str, ...] | list[str]) -> AnnotatedSentence:
+    """Annotate tokens with :data:`DEFAULT_LEXICON` plus crude suffix heuristics.
 
     A lexicon hit (exact form, then lowercased form) wins.  Otherwise the
     first matching heuristic applies, in order: ``-ing`` verb, ``-ed`` past
@@ -464,15 +439,13 @@ def fallback_annotate(tokens: tuple[str, ...] | list[str], lexicon: Lexicon | No
     the last non-punctuation token, which becomes the root.  The columns are
     filled directly; no :class:`Token` is built.
 
-    With the default lexicon, the analysis of each form, at the start of
-    the sentence or after it, is memoised in a bounded least-recently-used
-    cache.  Words of the same analysis share its feature dict, which is
-    read-only by contract.
+    The analysis of each form, at the start of the sentence or after it, is
+    memoised in a bounded least-recently-used cache.  Words of the same
+    analysis share its feature dict, which is read-only by contract.
     """
     if not tokens:
         return AnnotatedSentence((), (), (), (), (), ())
-    analyse = _analyse_default if lexicon is None else partial(_analyse, lexicon=lexicon)
-    lemmas, upos, feats = zip(*map(analyse, tokens, chain((True,), repeat(False))))
+    lemmas, upos, feats = zip(*map(_analyse, tokens, chain((True,), repeat(False))))
     root = len(upos) - 1
     while root > 0 and upos[root] == "PUNCT":
         root -= 1
@@ -483,13 +456,16 @@ def fallback_annotate(tokens: tuple[str, ...] | list[str], lexicon: Lexicon | No
     return AnnotatedSentence(tuple(tokens), lemmas, upos, feats, tuple(heads), tuple(deprels))
 
 
-def _analyse(form: str, initial: bool, lexicon: Lexicon) -> LexiconEntry:
+@lru_cache(maxsize=_MEMO_SIZE)
+def _analyse(form: str, initial: bool) -> LexiconEntry:
     """The analysis of ``form``, where ``initial`` says it starts the sentence.
 
     A capitalised word that no lexicon entry or suffix rule covers is a
-    proper noun unless it starts the sentence.
+    proper noun unless it starts the sentence.  The memo does not notice a
+    rebound ``DEFAULT_LEXICON``; whoever rebinds it calls
+    ``_analyse.cache_clear()``.
     """
-    entry = lexicon.get(form) or lexicon.get(form.lower())
+    entry = DEFAULT_LEXICON.get(form) or DEFAULT_LEXICON.get(form.lower())
     if entry is not None:
         return entry
     if form.endswith("ing") and len(form) > 4:
@@ -503,13 +479,3 @@ def _analyse(form: str, initial: bool, lexicon: Lexicon) -> LexiconEntry:
     if not initial and form[:1].isupper():
         return (form.lower(), "PROPN", _NO_FEATS)
     return (form.lower(), "NOUN", _SINGULAR)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _analyse_default(form: str, initial: bool) -> LexiconEntry:
-    """:func:`_analyse` with :data:`DEFAULT_LEXICON`, memoised on ``(form, initial)``.
-
-    The memo does not notice a rebound ``DEFAULT_LEXICON``; whoever rebinds
-    it calls ``_analyse_default.cache_clear()``.
-    """
-    return _analyse(form, initial, DEFAULT_LEXICON)

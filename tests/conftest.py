@@ -9,10 +9,13 @@ them.
 from __future__ import annotations
 
 import concurrent.futures
+import gc
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+
+from serrant import pipeline
 
 
 Row = tuple[str, str, str, str, int, str]
@@ -269,30 +272,41 @@ def write_golden_corpus(tmp_path: Path, pairs: list[GoldenPair]) -> dict[str, st
 def in_process_pool(monkeypatch):
     """Stand in for concurrent.futures.ProcessPoolExecutor, mapping in this process.
 
-    Returns an object whose ``workers`` lists the worker count of each pool
-    started, ``initializers`` the worker initializer each was given, and
-    ``shards`` the number of shards each one typed.  Setting its ``error``
-    makes ``map`` raise that exception, as a failing pool would.
+    Each pool runs its initializer with its ``initargs`` here, as a worker
+    process would, and the test process's collector state is restored when
+    the pool exits.  Returns an object whose ``workers`` lists the worker
+    count of each pool started, ``collecting`` whether the collector was on
+    while each one typed its shards, ``mapped`` the callable each one was
+    handed for its shards, and ``shards`` the number of shards each one
+    typed.  Setting its ``error`` makes ``map`` raise that exception, as a
+    failing pool would.
     """
-    started = SimpleNamespace(workers=[], initializers=[], shards=[], error=None)
+    started = SimpleNamespace(workers=[], collecting=[], mapped=[], shards=[], error=None)
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer=None):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             started.workers.append(max_workers)
-            started.initializers.append(initializer)
+            self.was_collecting = gc.isenabled()
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc_info):
+            (gc.enable if self.was_collecting else gc.disable)()
             return False
 
         def map(self, fn, items):
             items = list(items)
+            started.collecting.append(gc.isenabled())
+            started.mapped.append(fn)
             started.shards.append(len(items))
             if started.error is not None:
                 raise started.error
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    # the slot a pool's initializer fills, here in the test process: emptied after the test
+    monkeypatch.setattr(pipeline, "_worker_task", None)
     return started

@@ -17,10 +17,11 @@ All accept the same lemma arguments as ``serrant.alignment.align``.
 and ``rgs_strings`` enumerates equality patterns for sweeps that are
 exhaustive up to token renaming.
 
-``reference_parse_conllu`` is the row-by-row CoNLL-U parser that the
-column-wise ``serrant.ud.parse_conllu`` is checked against: it builds
-every token as it reads its row and checks each sentence's tree when the
-sentence ends.
+``reference_parse_conllu`` is the CoNLL-U parser that
+``serrant.ud.parse_conllu`` is checked against.  Both make one pass over
+the rows and check each sentence's tree when the sentence ends; the
+reference builds every token as it reads its row, where the production
+parser builds each sentence's columns and reads its text in chunks.
 """
 
 from __future__ import annotations

@@ -805,9 +805,9 @@ def _golden_outputs(golden, tmp_path) -> list[str]:
 @pytest.fixture
 def fresh_fallback_memo():
     """An empty fallback memo before and after a test that rebinds ``ud.DEFAULT_LEXICON``."""
-    ud._analyse_default.cache_clear()
+    ud._analyse.cache_clear()
     yield
-    ud._analyse_default.cache_clear()
+    ud._analyse.cache_clear()
 
 
 def test_classifiers_never_write_to_shared_feats(

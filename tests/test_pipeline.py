@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import gc
+import pickle
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -224,7 +225,19 @@ def test_pool_starts_at_most_one_worker_per_usable_core(monkeypatch, in_process_
     # 2 jobs cut 9 shards of up to 12 pairs; 64 and 5000 jobs cut 100 one-pair shards
     assert in_process_pool.workers == [2, 3, 3]
     assert in_process_pool.shards == [9, 100, 100]
-    assert in_process_pool.initializers == [gc.disable] * 3
+    assert in_process_pool.collecting == [False] * 3  # each pool's workers skip the collector
+    assert gc.isenabled()  # and this process collects again
+
+
+def test_each_shard_carries_its_texts_and_not_the_wordlist(tmp_path, in_process_pool):
+    words = tmp_path / "words.txt"
+    words.write_text("".join(f"word{i}\n" for i in range(50_000)), encoding="utf-8")
+    corpus = SyntheticCorpus(40, seed=3)
+    config = PipelineConfig(wordlist_path=str(words))
+    inputs = PipelineInputs(original=corpus.orig_text, corrected=corpus.cor_text)
+    assert run(config, inputs, 2) == run(config, inputs)
+    (mapped,) = in_process_pool.mapped  # pickled with every shard by a process pool
+    assert len(pickle.dumps(mapped)) < 1000
 
 
 def _retype_corpus(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from serrant.combine import build_context
 from serrant.errors import AnnotationMissingError
 from serrant.sercl import (
-    ARROW_UNICODE,
     GRANULARITY_UPOS,
     GRANULARITY_UPOS_FEATS,
     SerclSide,
@@ -40,7 +39,6 @@ def test_render_side_and_pair():
     right = SerclSide("NOUN", ("plural",))
     assert render_side(left) == "Noun:singular"
     assert render(SerclType(left, right)) == "Noun:singular->Noun:plural"
-    assert render(SerclType(left, right), ARROW_UNICODE) == "Noun:singular→Noun:plural"
 
 
 def test_render_collapsed_pair():

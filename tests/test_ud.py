@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import reference_parse_conllu
 from serrant import pipeline, ud
-from serrant.errors import AttachmentError, ConfigurationError, ConlluParseError
+from serrant.errors import AttachmentError, ConlluParseError
 from serrant.ud import (
     DEFAULT_LEXICON,
     ROOT,
@@ -19,7 +19,6 @@ from serrant.ud import (
     Token,
     attach,
     fallback_annotate,
-    load_lexicon,
     parse_conllu,
     parse_feats,
     span_head,
@@ -529,12 +528,18 @@ _FALLBACK_FORMS = st.sampled_from(
 )
 
 
+def _unmemoised_fallback(tokens):
+    """:func:`fallback_annotate` analysing every form afresh, past the memo."""
+    with mock.patch.object(ud, "_analyse", ud._analyse.__wrapped__):
+        return fallback_annotate(tokens)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(_FALLBACK_FORMS, max_size=6), max_size=4))
 def test_memoised_fallback_matches_the_unmemoised_path(sentences):
     for tokens in sentences:
         for _ in range(2):  # the second pass reads the memo
-            assert fallback_annotate(tokens) == fallback_annotate(tokens, DEFAULT_LEXICON)
+            assert fallback_annotate(tokens) == _unmemoised_fallback(tokens)
 
 
 def test_memo_leaves_the_capitalised_word_rule_to_the_position():
@@ -546,32 +551,9 @@ def test_memo_leaves_the_capitalised_word_rule_to_the_position():
 
 def test_fallback_memo_stays_within_its_size():
     forms = [f"w{i}" for i in range(ud._MEMO_SIZE + 100)]
-    assert fallback_annotate(forms) == fallback_annotate(forms, DEFAULT_LEXICON)
-    info = ud._analyse_default.cache_info()
+    assert fallback_annotate(forms) == _unmemoised_fallback(forms)
+    info = ud._analyse.cache_info()
     assert (info.currsize, info.maxsize) == (ud._MEMO_SIZE, ud._MEMO_SIZE)
-
-
-def test_load_lexicon_parses_and_lowercases_lemma():
-    lexicon = load_lexicon("# comment\nCats\tCat\tNOUN\tNumber=Plur\n\nran\trun\tVERB\t_\n")
-    assert lexicon["Cats"] == ("cat", "NOUN", {"Number": "Plur"})
-    assert lexicon["ran"] == ("run", "VERB", {})
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "a\tb\tNOUN\n",
-        "a\tb\tNOPE\t_\n",
-        "a\tb\tNOUN\tNumber\n",
-        "# c\na\tb\tNOUN\tNumber=Sing|Number=Plur\n",
-        "a\tb\tNOUN\t_\nc\td\tADJ\tFoo=a->b\n",
-    ],
-)
-def test_load_lexicon_rejects_bad_lines(text):
-    with pytest.raises(ConfigurationError) as info:
-        load_lexicon(text)
-    last_line = text.count("\n")
-    assert str(info.value).startswith(f"lexicon line {last_line}: ")
 
 
 def test_default_lexicon_covers_function_words():
