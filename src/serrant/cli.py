@@ -10,7 +10,12 @@ configuration errors (argparse reports usage errors with 2 as well).  The
 ``--wordlist`` is not given.
 
 Output is UTF-8 whatever the locale: standard output gets the same bytes
-as ``--out``.
+as ``--out``.  ``classify`` and ``retype`` type their input shard by shard
+(see :mod:`serrant.pipeline`), and each shard is rendered to M2 text and
+counted where it was typed, so a run holds the input texts and the M2
+text, but the sentences and records of one shard at a time.  The shard
+texts are written in order once every shard is done, so a failed run
+writes nothing.
 
 The cyclic garbage collector is off while a command runs, and
 :func:`main` returns with it as the caller had it.
@@ -22,12 +27,14 @@ import argparse
 import gc
 import os
 import sys
+from collections import Counter
+from collections.abc import Iterable
 from pathlib import Path
 
 from .errors import ConfigurationError, SerrantError
-from .m2 import emit_m2, parse_m2
+from .m2 import M2Record, emit_m2, join_m2, parse_m2
 from .pipeline import PipelineConfig, PipelineInputs, read_input, run
-from .report import REPORT_FORMATS, emit_report, type_distribution
+from .report import REPORT_FORMATS, TypeDistribution, emit_report, type_distribution
 from .sercl import ARROW_ASCII, ARROW_UNICODE, GRANULARITY_UPOS, GRANULARITY_UPOS_FEATS
 
 _GRANULARITY_FLAGS = {"upos": GRANULARITY_UPOS, "upos-feats": GRANULARITY_UPOS_FEATS}
@@ -77,8 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="up to N worker processes, at most one per usable core: the corpus is cut"
-        " into about four shards per N, and each worker parses, attaches and types"
-        " its own (output is identical for any count)",
+        " into shards of a fixed number of characters, and each worker parses, types"
+        " and renders its own; a corpus of one shard runs in one process (output is"
+        " identical for any count)",
     )
     classify.set_defaults(handler=_run_classify)
 
@@ -124,38 +132,49 @@ def _config(args: argparse.Namespace) -> PipelineConfig:
 
 def _run_classify(args: argparse.Namespace) -> int:
     inputs = PipelineInputs(original=read_input(args.orig), corrected=read_input(args.cor))
-    _write_outputs(run(_config(args), inputs, args.jobs), args)
+    _write_outputs(run(_config(args), inputs, args.jobs, finish=_finish), args)
     return 0
 
 
 def _run_retype(args: argparse.Namespace) -> int:
-    records = run(_config(args), PipelineInputs(m2=read_input(args.m2)))
-    _write_outputs(records, args)
+    inputs = PipelineInputs(m2=read_input(args.m2))
+    _write_outputs(run(_config(args), inputs, finish=_finish), args)
     return 0
 
 
 def _run_stats(args: argparse.Namespace) -> int:
     records = parse_m2(read_input(args.m2))
     distribution = type_distribution(records, annotator_filter=args.annotator)
-    _write_stdout(emit_report(distribution, args.report_format))
+    _write_stdout([emit_report(distribution, args.report_format)])
     return 0
 
 
-def _write_outputs(records, args: argparse.Namespace) -> None:
-    text = emit_m2(records)
+def _finish(records: list[M2Record]) -> tuple[str, TypeDistribution]:
+    """A shard's M2 text and type distribution, made where the shard was typed."""
+    return emit_m2(records), type_distribution(records)
+
+
+def _write_outputs(parts: list[tuple[str, TypeDistribution]], args: argparse.Namespace) -> None:
+    """Write the shards' M2 texts in order, and the report of their added-up counts."""
+    pieces = join_m2(text for text, _ in parts)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.writelines(pieces)
     else:
-        _write_stdout(text)
+        _write_stdout(pieces)
     if args.report:
-        distribution = type_distribution(records)
+        counts = Counter()
+        for _, distribution in parts:
+            counts.update(distribution.counts)
         Path(args.report).write_text(
-            emit_report(distribution, args.report_format), encoding="utf-8"
+            emit_report(TypeDistribution(counts, counts.total()), args.report_format),
+            encoding="utf-8",
         )
 
 
-def _write_stdout(text: str) -> None:
-    """Write ``text`` to standard output as UTF-8, whatever the locale's encoding."""
+def _write_stdout(texts: Iterable[str]) -> None:
+    """Write ``texts`` to standard output as UTF-8, whatever the locale's encoding."""
     sys.stdout.flush()
-    sys.stdout.buffer.write(text.encode("utf-8"))
+    for text in texts:
+        sys.stdout.buffer.write(text.encode("utf-8"))
     sys.stdout.buffer.flush()

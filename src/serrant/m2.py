@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import IngestionError, M2ParseError, M2ValidationError, SerrantError
 
@@ -209,6 +209,21 @@ def emit_m2(records: Sequence[M2Record]) -> str:
             )
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n" if blocks else ""
+
+
+def join_m2(texts: Iterable[str]) -> Iterator[str]:
+    """Pieces that, written in turn, make one M2 text of the records of ``texts``, in order.
+
+    Each text is what :func:`emit_m2` gives for some records, so the pieces
+    make what it gives for all of them at once: the texts that hold records,
+    with a blank line between each two.
+    """
+    separator = ""
+    for text in texts:
+        if text:
+            yield separator
+            yield text
+            separator = "\n"
 
 
 def _validate_record(record: M2Record, index: int, labels: set[str]) -> None:

@@ -14,12 +14,17 @@ sentence by applying their edits before it is annotated.
 
 Both commands work on shards: slices of the input texts that hold a
 contiguous run of items (sentence pairs, or M2 records), with the CoNLL-U
-lines that annotate them.  ``run(config, inputs, worker_count=1)`` types
-the whole inputs as one shard.  With ``worker_count`` above 1 it cuts
+lines that annotate them.  ``run(config, inputs, worker_count=1)`` cuts
 every text at the same items, after line ends of parallel text and after
-blank lines of M2 and CoNLL-U, and hands the slices to worker processes.
-Only :func:`_type_shard` parses items, in a worker or in the parent.
-:data:`classify_corpus_parallel` is another name for ``run``.
+blank lines of M2 and CoNLL-U, into shards of about :data:`_SHARD_CHARS`
+characters, and types them one at a time in this process, or on worker
+processes when ``worker_count`` is above 1 and there are two shards or
+more.  Only :func:`_type_shard` parses items, in a worker or in the
+parent.  A ``finish`` step given to ``run`` turns each shard's records
+into what the caller keeps (the command line keeps M2 text and label
+counts) where the shard was typed, so no run need hold the records of the
+whole corpus.  :data:`classify_corpus_parallel` is another name for
+``run``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ from __future__ import annotations
 import gc
 import os
 import re
-from collections.abc import Callable
+from bisect import bisect_left
+from collections import deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -82,37 +89,48 @@ def classify_edit(
 
 
 def run(
-    config: PipelineConfig, inputs: PipelineInputs, worker_count: int = 1
-) -> list[M2Record]:
-    """Run one full pass and return the resulting records.
+    config: PipelineConfig,
+    inputs: PipelineInputs,
+    worker_count: int = 1,
+    finish: Callable[[list[M2Record]], object] | None = None,
+) -> list:
+    """Run one full pass and return the resulting records, or what ``finish`` made of them.
 
-    With ``worker_count`` above 1 the inputs are cut into shards typed by
-    worker processes: the parent cuts every text at the same items without
-    parsing any, and each worker parses, attaches and types its own shard.
-    The items are cut by ``worker_count``, but the pool starts at most one
-    worker per usable core, each with the cyclic garbage collector off.
-    Output is identical for any worker count, and so is the error raised on
-    bad input: when the texts cannot be cut (a CoNLL-U file is unreadable,
-    or the texts hold different numbers of items), the pool cannot start
-    or loses a worker, or a shard fails, the parent types the whole corpus
-    as one shard itself and returns or raises what that does.
+    The inputs are typed shard by shard: the parent cuts every text at the
+    same items, without parsing any, into shards of about
+    :data:`_SHARD_CHARS` characters, and slices each shard's texts only
+    when that shard is typed.  With ``finish``, each shard's records go to
+    ``finish`` in the process that typed them, and ``run`` returns what it
+    gave for each shard, in order, instead of the records; the records and
+    the sentences of a shard are then dropped once it is finished.
+
+    With ``worker_count`` above 1 and two shards or more, the shards are
+    typed by worker processes, at most one per usable core, each with the
+    cyclic garbage collector off; otherwise they are typed in this
+    process.  Output is identical for any worker count and any shard plan,
+    and so is the error raised on bad input: when the texts cannot be cut
+    (a CoNLL-U file is unreadable, or the texts hold different numbers of
+    items), the pool cannot start or loses a worker, or a shard fails, the
+    parent types and finishes the whole corpus as one shard itself and
+    returns or raises what that does.
     """
     if worker_count < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {worker_count}")
     _check_config(config)
     retype = _is_retype(inputs)
     task = partial(_type_shard, retype=retype, wordlist=_load_wordlist(config), config=config)
-    if worker_count > 1:
-        records = _type_shards(task, config, inputs, worker_count)
-        if records is not None:
-            return records
-    # each CoNLL-U file is read when its side is parsed, so one text is held at a time
-    whole = _Shard(
-        inputs,
-        partial(_read_conllu, config.conllu_orig_path),
-        partial(_read_conllu, config.conllu_cor_path),
-    )
-    return task(whole)
+    if finish is not None:
+        task = partial(_finish_shard, task, finish)
+    parts = _type_shards(task, config, inputs, worker_count)
+    if parts is None:
+        # each CoNLL-U file is read when its side is parsed, so one text is held at a time
+        whole = _Shard(
+            inputs,
+            partial(_read_conllu, config.conllu_orig_path),
+            partial(_read_conllu, config.conllu_cor_path),
+        )
+        parts = [task(whole)]
+    return parts if finish is not None else [record for records in parts for record in records]
 
 
 classify_corpus_parallel = run
@@ -220,41 +238,68 @@ class _Shard(NamedTuple):
 
 
 def _type_shards(
-    task: Callable[[_Shard], list[M2Record]],
+    task: Callable[[_Shard], object],
     config: PipelineConfig,
     inputs: PipelineInputs,
     worker_count: int,
-) -> list[M2Record] | None:
-    """Cut the inputs into shards and type them on worker processes.
+) -> list | None:
+    """Cut the inputs into shards and return what ``task`` gives for each, in order.
 
-    Returns None when the inputs make fewer than two shards, or when the
-    cut, the pool or a shard fails; the shard texts are then freed before
-    the caller types the whole corpus itself.
+    The shards go to worker processes when ``worker_count`` is above 1 and
+    there are two or more; otherwise this process types them one at a time.
+    Returns None when the cut, the pool or a shard fails; the cut's texts
+    are then freed before the caller types the whole corpus itself.
+    """
+    try:
+        count, shards = _cut(config, inputs)
+    except (SerrantError, OSError):
+        return None
+    if worker_count > 1 and count > 1:
+        return _type_on_pool(task, shards, min(worker_count, count, _usable_cores()))
+    try:
+        return [task(shard) for shard in shards]
+    except SerrantError:
+        return None
+
+
+def _type_on_pool(
+    task: Callable[[_Shard], object], shards: Iterator[_Shard], workers: int
+) -> list | None:
+    """Apply ``task`` to each shard on ``workers`` processes; None when the pool or a shard fails.
+
+    Only a few shards more than there are workers are sliced and queued at
+    a time, and on a failure the queued ones are dropped, not typed.
     """
     # imported here, so that a serial run does not load multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     try:
-        shards = _cut(config, inputs, worker_count)
-        if len(shards) < 2:
-            return None
-        workers = min(worker_count, len(shards), _usable_cores())
         # The platform's default start method: "spawn" would re-run the
         # caller's main module in every worker, which breaks scripts that
         # call this without an ``if __name__ == "__main__"`` guard.  The task,
         # wordlist included, goes to each worker once; each shard sends only
         # its texts.
-        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(task,)) as executor:
-            return [record for part in executor.map(_run_in_worker, shards) for record in part]
+        executor = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(task,))
+        try:
+            queued = deque()
+            parts = []
+            for shard in shards:
+                queued.append(executor.submit(_run_in_worker, shard))
+                if len(queued) > 2 * workers:
+                    parts.append(queued.popleft().result())
+            parts.extend(future.result() for future in queued)
+            return parts
+        finally:
+            executor.shutdown(cancel_futures=True)
     except (SerrantError, OSError, BrokenExecutor):
         return None  # typing the corpus as one shard gives the serial result or error
 
 
 # the task a worker process runs on each of its shards, set by _start_worker
-_worker_task: Callable[[_Shard], list[M2Record]] | None = None
+_worker_task: Callable[[_Shard], object] | None = None
 
 
-def _start_worker(task: Callable[[_Shard], list[M2Record]]) -> None:
+def _start_worker(task: Callable[[_Shard], object]) -> None:
     """Set up a worker process: keep ``task`` for its shards and switch the collector off.
 
     A shard builds no reference cycles, so workers skip the collector.
@@ -264,24 +309,33 @@ def _start_worker(task: Callable[[_Shard], list[M2Record]]) -> None:
     _worker_task = task
 
 
-def _run_in_worker(shard: _Shard) -> list[M2Record]:
+def _run_in_worker(shard: _Shard) -> object:
     """Type ``shard`` with the task :func:`_start_worker` kept in this worker."""
     return _worker_task(shard)
 
+
+# The most input characters a shard holds, about.  A run holds the sentences
+# and records of one shard at a time, so this bounds the memory they take.
+# It is also the size below which a corpus is one shard, typed in the parent
+# whatever the worker count: a pool costs more than it saves there.
+_SHARD_CHARS = 500_000
 
 # where the next item starts: after a line end of parallel text, and after
 # blank lines in M2 and CoNLL-U
 _LINE_END = re.compile("\n")
 
 
-def _cut(config: PipelineConfig, inputs: PipelineInputs, worker_count: int) -> list[_Shard]:
-    """Cut every text at the same items into about four shards per worker.
+def _cut(config: PipelineConfig, inputs: PipelineInputs) -> tuple[int, Iterator[_Shard]]:
+    """Cut every text at the same items into shards of about :data:`_SHARD_CHARS` characters.
 
-    Nothing is parsed: an item is a line of parallel text, or a block of M2
-    or CoNLL-U text.  A block that is not one item (a CoNLL-U block that
-    holds no word, M2 records not separated by blank lines) makes the
-    counts of two texts disagree, and then the cut, or the count check of
-    the shard that holds it, fails.
+    Returns the number of shards, and an iterator that slices each shard's
+    texts when it is reached.  The characters of all texts count, and each
+    shard starts at the first item whose texts start at or past its share
+    of them.  Nothing is parsed: an item is a line of parallel text, or a
+    block of M2 or CoNLL-U text.  A block that is not one item (a CoNLL-U
+    block that holds no word, M2 records not separated by blank lines)
+    makes the counts of two texts disagree, and then the cut, or the count
+    check of the shard that holds it, fails.
 
     Raises:
         OSError: when a CoNLL-U file cannot be read.
@@ -289,23 +343,35 @@ def _cut(config: PipelineConfig, inputs: PipelineInputs, worker_count: int) -> l
             different numbers of items.
     """
     texts = [
-        (inputs.original, _LINE_END),
-        (inputs.corrected, _LINE_END),
-        (inputs.m2, BLANK_LINES),
-        (_read_conllu(config.conllu_orig_path), BLANK_LINES),
-        (_read_conllu(config.conllu_cor_path), BLANK_LINES),
+        inputs.original,
+        inputs.corrected,
+        inputs.m2,
+        _read_conllu(config.conllu_orig_path),
+        _read_conllu(config.conllu_cor_path),
     ]
-    starts = [None if text is None else _starts(text, item_end) for text, item_end in texts]
-    counts = {len(text_starts) for text_starts in starts if text_starts is not None}
+    item_ends = (_LINE_END, _LINE_END, BLANK_LINES, BLANK_LINES, BLANK_LINES)
+    starts = [None if text is None else _starts(text, end) for text, end in zip(texts, item_ends)]
+    given = [text_starts for text_starts in starts if text_starts is not None]
+    counts = {len(text_starts) for text_starts in given}
     if len(counts) != 1:
         raise IngestionError(f"the inputs hold different numbers of items: {sorted(counts)}")
     count = counts.pop()
-    firsts = range(0, count, max(1, count // (worker_count * 4)))
-    pieces = [_slices(text, text_starts, firsts) for (text, _), text_starts in zip(texts, starts)]
-    return [
-        _Shard(PipelineInputs(original, corrected, m2), partial(_given, orig), partial(_given, cor))
-        for original, corrected, m2, orig, cor in zip(*pieces)
+    total = sum(len(text) for text in texts if text is not None)
+    shares = -(-total // _SHARD_CHARS)
+
+    def chars_before(item: int) -> int:
+        return sum(text_starts[item] for text_starts in given)
+
+    firsts = {
+        bisect_left(range(count), total * share // shares, key=chars_before)
+        for share in range(shares)
+    }
+    firsts = sorted(firsts - {count})  # a share past the last item's start starts no shard
+    cuts = [
+        None if text is None else [0, *(text_starts[first] for first in firsts[1:]), len(text)]
+        for text, text_starts in zip(texts, starts)
     ]
+    return len(firsts), _slices(texts, cuts, len(firsts))
 
 
 def _starts(text: str, item_end: re.Pattern[str]) -> list[int]:
@@ -316,21 +382,37 @@ def _starts(text: str, item_end: re.Pattern[str]) -> list[int]:
     return starts
 
 
-def _slices(text: str | None, starts: list[int] | None, firsts: range) -> list[str | None]:
-    """Cut ``text`` before each item index in ``firsts``; ``None`` for each piece of no text.
+def _slices(
+    texts: list[str | None], cuts: list[list[int] | None], count: int
+) -> Iterator[_Shard]:
+    """Yield ``count`` shards one at a time, each text cut at its offsets in ``cuts``.
 
-    The first piece starts at the top of the text and the last runs to its
-    end, so every line is parsed by exactly one piece.
+    A text's offsets are where its shards start, then its end: the first
+    shard starts at the top of the text and the last runs to its end, so
+    every line is parsed by exactly one shard.
     """
-    if text is None:
-        return [None] * len(firsts)
-    cuts = [starts[first] for first in firsts]
-    return [text[cut:end] for cut, end in zip(cuts, cuts[1:] + [len(text)])]
+    for shard in range(count):
+        original, corrected, m2, orig, cor = (
+            None if text is None else text[text_cuts[shard] : text_cuts[shard + 1]]
+            for text, text_cuts in zip(texts, cuts)
+        )
+        yield _Shard(
+            PipelineInputs(original, corrected, m2), partial(_given, orig), partial(_given, cor)
+        )
 
 
 def _given(text: str | None) -> str | None:
     """Return ``text``; bound to a piece, it is a picklable shard loader."""
     return text
+
+
+def _finish_shard(
+    type_shard: Callable[[_Shard], list[M2Record]],
+    finish: Callable[[list[M2Record]], object],
+    shard: _Shard,
+) -> object:
+    """Type ``shard`` and hand its records to ``finish``, in the process that typed it."""
+    return finish(type_shard(shard))
 
 
 def _type_shard(

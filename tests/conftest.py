@@ -268,43 +268,63 @@ def write_golden_corpus(tmp_path: Path, pairs: list[GoldenPair]) -> dict[str, st
     return {key: str(path) for key, path in paths.items()}
 
 
-@pytest.fixture
-def in_process_pool(monkeypatch):
-    """Stand in for concurrent.futures.ProcessPoolExecutor, mapping in this process.
+# A shard budget small enough that test corpora of a few dozen items make
+# many shards: under the real budget, a corpus that small is one shard,
+# typed in the parent whatever the worker count.
+SMALL_SHARD_CHARS = 500
 
-    Each pool runs its initializer with its ``initargs`` here, as a worker
-    process would, and the test process's collector state is restored when
-    the pool exits.  Returns an object whose ``workers`` lists the worker
-    count of each pool started, ``collecting`` whether the collector was on
-    while each one typed its shards, ``mapped`` the callable each one was
-    handed for its shards, and ``shards`` the number of shards each one
-    typed.  Setting its ``error`` makes ``map`` raise that exception, as a
-    failing pool would.
+
+@pytest.fixture
+def small_shards(monkeypatch):
+    """Cut shards of about :data:`SMALL_SHARD_CHARS` characters (the parent cuts; workers type)."""
+    monkeypatch.setattr(pipeline, "_SHARD_CHARS", SMALL_SHARD_CHARS)
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch, small_shards):
+    """Stand in for concurrent.futures.ProcessPoolExecutor, typing each shard in this process.
+
+    Shards are cut small (:func:`small_shards`), so that small corpora
+    reach the pool.  Each pool runs its initializer with its ``initargs``
+    here, as a worker process would, types each shard when it is submitted,
+    and restores the test process's collector state when it shuts down.
+    Returns an object whose ``workers`` lists the worker count of each pool
+    started, ``collecting`` whether the collector was on while each one
+    typed its first shard, ``mapped`` the callable each one was handed for
+    its shards, ``shards`` the number of shards submitted to each one, and
+    ``cancelled`` whether each one was shut down with its queued shards
+    cancelled.  Setting its ``error`` makes every shard fail with that
+    exception, as a failing pool would.
     """
-    started = SimpleNamespace(workers=[], collecting=[], mapped=[], shards=[], error=None)
+    started = SimpleNamespace(
+        workers=[], collecting=[], mapped=[], shards=[], cancelled=[], error=None
+    )
 
     class InProcessPool:
         def __init__(self, max_workers, initializer=None, initargs=()):
             started.workers.append(max_workers)
+            started.shards.append(0)
             self.was_collecting = gc.isenabled()
             if initializer is not None:
                 initializer(*initargs)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, *args):
+            if not started.shards[-1]:
+                started.collecting.append(gc.isenabled())
+                started.mapped.append(fn)
+            started.shards[-1] += 1
+            future = concurrent.futures.Future()
+            try:
+                if started.error is not None:
+                    raise started.error
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
-        def __exit__(self, *exc_info):
+        def shutdown(self, wait=True, cancel_futures=False):
+            started.cancelled.append(cancel_futures)
             (gc.enable if self.was_collecting else gc.disable)()
-            return False
-
-        def map(self, fn, items):
-            items = list(items)
-            started.collecting.append(gc.isenabled())
-            started.mapped.append(fn)
-            started.shards.append(len(items))
-            if started.error is not None:
-                raise started.error
-            return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     # the slot a pool's initializer fills, here in the test process: emptied after the test

@@ -41,6 +41,7 @@ from serrant.alignment import Edit, align, merge
 from serrant.base import BaseType, classify_base
 from serrant.combine import EditContext, build_context, combine
 from serrant.m2 import EditSpan, M2Edit, M2Record, emit_m2, parse_m2
+from serrant import pipeline
 from serrant.pipeline import (
     PipelineConfig,
     PipelineInputs,
@@ -701,11 +702,13 @@ def _corpus_files(tmp_path: Path, corpus: SyntheticCorpus) -> PipelineConfig:
     )
 
 
-def test_criterion_6_parallel_determinism(tmp_path):
+def test_criterion_6_parallel_determinism(tmp_path, monkeypatch):
     corpus = SyntheticCorpus(1000, seed=30606)
     config = _corpus_files(tmp_path, corpus)
     inputs = PipelineInputs(original=corpus.orig_text, corrected=corpus.cor_text)
-    serial = classify_corpus_parallel(config, inputs, 1)
+    serial = classify_corpus_parallel(config, inputs, 1)  # one shard: below the shard budget
+    # shards of about 50,000 characters, so that 1,000 pairs reach the workers
+    monkeypatch.setattr(pipeline, "_SHARD_CHARS", 50_000)
     parallel = classify_corpus_parallel(config, inputs, 8)
     m2_equal = emit_m2(serial) == emit_m2(parallel)
     reports_equal = all(

@@ -10,6 +10,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -22,11 +23,18 @@ from hypothesis import strategies as st
 import serrant
 from serrant import cli, pipeline, ud
 
-from conftest import GOLDEN_FLAGSHIP, golden_wordlist_words, write_golden_corpus
+from conftest import (
+    GOLDEN_ALL,
+    GOLDEN_FLAGSHIP,
+    SMALL_SHARD_CHARS,
+    golden_wordlist_words,
+    write_golden_corpus,
+)
 from serrant.base import load_wordlist
 from serrant.cli import main
 from serrant.errors import ConfigurationError, SerrantError
 from serrant.m2 import emit_m2, parse_m2
+from serrant.pipeline import PipelineConfig, PipelineInputs, read_input, run
 from serrant.report import emit_report, type_distribution
 from synthgen import SyntheticCorpus
 
@@ -91,7 +99,7 @@ def test_classify_unicode_arrow(golden, tmp_path):
     assert "R:Noun->Propn" not in text
 
 
-def test_classify_parallel_jobs_match(golden, tmp_path):
+def test_classify_parallel_jobs_match(golden, tmp_path, small_shards):
     assert main(classify_args(golden, tmp_path)) == 0
     serial = (tmp_path / "out.m2").read_text(encoding="utf-8")
     assert main(classify_args(golden, tmp_path, "--jobs", "2")) == 0
@@ -228,8 +236,11 @@ def test_retype_rejects_unappliable_edits(tmp_path, m2):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_classify_rejects_a_correction_that_would_not_read_back(tmp_path, capsys, jobs):
-    # 16 pairs, so that --jobs 2 cuts shards; a trailing "|" would join the next M2 field
+def test_classify_rejects_a_correction_that_would_not_read_back(
+    tmp_path, capsys, small_shards, jobs
+):
+    # 16 pairs in small shards, so that --jobs 2 reaches the pool; a trailing "|" would
+    # join the next M2 field
     orig, cor = tmp_path / "orig.txt", tmp_path / "cor.txt"
     orig.write_text("the cat\n" + "a dog runs\n" * 15, encoding="utf-8")
     cor.write_text("the x|\n" + "a dog ran\n" * 15, encoding="utf-8")
@@ -304,7 +315,7 @@ def test_standard_output_is_the_utf8_of_the_output_files(tmp_path, encoding):
 
 # --- the same result for any --jobs ------------------------------------------
 
-SHARDED_PAIRS = 64  # --jobs 2 cuts 8 shards of 8 pairs
+SHARDED_PAIRS = 64  # in shards of about one pair, with small_shards
 
 
 def _blocks(conllu: str) -> list[str]:
@@ -329,7 +340,7 @@ def _set_column(blocks: list[str], index: int, column: int, value: str) -> None:
 
 
 @pytest.fixture
-def sharded(tmp_path):
+def sharded(tmp_path, small_shards):
     corpus = SyntheticCorpus(SHARDED_PAIRS, seed=23)
     texts = {
         "orig": corpus.orig_text,
@@ -496,8 +507,10 @@ def test_jobs_agree_under_any_start_method(sharded, capfd, method):
     ]
     program = (
         "import multiprocessing, sys\n"
+        "from serrant import pipeline\n"
         "from serrant.cli import main\n"
         "multiprocessing.set_start_method(sys.argv[1])\n"
+        f"pipeline._SHARD_CHARS = {SMALL_SHARD_CHARS}\n"
         "sys.exit(main(sys.argv[2:]))\n"
     )
     done = subprocess.run(
@@ -513,6 +526,154 @@ def test_crlf_inputs_classify_like_lf(sharded, capfd):
     crlf = {name: text.replace("\n", "\r\n") for name, text in texts.items()}
     assert _same_for_any_jobs(tmp_path, crlf, capfd) == lf
     assert lf[0] == 0
+
+
+# --- shards are finished where they are typed: the same bytes as the library ----
+
+
+@pytest.fixture(params=["golden", "synthetic"])
+def corpus_files(request, tmp_path):
+    """The paths of the golden corpus with its wordlist, or of a 48-pair synthetic corpus."""
+    if request.param == "golden":
+        paths = write_golden_corpus(tmp_path, GOLDEN_ALL)
+        wordlist = tmp_path / "wordlist.txt"
+        wordlist.write_text("\n".join(sorted(golden_wordlist_words())) + "\n", encoding="utf-8")
+        return {**paths, "wordlist": str(wordlist)}
+    corpus = SyntheticCorpus(48, seed=41)
+    texts = {
+        "orig": corpus.orig_text,
+        "cor": corpus.cor_text,
+        "conllu_orig": corpus.conllu_orig,
+        "conllu_cor": corpus.conllu_cor,
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return {name: str(tmp_path / name) for name in texts}
+
+
+def _library_outputs(config, inputs, worker_count=1):
+    """``emit_m2(run(...))`` and its TSV and JSON reports."""
+    records = run(config, inputs, worker_count)
+    distribution = type_distribution(records)
+    return emit_m2(records), {fmt: emit_report(distribution, fmt) for fmt in ("tsv", "json")}
+
+
+def _cli_outputs(tmp_path, capfd, argv):
+    """The M2 and reports ``main`` writes for ``argv``, through ``--out`` and through stdout."""
+    out, report = tmp_path / "cli.m2", tmp_path / "cli.report"
+    assert main([*argv, "--out", str(out), "--report", str(report)]) == 0
+    m2, tsv = out.read_text(encoding="utf-8"), report.read_text(encoding="utf-8")
+    capfd.readouterr()
+    assert main([*argv, "--report", str(report), "--report-format", "json"]) == 0
+    stdout, stderr = capfd.readouterr()
+    assert (stdout, stderr) == (m2, "")
+    return m2, {"tsv": tsv, "json": report.read_text(encoding="utf-8")}
+
+
+def test_cli_writes_the_library_output_from_small_shards(
+    tmp_path, capfd, monkeypatch, corpus_files
+):
+    paths = corpus_files
+    config = PipelineConfig(
+        wordlist_path=paths.get("wordlist"),
+        conllu_orig_path=paths["conllu_orig"],
+        conllu_cor_path=paths["conllu_cor"],
+    )
+    inputs = PipelineInputs(original=read_input(paths["orig"]), corrected=read_input(paths["cor"]))
+    expected = _library_outputs(config, inputs)  # one shard: each corpus is small
+    assert expected[1]["tsv"].count("\n") > 5
+    (tmp_path / "typed.m2").write_text(expected[0], encoding="utf-8")
+    retype_inputs = PipelineInputs(m2=expected[0])
+    retype_config = PipelineConfig(
+        wordlist_path=paths.get("wordlist"), conllu_orig_path=paths["conllu_orig"]
+    )
+    expected_retype = _library_outputs(retype_config, retype_inputs)
+
+    monkeypatch.setattr(pipeline, "_SHARD_CHARS", SMALL_SHARD_CHARS)
+    flags = ["--conllu-orig", paths["conllu_orig"]]
+    flags += ["--wordlist", paths["wordlist"]] if "wordlist" in paths else []
+    classify = ["classify", "--orig", paths["orig"], "--cor", paths["cor"], *flags]
+    classify += ["--conllu-cor", paths["conllu_cor"]]
+    for jobs in ("1", "2", "4"):
+        assert _cli_outputs(tmp_path, capfd, [*classify, "--jobs", jobs]) == expected
+    retype = ["retype", "--m2", str(tmp_path / "typed.m2"), *flags]
+    assert _cli_outputs(tmp_path, capfd, retype) == expected_retype
+    for worker_count in (1, 2, 4):
+        assert _library_outputs(retype_config, retype_inputs, worker_count) == expected_retype
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_label_rejected_in_a_late_shard_names_its_record(tmp_path, capfd, small_shards, jobs):
+    # the pair of test_classify_rejects_a_label_that_would_not_read_back, as record 36 of 41
+    corpus = SyntheticCorpus(40, seed=42)
+    texts = {
+        "orig": corpus.orig_text,
+        "cor": corpus.cor_text,
+        "conllu_orig": corpus.conllu_orig,
+        "conllu_cor": corpus.conllu_cor,
+    }
+    inserted = {
+        "orig": "good",
+        "cor": "well",
+        "conllu_orig": "1\tgood\tgood\tADJ\t_\tFoo=a\u00a0b\t0\troot\t_\t_",
+        "conllu_cor": "1\twell\tgood\tADV\t_\tFoo=c\t0\troot\t_\t_",
+    }
+    argv = ["classify", "--granularity", "upos-feats", "--jobs", jobs]
+    for name, text in texts.items():
+        separator = "\n" if name in ("orig", "cor") else "\n\n"
+        items = text.rstrip("\n").split(separator)
+        items.insert(36, inserted[name])
+        path = tmp_path / name
+        path.write_text(separator.join(items) + separator, encoding="utf-8")
+        argv += [f"--{name.replace('_', '-')}", str(path)]
+    label = "R:Adj:a\u00a0b->Adv:c"
+    error = f"serrant: record 36: invalid type label {label!r}\n"
+    out = tmp_path / "out.m2"
+    capfd.readouterr()
+    assert main([*argv, "--out", str(out), "--report", str(tmp_path / "report.tsv")]) == 1
+    assert capfd.readouterr() == ("", error)
+    assert not out.exists()
+    assert not (tmp_path / "report.tsv").exists()
+    assert main(argv) == 1
+    assert capfd.readouterr() == ("", error)
+
+
+def _traced_peak(tmp_path, size: int) -> tuple[int, int]:
+    """The traced peak of a serial ``classify`` run on ``size`` synthetic pairs, and the
+    characters of its input and output texts."""
+    corpus = SyntheticCorpus(size, seed=7)
+    texts = {
+        "orig": corpus.orig_text,
+        "cor": corpus.cor_text,
+        "conllu-orig": corpus.conllu_orig,
+        "conllu-cor": corpus.conllu_cor,
+    }
+    argv = ["classify", "--out", str(tmp_path / "out.m2"), "--report", str(tmp_path / "r.tsv")]
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        argv += [f"--{name}", str(tmp_path / name)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = (tmp_path / "out.m2").read_text(encoding="utf-8")
+    return peak, sum(map(len, texts.values())) + len(output)
+
+
+def test_serial_classify_memory_grows_with_the_texts_not_with_the_parsed_corpus(
+    tmp_path, monkeypatch
+):
+    # Shards of about 4,000 characters, some 8 pairs.  The run holds its
+    # input texts and the shards' M2 texts, and the sentences and records of
+    # one shard at a time: measured, the traced peak grew by 1.25 times the
+    # characters (4.04 times while a run held those of the whole corpus).
+    monkeypatch.setattr(pipeline, "_SHARD_CHARS", 4_000)
+    _traced_peak(tmp_path, 50)  # fills what a first run caches
+    small_peak, small_chars = _traced_peak(tmp_path, 200)
+    large_peak, large_chars = _traced_peak(tmp_path, 800)
+    assert large_peak - small_peak < 2.5 * (large_chars - small_chars)
 
 
 # --- the command line parses a file's bytes as the library parses its text ----
@@ -878,7 +1039,7 @@ def _garbage_left_by(argv: list[str]) -> tuple[int, int]:
 
 
 @pytest.mark.parametrize("run", ["classify", "classify-jobs", "fallback", "retype", "error"])
-def test_a_run_leaves_no_garbage_that_grows_with_the_corpus(tmp_path, capfd, run):
+def test_a_run_leaves_no_garbage_that_grows_with_the_corpus(tmp_path, capfd, small_shards, run):
     left = []
     for size in (40, 40, 400):  # the first run also leaves what a first run caches
         corpus = SyntheticCorpus(size, seed=5)

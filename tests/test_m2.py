@@ -16,6 +16,7 @@ from serrant.m2 import (
     M2Record,
     apply_edits,
     emit_m2,
+    join_m2,
     parse_m2,
     read_parallel,
 )
@@ -325,6 +326,15 @@ def test_round_trip_preserves_records(records):
 def test_emission_is_a_fixed_point(records):
     text = emit_m2(records)
     assert emit_m2(parse_m2(text)) == text
+
+
+@settings(max_examples=200)
+@given(st.lists(_records(), min_size=0, max_size=6), st.lists(st.integers(0, 6), max_size=4))
+def test_joined_texts_of_parts_are_the_text_of_the_whole(records, cuts):
+    # parts may be empty, as the shard of a leading run of blank lines is
+    bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
+    parts = [emit_m2(records[start:end]) for start, end in zip(bounds, bounds[1:])]
+    assert "".join(join_m2(parts)) == emit_m2(records)
 
 
 def test_read_parallel_pairs_lines():

@@ -222,9 +222,9 @@ def test_pool_starts_at_most_one_worker_per_usable_core(monkeypatch, in_process_
     serial = run(config, inputs)
     for jobs in (2, 64, 5000):
         assert classify_corpus_parallel(config, inputs, jobs) == serial
-    # 2 jobs cut 9 shards of up to 12 pairs; 64 and 5000 jobs cut 100 one-pair shards
+    # the texts' 5,197 characters make 11 shards of about 500 for any worker count
     assert in_process_pool.workers == [2, 3, 3]
-    assert in_process_pool.shards == [9, 100, 100]
+    assert in_process_pool.shards == [11, 11, 11]
     assert in_process_pool.collecting == [False] * 3  # each pool's workers skip the collector
     assert gc.isenabled()  # and this process collects again
 
@@ -256,7 +256,7 @@ def test_retype_runs_on_shards(tmp_path, in_process_pool):
     serial = run(config, inputs)
     assert "UNK" not in emit_m2(serial)
     assert run(config, inputs, 4) == serial
-    assert in_process_pool.shards == [18]  # 120 records in shards of 7
+    assert in_process_pool.shards == [77]  # 39,113 characters in shards of about 500
 
 
 @pytest.mark.parametrize(
@@ -282,7 +282,7 @@ def test_retype_shard_errors_are_the_serial_errors(
     m2, orig, cor = _retype_corpus(tmp_path)
     blocks = m2.rstrip("\n").split("\n\n")
     late = max(i for i, block in enumerate(blocks) if len(block.split("\n")[0].split()) >= 4)
-    assert late >= 100  # in the last shards of 7 records
+    assert late >= 100  # in one of the last shards
     blocks[late] = "\n".join([blocks[late].split("\n")[0], *edit_lines])
     config = PipelineConfig(conllu_orig_path=orig, conllu_cor_path=cor if both_conllu else None)
     inputs = PipelineInputs(m2="\n\n".join(blocks) + "\n")
@@ -290,7 +290,7 @@ def test_retype_shard_errors_are_the_serial_errors(
         run(config, inputs)
     with pytest.raises(error) as sharded:
         run(config, inputs, 4)
-    assert in_process_pool.shards == [18]
+    assert in_process_pool.shards == [104 if both_conllu else 77]
     assert type(sharded.value) is type(serial.value)
     assert str(sharded.value) == str(serial.value)
     assert str(serial.value).startswith(f"record {late}: ")
@@ -318,10 +318,13 @@ def test_a_failing_pool_gives_the_serial_records(in_process_pool, error):
     serial = run(config, inputs)
     in_process_pool.error = error
     assert run(config, inputs, 2) == serial
-    assert in_process_pool.shards == [8]
+    # the first shard's failure is read once it and four more are queued (two
+    # per worker); the pool then drops the queued shards, and no more are sliced
+    assert in_process_pool.shards == [5]
+    assert in_process_pool.cancelled == [True]
 
 
-def test_a_pool_that_cannot_start_gives_the_serial_records(monkeypatch):
+def test_a_pool_that_cannot_start_gives_the_serial_records(monkeypatch, small_shards):
     def cannot_start(*args, **kwargs):
         raise OSError(11, "Resource temporarily unavailable")
 
@@ -471,13 +474,13 @@ def _extra_original_line(texts):
             "classify",
             ("conllu_orig", "conllu_cor"),
             _comment_block_for_a_sentence,
-            [8],
+            [19],
             "IngestionError: original annotations: 39 sentences for 40 inputs",
         ),
         ("classify", ("conllu_orig", "conllu_cor"), _blank_lines_around, [], None),
-        ("retype", ("conllu_orig",), _blank_lines_around, [9], None),
-        ("retype", (), _blank_lines_around, [9], None),
-        ("retype", (), _m2_records_not_separated, [14], None),
+        ("retype", ("conllu_orig",), _blank_lines_around, [25], None),
+        ("retype", (), _blank_lines_around, [8], None),
+        ("retype", (), _m2_records_not_separated, [8], None),
         ("retype", ("conllu_orig",), _m2_records_not_separated, [], None),
         (
             "classify",
@@ -507,7 +510,8 @@ def test_a_cut_that_does_not_hold_gives_the_serial_result(
     config, inputs = _cut_run(tmp_path, texts, command, conllu)
     serial = _records_or_error(config, inputs, 1)
     assert _records_or_error(config, inputs, 2) == serial
-    # [] when the cut fails and no pool starts; a leading blank run is an item of no record
+    # [] when the cut fails and no pool starts; a leading blank run is an item of no record;
+    # a shard that fails is read, and the run stops, once four more are queued
     assert in_process_pool.shards == shards
     if error is None:
         assert len(serial) == 40
@@ -532,14 +536,15 @@ def test_well_formed_inputs_are_typed_on_their_shards_alone(
     type_whole = pipeline._type_shard
     monkeypatch.setattr(pipeline, "_type_shard", type_shard)
     assert run(config, inputs, 2) == serial
-    # each of the 8 shards is typed once, and the whole corpus never
-    assert in_process_pool.shards == [8]
-    assert len(typed) == 8
+    # each shard is typed once, and the whole corpus never
+    assert in_process_pool.shards == [33 if command == "classify" else 25]
+    assert len(typed) == in_process_pool.shards[0]
     assert inputs not in typed
 
 
-def test_an_empty_type_label_fails_on_its_line_for_any_worker_count(in_process_pool):
+def test_an_empty_type_label_fails_on_its_line_for_any_worker_count(monkeypatch, in_process_pool):
     m2 = "S a b\n\nS we eat now\nA 1 2||||||ate|||REQUIRED|||-NONE-|||0\n"
+    monkeypatch.setattr(pipeline, "_SHARD_CHARS", 5)  # a shard for each record
     for worker_count in (1, 2):
         with pytest.raises(M2ParseError) as info:
             run(PipelineConfig(), PipelineInputs(m2=m2), worker_count)
