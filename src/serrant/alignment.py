@@ -86,21 +86,22 @@ def align(
     trg_cells = list(zip(range(1, m + 1), trg, trg_lower))
     lemma_ties = src_lemmas is not None and trg_lemmas is not None
 
-    # cost[i][j]: best cost aligning src[:i] with trg[:j]; choice records the op.
+    # choice[i][j] records the op of the best alignment of src[:i] with trg[:j].
     # A transposition can never tie a match or substitution and win, because
     # both come first in the preference order, so only a strictly lower cost
     # replaces them; deletion and insertion likewise only win when cheaper.
     # A match is never beaten: neighbouring cells differ by at most 1, and a
     # transposition next to a match costs no less than the match's diagonal.
-    # The sweep carries the left, diagonal and above-left cells in locals.
-    cost = [list(range(m + 1))]
+    # The sweep carries the left, diagonal and above-left cells in locals, and
+    # keeps only the two cost rows above the current one: the backtrace reads
+    # only choice.
+    above = list(range(m + 1))
     choice = [[MATCH] + [INSERT] * m]
     above2: list[int] = []
     s_prev_lower = None
     for i in range(1, n + 1):
         s, s_lower = src[i - 1], src_lower[i - 1]
         s_lemma = src_lemmas[i - 1] if lemma_ties else None
-        above = cost[i - 1]
         row, row_choice = [i], [DELETE]
         left, diagonal = i, i - 1
         t_prev_lower = None
@@ -126,9 +127,8 @@ def align(
             row.append(best)
             row_choice.append(op)
             left, diagonal, t_prev_lower = best, up, t_lower
-        cost.append(row)
         choice.append(row_choice)
-        above2, s_prev_lower = above, s_lower
+        above2, above, s_prev_lower = above, row, s_lower
 
     i, j = n, m
     while i > 0 or j > 0:

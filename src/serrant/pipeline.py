@@ -25,6 +25,13 @@ into what the caller keeps (the command line keeps M2 text and label
 counts) where the shard was typed, so no run need hold the records of the
 whole corpus.  :data:`classify_corpus_parallel` is another name for
 ``run``.
+
+A shard plan has one fail-over, taken in ``run`` alone: when the cut fails
+(a CoNLL-U file is unreadable, or the texts hold different numbers of
+items), the pool cannot start (on a platform without named semaphores
+too), a worker dies, or a shard raises an error, the parent types the
+whole corpus as one shard and returns or raises what that gives, the
+serial result or error.
 """
 
 from __future__ import annotations
@@ -108,20 +115,26 @@ def run(
     typed by worker processes, at most one per usable core, each with the
     cyclic garbage collector off; otherwise they are typed in this
     process.  Output is identical for any worker count and any shard plan,
-    and so is the error raised on bad input: when the texts cannot be cut
-    (a CoNLL-U file is unreadable, or the texts hold different numbers of
-    items), the pool cannot start or loses a worker, or a shard fails, the
-    parent types and finishes the whole corpus as one shard itself and
-    returns or raises what that does.
+    and so is the error raised on bad input: when the cut fails, the pool
+    cannot start (on a platform without named semaphores too), a worker
+    dies, or a shard raises an error, this function catches it, types and
+    finishes the whole corpus as one shard itself, and returns or raises
+    what that does.
     """
     if worker_count < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {worker_count}")
     _check_config(config)
     retype = _is_retype(inputs)
-    task = partial(_type_shard, retype=retype, wordlist=_load_wordlist(config), config=config)
-    if finish is not None:
-        task = partial(_finish_shard, task, finish)
-    parts = _type_shards(task, config, inputs, worker_count)
+    wordlist = _load_wordlist(config)
+    task = partial(_type_shard, retype=retype, wordlist=wordlist, config=config, finish=finish)
+    try:
+        parts = _type_shards(task, config, inputs, worker_count)
+    except (SerrantError, OSError, RuntimeError):
+        # RuntimeError covers a pool that breaks (BrokenExecutor) or that the
+        # platform cannot start (NotImplementedError); any other one is raised
+        # again below.  The whole corpus is typed once this handler has ended
+        # and freed the failed plan's texts (see _type_shards).
+        parts = None
     if parts is None:
         # each CoNLL-U file is read when its side is parsed, so one text is held at a time
         whole = _Shard(
@@ -242,57 +255,46 @@ def _type_shards(
     config: PipelineConfig,
     inputs: PipelineInputs,
     worker_count: int,
-) -> list | None:
+) -> list:
     """Cut the inputs into shards and return what ``task`` gives for each, in order.
 
     The shards go to worker processes when ``worker_count`` is above 1 and
     there are two or more; otherwise this process types them one at a time.
-    Returns None when the cut, the pool or a shard fails; the cut's texts
-    are then freed before the caller types the whole corpus itself.
+    Raises what the cut, the pool or a shard raises.
     """
-    try:
-        count, shards = _cut(config, inputs)
-    except (SerrantError, OSError):
-        return None
+    # A function of its own: its frame holds the texts the cut read, and is
+    # freed with the exception once the handler in run ends.
+    count, shards = _cut(config, inputs)
     if worker_count > 1 and count > 1:
         return _type_on_pool(task, shards, min(worker_count, count, _usable_cores()))
-    try:
-        return [task(shard) for shard in shards]
-    except SerrantError:
-        return None
+    return [task(shard) for shard in shards]
 
 
-def _type_on_pool(
-    task: Callable[[_Shard], object], shards: Iterator[_Shard], workers: int
-) -> list | None:
-    """Apply ``task`` to each shard on ``workers`` processes; None when the pool or a shard fails.
+def _type_on_pool(task: Callable[[_Shard], object], shards: Iterator[_Shard], workers: int) -> list:
+    """Apply ``task`` to each shard on ``workers`` processes; raise what the pool or a shard raises.
 
     Only a few shards more than there are workers are sliced and queued at
     a time, and on a failure the queued ones are dropped, not typed.
     """
     # imported here, so that a serial run does not load multiprocessing
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
 
+    # The platform's default start method: "spawn" would re-run the caller's
+    # main module in every worker, which breaks scripts that call this
+    # without an ``if __name__ == "__main__"`` guard.  The task, wordlist
+    # included, goes to each worker once; each shard sends only its texts.
+    executor = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(task,))
     try:
-        # The platform's default start method: "spawn" would re-run the
-        # caller's main module in every worker, which breaks scripts that
-        # call this without an ``if __name__ == "__main__"`` guard.  The task,
-        # wordlist included, goes to each worker once; each shard sends only
-        # its texts.
-        executor = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(task,))
-        try:
-            queued = deque()
-            parts = []
-            for shard in shards:
-                queued.append(executor.submit(_run_in_worker, shard))
-                if len(queued) > 2 * workers:
-                    parts.append(queued.popleft().result())
-            parts.extend(future.result() for future in queued)
-            return parts
-        finally:
-            executor.shutdown(cancel_futures=True)
-    except (SerrantError, OSError, BrokenExecutor):
-        return None  # typing the corpus as one shard gives the serial result or error
+        queued = deque()
+        parts = []
+        for shard in shards:
+            queued.append(executor.submit(_run_in_worker, shard))
+            if len(queued) > 2 * workers:
+                parts.append(queued.popleft().result())
+        parts.extend(future.result() for future in queued)
+        return parts
+    finally:
+        executor.shutdown(cancel_futures=True)
 
 
 # the task a worker process runs on each of its shards, set by _start_worker
@@ -406,20 +408,15 @@ def _given(text: str | None) -> str | None:
     return text
 
 
-def _finish_shard(
-    type_shard: Callable[[_Shard], list[M2Record]],
-    finish: Callable[[list[M2Record]], object],
-    shard: _Shard,
-) -> object:
-    """Type ``shard`` and hand its records to ``finish``, in the process that typed it."""
-    return finish(type_shard(shard))
-
-
 def _type_shard(
-    shard: _Shard, retype: bool, wordlist: frozenset[str] | None, config: PipelineConfig
-) -> list[M2Record]:
+    shard: _Shard,
+    retype: bool,
+    wordlist: frozenset[str] | None,
+    config: PipelineConfig,
+    finish: Callable[[list[M2Record]], object] | None = None,
+) -> object:
     """Parse a shard's items and type them in order, each with :func:`_retype_record`
-    or :func:`_classify_pair`.
+    or :func:`_classify_pair`; return the records, or what ``finish`` makes of them.
 
     This is the only place that parses items, in a worker or in the
     parent.  Every original sentence is annotated, and then the corrected
@@ -439,12 +436,13 @@ def _type_shard(
         )
     ]
     cor_sentences = _sentences(shard.cor(), len(sources), "corrected")
-    return [
+    records = [
         type_item(item, src_sentence, cor_sentence, wordlist, config, index)
         for index, (item, src_sentence, cor_sentence) in enumerate(
             zip(items, src_sentences, cor_sentences)
         )
     ]
+    return records if finish is None else finish(records)
 
 
 # --- typing one item ------------------------------------------------------

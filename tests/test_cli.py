@@ -275,12 +275,12 @@ def test_a_serial_run_does_not_import_multiprocessing(golden, tmp_path):
         "import sys\n"
         "from serrant.cli import main\n"
         f"assert main({classify_args(golden, tmp_path)!r}) == 0\n"
-        "print('multiprocessing' in sys.modules)\n"
+        "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_module_env()
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False False\n", "")
     assert (tmp_path / "out.m2").read_text(encoding="utf-8")
 
 
