@@ -27,7 +27,7 @@ from .pipeline import (
     classify_edit,
     run,
 )
-from .report import TypeDistribution, emit_report, type_distribution
+from .report import emit_report, type_distribution
 from .sercl import SerclSide, SerclType, classify_sercl, render
 from .ud import (
     AnnotatedSentence,
@@ -63,7 +63,6 @@ __all__ = [
     "SerrantError",
     "SerrantType",
     "Token",
-    "TypeDistribution",
     "align",
     "apply_edits",
     "attach",

@@ -14,8 +14,9 @@ as ``--out``.  ``classify`` and ``retype`` type their input shard by shard
 (see :mod:`serrant.pipeline`), and each shard is rendered to M2 text and
 counted where it was typed, so a run holds the input texts and the M2
 text, but the sentences and records of one shard at a time.  The shard
-texts are written in order once every shard is done, so a failed run
-writes nothing.
+texts are written in order once every shard is done, so a run that
+fails while reading or typing writes nothing; the ``--report`` file is
+written after the M2.
 
 The cyclic garbage collector is off while a command runs, and
 :func:`main` returns with it as the caller had it.
@@ -34,7 +35,7 @@ from pathlib import Path
 from .errors import ConfigurationError, SerrantError
 from .m2 import M2Record, emit_m2, join_m2, parse_m2
 from .pipeline import PipelineConfig, PipelineInputs, read_input, run
-from .report import REPORT_FORMATS, TypeDistribution, emit_report, type_distribution
+from .report import REPORT_FORMATS, emit_report, type_distribution
 from .sercl import ARROW_ASCII, ARROW_UNICODE, GRANULARITY_UPOS, GRANULARITY_UPOS_FEATS
 
 _GRANULARITY_FLAGS = {"upos": GRANULARITY_UPOS, "upos-feats": GRANULARITY_UPOS_FEATS}
@@ -149,12 +150,12 @@ def _run_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _finish(records: list[M2Record]) -> tuple[str, TypeDistribution]:
-    """A shard's M2 text and type distribution, made where the shard was typed."""
+def _finish(records: list[M2Record]) -> tuple[str, Counter[str]]:
+    """A shard's M2 text and label counts, made where the shard was typed."""
     return emit_m2(records), type_distribution(records)
 
 
-def _write_outputs(parts: list[tuple[str, TypeDistribution]], args: argparse.Namespace) -> None:
+def _write_outputs(parts: list[tuple[str, Counter[str]]], args: argparse.Namespace) -> None:
     """Write the shards' M2 texts in order, and the report of their added-up counts."""
     pieces = join_m2(text for text, _ in parts)
     if args.out:
@@ -163,13 +164,8 @@ def _write_outputs(parts: list[tuple[str, TypeDistribution]], args: argparse.Nam
     else:
         _write_stdout(pieces)
     if args.report:
-        counts = Counter()
-        for _, distribution in parts:
-            counts.update(distribution.counts)
-        Path(args.report).write_text(
-            emit_report(TypeDistribution(counts, counts.total()), args.report_format),
-            encoding="utf-8",
-        )
+        counts = sum((shard_counts for _, shard_counts in parts), Counter())
+        Path(args.report).write_text(emit_report(counts, args.report_format), encoding="utf-8")
 
 
 def _write_stdout(texts: Iterable[str]) -> None:

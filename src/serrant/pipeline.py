@@ -18,13 +18,13 @@ lines that annotate them.  ``run(config, inputs, worker_count=1)`` cuts
 every text at the same items, after line ends of parallel text and after
 blank lines of M2 and CoNLL-U, into shards of about :data:`_SHARD_CHARS`
 characters, and types them one at a time in this process, or on worker
-processes when ``worker_count`` is above 1 and there are two shards or
-more.  Only :func:`_type_shard` parses items, in a worker or in the
-parent.  A ``finish`` step given to ``run`` turns each shard's records
-into what the caller keeps (the command line keeps M2 text and label
-counts) where the shard was typed, so no run need hold the records of the
-whole corpus.  :data:`classify_corpus_parallel` is another name for
-``run``.
+processes when ``worker_count``, the number of shards and the number of
+usable cores are all above 1.  Only :func:`_type_shard` parses items, in
+a worker or in the parent.  A ``finish`` step given to ``run`` turns each
+shard's records into what the caller keeps (the command line keeps M2
+text and label counts) where the shard was typed, so no run need hold the
+records of the whole corpus.  :data:`classify_corpus_parallel` is another
+name for ``run``.
 
 A shard plan has one fail-over, taken in ``run`` alone: when the cut fails
 (a CoNLL-U file is unreadable, or the texts hold different numbers of
@@ -111,15 +111,15 @@ def run(
     gave for each shard, in order, instead of the records; the records and
     the sentences of a shard are then dropped once it is finished.
 
-    With ``worker_count`` above 1 and two shards or more, the shards are
-    typed by worker processes, at most one per usable core, each with the
-    cyclic garbage collector off; otherwise they are typed in this
-    process.  Output is identical for any worker count and any shard plan,
-    and so is the error raised on bad input: when the cut fails, the pool
-    cannot start (on a platform without named semaphores too), a worker
-    dies, or a shard raises an error, this function catches it, types and
-    finishes the whole corpus as one shard itself, and returns or raises
-    what that does.
+    With ``worker_count`` above 1, two shards or more and two usable cores
+    or more, the shards are typed by worker processes, at most one per
+    usable core, each with the cyclic garbage collector off; otherwise they
+    are typed in this process.  Output is identical for any worker count
+    and any shard plan, and so is the error raised on bad input: when the
+    cut fails, the pool cannot start (on a platform without named
+    semaphores too), a worker dies, or a shard raises an error, this
+    function catches it, types and finishes the whole corpus as one shard
+    itself, and returns or raises what that does.
     """
     if worker_count < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {worker_count}")
@@ -258,15 +258,16 @@ def _type_shards(
 ) -> list:
     """Cut the inputs into shards and return what ``task`` gives for each, in order.
 
-    The shards go to worker processes when ``worker_count`` is above 1 and
-    there are two or more; otherwise this process types them one at a time.
-    Raises what the cut, the pool or a shard raises.
+    The shards go to ``min(worker_count, shards, usable cores)`` worker
+    processes when that is above 1; otherwise this process types them one
+    at a time.  Raises what the cut, the pool or a shard raises.
     """
     # A function of its own: its frame holds the texts the cut read, and is
     # freed with the exception once the handler in run ends.
     count, shards = _cut(config, inputs)
-    if worker_count > 1 and count > 1:
-        return _type_on_pool(task, shards, min(worker_count, count, _usable_cores()))
+    workers = min(worker_count, count, _usable_cores())
+    if workers > 1:
+        return _type_on_pool(task, shards, workers)
     return [task(shard) for shard in shards]
 
 

@@ -1,9 +1,15 @@
-"""Type distribution summaries over M2 records."""
+"""Type distributions over M2 records: a ``Counter`` of edit labels, and its report.
+
+:func:`type_distribution` counts the labels of the non-noop edits;
+counters of several corpus pieces add up with ``+``.
+:func:`emit_report` renders a counter as TSV or JSON, with the total and
+each label's fraction of it computed from the counts.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
 from typing import Sequence
 
 from .m2 import M2Record, NOOP_TYPE
@@ -15,41 +21,27 @@ REPORT_FORMATS = (FORMAT_TSV, FORMAT_JSON)
 _TSV_HEADER = "type\tcount\tfraction"
 
 
-@dataclass(frozen=True)
-class TypeDistribution:
-    counts: dict[str, int] = field(default_factory=dict)
-    total: int = 0
-
-
 def type_distribution(
     records: Sequence[M2Record], annotator_filter: int | None = None
-) -> TypeDistribution:
+) -> Counter[str]:
     """Count type labels over all non-noop edits, optionally per annotator."""
-    counts: dict[str, int] = {}
-    total = 0
-    for record in records:
-        for edit in record.edits:
-            if edit.span.is_noop or edit.type_label == NOOP_TYPE:
-                continue
-            if annotator_filter is not None and edit.annotator_id != annotator_filter:
-                continue
-            counts[edit.type_label] = counts.get(edit.type_label, 0) + 1
-            total += 1
-    return TypeDistribution(counts, total)
+    return Counter(
+        edit.type_label
+        for record in records
+        for edit in record.edits
+        if not (edit.span.is_noop or edit.type_label == NOOP_TYPE)
+        and (annotator_filter is None or edit.annotator_id == annotator_filter)
+    )
 
 
-def emit_report(distribution: TypeDistribution, format: str = FORMAT_TSV) -> str:
-    """Render a distribution; rows sort by count descending, then label."""
+def emit_report(counts: Counter[str], format: str = FORMAT_TSV) -> str:
+    """Render label counts: TSV rows sort by count descending, then label; JSON keys by label."""
     if format not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {format!r}")
-    ordered = sorted(distribution.counts.items(), key=lambda item: (-item[1], item[0]))
-    if format == FORMAT_TSV:
-        lines = [_TSV_HEADER]
-        for label, count in ordered:
-            lines.append(f"{label}\t{count}\t{count / distribution.total:.4f}")
-        return "\n".join(lines) + "\n"
-    payload = {
-        "total": distribution.total,
-        "counts": {label: count for label, count in ordered},
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    total = counts.total()
+    if format == FORMAT_JSON:
+        return json.dumps({"total": total, "counts": counts}, indent=2, sort_keys=True) + "\n"
+    lines = [_TSV_HEADER]
+    for label, count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
+        lines.append(f"{label}\t{count}\t{count / total:.4f}")
+    return "\n".join(lines) + "\n"

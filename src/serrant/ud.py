@@ -148,6 +148,9 @@ _CHUNK_CHARS = 1 << 15
 # a run of lines that ``str.isspace`` calls blank, with the line break before
 # it: blocks of CoNLL-U and M2 end at one
 BLANK_LINES = re.compile(r"\n(?:[^\S\n]*\n)+")
+# a multiword-range id ``N-M`` or an empty-node id ``N.M``: ASCII digits, the
+# only integers CoNLL-U ids and heads take, around one separator
+_RANGE_OR_EMPTY_NODE = re.compile("[0-9]+[-.][0-9]+")
 
 
 def parse_conllu(text: str) -> list[AnnotatedSentence]:
@@ -192,10 +195,10 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
             except ValueError:
                 columns = line.count("\t") + 1
                 raise ConlluParseError(lineno, f"expected 10 columns, got {columns}") from None
-            if not (token_id.isascii() and token_id.isdigit()):  # _digits, inlined per row
+            if not (token_id.isascii() and token_id.isdigit()):
                 if "-" not in token_id and "." not in token_id:
                     raise ConlluParseError(lineno, f"non-integer token id {token_id!r}")
-                if not _range_or_empty_node(token_id):
+                if not _RANGE_OR_EMPTY_NODE.fullmatch(token_id):
                     raise ConlluParseError(
                         lineno, f"malformed multiword range or empty node id {token_id!r}"
                     )
@@ -242,20 +245,6 @@ def _chunks(text: str) -> Iterator[tuple[int, list[str]]]:
         if blank is None:
             return
         start, first_line = end + 1, first_line + len(lines)
-
-
-def _range_or_empty_node(token_id: str) -> bool:
-    """True for a multiword-range id ``N-M`` or an empty-node id ``N.M``, both parts integers."""
-    for separator in "-.":
-        first, found, second = token_id.partition(separator)
-        if found:
-            return _digits(first) and _digits(second)
-    return False
-
-
-def _digits(value: str) -> bool:
-    """True for a non-empty run of ASCII digits, the only integers CoNLL-U ids and heads take."""
-    return value.isascii() and value.isdigit()
 
 
 def _check_tree(heads: tuple[int, ...], linenos: tuple[int, ...]) -> None:

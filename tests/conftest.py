@@ -285,9 +285,12 @@ def in_process_pool(monkeypatch, small_shards):
     """Stand in for concurrent.futures.ProcessPoolExecutor, typing each shard in this process.
 
     Shards are cut small (:func:`small_shards`), so that small corpora
-    reach the pool.  Each pool runs its initializer with its ``initargs``
-    here, as a worker process would, types each shard when it is submitted,
-    and restores the test process's collector state when it shuts down.
+    reach the pool, and the process may use four cores, whatever the
+    machine has; a test that needs another count patches
+    ``os.sched_getaffinity`` again.  Each pool runs its initializer with
+    its ``initargs`` here, as a worker process would, types each shard when
+    it is submitted, and restores the test process's collector state when
+    it shuts down.
     Returns an object whose ``workers`` lists the worker count of each pool
     started, ``collecting`` whether the collector was on while each one
     typed its first shard, ``mapped`` the callable each one was handed for
@@ -327,6 +330,7 @@ def in_process_pool(monkeypatch, small_shards):
             (gc.enable if self.was_collecting else gc.disable)()
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     # the slot a pool's initializer fills, here in the test process: emptied after the test
     monkeypatch.setattr(pipeline, "_worker_task", None)
     return started

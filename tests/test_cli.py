@@ -482,6 +482,8 @@ def test_a_killed_worker_gives_the_serial_result(sharded, capfd, monkeypatch, ba
     serial = _run_jobs(tmp_path, texts, 1, capfd)
     marker = tmp_path / "killed"
     monkeypatch.setattr(pipeline, "_type_shard", partial(_die_in_a_worker, marker=str(marker)))
+    # two usable cores, so that the pool starts on a machine with one as well
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     # fork, so that the workers run the patched function
     fork = multiprocessing.get_context("fork")
     monkeypatch.setattr(
@@ -511,6 +513,7 @@ def test_jobs_agree_under_any_start_method(sharded, capfd, method):
         "from serrant.cli import main\n"
         "multiprocessing.set_start_method(sys.argv[1])\n"
         f"pipeline._SHARD_CHARS = {SMALL_SHARD_CHARS}\n"
+        "pipeline.os.sched_getaffinity = lambda pid: {0, 1}  # a pool on any machine\n"
         "sys.exit(main(sys.argv[2:]))\n"
     )
     done = subprocess.run(

@@ -227,6 +227,10 @@ def test_pool_starts_at_most_one_worker_per_usable_core(monkeypatch, in_process_
     assert in_process_pool.shards == [11, 11, 11]
     assert in_process_pool.collecting == [False] * 3  # each pool's workers skip the collector
     assert gc.isenabled()  # and this process collects again
+    # one usable core starts no pool: a pool of one worker would type nothing in parallel
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert classify_corpus_parallel(config, inputs, 4) == serial
+    assert in_process_pool.workers == [2, 3, 3]
 
 
 def test_each_shard_carries_its_texts_and_not_the_wordlist(tmp_path, in_process_pool):
@@ -329,6 +333,8 @@ def test_a_pool_that_cannot_start_gives_the_serial_records(monkeypatch, small_sh
     config = PipelineConfig()
     inputs = PipelineInputs(original=corpus.orig_text, corrected=corpus.cor_text)
     serial = run(config, inputs)
+    # two usable cores, so that a pool is tried on a machine with one as well
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     for error in (
         OSError(11, "Resource temporarily unavailable"),
         # what ProcessPoolExecutor raises on a platform without named semaphores
