@@ -20,13 +20,7 @@ from .errors import (
     SerrantError,
 )
 from .m2 import EditSpan, M2Edit, M2Record, apply_edits, emit_m2, parse_m2, read_parallel
-from .pipeline import (
-    PipelineConfig,
-    PipelineInputs,
-    classify_corpus_parallel,
-    classify_edit,
-    run,
-)
+from .pipeline import PipelineConfig, PipelineInputs, classify_edit, run
 from .report import emit_report, type_distribution
 from .sercl import SerclSide, SerclType, classify_sercl, render
 from .ud import (
@@ -68,7 +62,6 @@ __all__ = [
     "attach",
     "build_context",
     "classify_base",
-    "classify_corpus_parallel",
     "classify_edit",
     "classify_sercl",
     "combine",

@@ -10,14 +10,14 @@ from the head tags), ADP surfaces as PREP, and CCONJ/SCONJ surface as CONJ.
 
 :func:`classify_base` hands out shared values: one :class:`BaseType` per
 category and surface tag, from a cache of at most :data:`_SHARED_SIZE`
-values.  The constructor still validates values that callers build.
+values.  A :class:`BaseType` is a named tuple whose constructor checks the
+values callers build; ``_make``, ``_replace`` and unpickling go through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .alignment import Edit
 from .errors import ConfigurationError
@@ -46,16 +46,25 @@ _POS_CATEGORIES = frozenset(
 _SURFACE_TAG = {"ADP": "PREP", "CCONJ": "CONJ", "SCONJ": "CONJ", "AUX": "VERB"}
 
 
-@dataclass(frozen=True)
-class BaseType:
+class _BaseFields(NamedTuple):
     category: str
     pos_payload: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.category not in _POS_CATEGORIES:
-            raise ValueError(f"unknown base category {self.category!r}")
-        if (self.category == POS) != (self.pos_payload is not None):
+
+class BaseType(_BaseFields):
+    """A first-stage category, and the surface tag of a part-of-speech category."""
+
+    __slots__ = ()
+
+    def __new__(cls, category: str, pos_payload: str | None = None) -> BaseType:
+        if category not in _POS_CATEGORIES:
+            raise ValueError(f"unknown base category {category!r}")
+        if (category == POS) != (pos_payload is not None):
             raise ValueError("pos_payload must be present exactly for POS categories")
+        return super().__new__(cls, category, pos_payload)
+
+    # _make, and _replace through it, build with __new__ and so check the fields
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 # The most BaseType values classify_base shares, least recently used first

@@ -257,5 +257,4 @@ def _sercl_body(sercl: SerclType) -> SerclType:
         side = sercl.left
     else:
         return sercl
-    key = (side.tag, side.qualifiers)
-    return shared_type(key, key)
+    return shared_type(side, side)

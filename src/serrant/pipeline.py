@@ -23,8 +23,7 @@ usable cores are all above 1.  Only :func:`_type_shard` parses items, in
 a worker or in the parent.  A ``finish`` step given to ``run`` turns each
 shard's records into what the caller keeps (the command line keeps M2
 text and label counts) where the shard was typed, so no run need hold the
-records of the whole corpus.  :data:`classify_corpus_parallel` is another
-name for ``run``.
+records of the whole corpus.
 
 A shard plan has one fail-over, taken in ``run`` alone: when the cut fails
 (a CoNLL-U file is unreadable, or the texts hold different numbers of
@@ -42,7 +41,6 @@ import re
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -60,8 +58,8 @@ from .m2 import M2Edit, M2Record, apply_edits, parse_m2, read_parallel
 from .sercl import ARROW_ASCII, ARROW_UNICODE, GRANULARITIES, GRANULARITY_UPOS, classify_sercl
 from .ud import BLANK_LINES, AnnotatedSentence, attach, fallback_annotate, parse_conllu
 
-@dataclass(frozen=True)
-class PipelineConfig:
+
+class PipelineConfig(NamedTuple):
     granularity: str = GRANULARITY_UPOS
     wordlist_path: str | None = None
     conllu_orig_path: str | None = None
@@ -70,8 +68,7 @@ class PipelineConfig:
     arrow: str = ARROW_ASCII
 
 
-@dataclass(frozen=True)
-class PipelineInputs:
+class PipelineInputs(NamedTuple):
     """Raw input texts; the ones given choose the command.
 
     Both ``original`` and ``corrected`` classify them; ``m2`` alone
@@ -144,9 +141,6 @@ def run(
         )
         parts = [task(whole)]
     return parts if finish is not None else [record for records in parts for record in records]
-
-
-classify_corpus_parallel = run
 
 
 # --- shared helpers -------------------------------------------------------

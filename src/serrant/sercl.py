@@ -17,15 +17,17 @@ is no second head to disagree with.
 Types are shared values: :func:`classify_sercl` and :func:`shared_type`
 hand out one :class:`SerclType` per tag and qualifier strings, and
 :func:`render` keeps the text of the types it rendered, each from a cache
-of at most :data:`_SHARED_SIZE` entries.  The constructors still validate
-values that callers build.
+of at most :data:`_SHARED_SIZE` entries.  Both are named tuples, and a
+:class:`SerclSide` hashes and compares as its ``(tag, qualifiers)`` pair,
+so the caches key on the sides themselves.  The side's constructor checks
+the values callers build; ``_make``, ``_replace`` and unpickling go
+through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .combine import EditContext
@@ -67,20 +69,26 @@ FEATURE_VALUE_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class SerclSide:
-    """One side of a type: a UPOS tag (None for an absent side) plus qualifiers."""
-
+class _SideFields(NamedTuple):
     tag: str | None
     qualifiers: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.tag is None and self.qualifiers:
+
+class SerclSide(_SideFields):
+    """One side of a type: a UPOS tag (None for an absent side) plus qualifiers."""
+
+    __slots__ = ()
+
+    def __new__(cls, tag: str | None, qualifiers: tuple[str, ...] = ()) -> SerclSide:
+        if tag is None and qualifiers:
             raise ValueError("an absent side cannot carry qualifiers")
+        return super().__new__(cls, tag, qualifiers)
+
+    # _make, and _replace through it, build with __new__ and so check the fields
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class SerclType:
+class SerclType(NamedTuple):
     left: SerclSide
     right: SerclSide
 
@@ -112,8 +120,7 @@ def render(sercl: SerclType) -> str:
 
     ``SerrantType.render`` swaps in the unicode arrow where a run asks for it.
     """
-    left, right = sercl.left, sercl.right
-    return _rendered((left.tag, left.qualifiers), (right.tag, right.qualifiers))
+    return _rendered(sercl.left, sercl.right)
 
 
 # The most types shared_type and render each hold, least recently used
@@ -122,15 +129,16 @@ def render(sercl: SerclType) -> str:
 # ``upos+feats`` each qualifier is an input FEATS value.
 _SHARED_SIZE = 1 << 10
 
-# one side of a type as the caches key it: the tag and the qualifiers
+# one side of a type as the caches key it: a SerclSide, or its tag and
+# qualifiers as a plain pair, which hashes and compares equal to it
 _Side = tuple[str | None, tuple[str, ...]]
 
 
 @lru_cache(maxsize=_SHARED_SIZE)
-def _rendered(left: _Side, right: _Side) -> str:
+def _rendered(left: SerclSide, right: SerclSide) -> str:
     """The text of a type, kept for the last :data:`_SHARED_SIZE` types rendered."""
-    text = render_side(SerclSide(*left))
-    return text if left == right else f"{text}{ARROW_ASCII}{render_side(SerclSide(*right))}"
+    text = render_side(left)
+    return text if left == right else f"{text}{ARROW_ASCII}{render_side(right)}"
 
 
 @lru_cache(maxsize=_SHARED_SIZE)

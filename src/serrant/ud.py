@@ -8,26 +8,28 @@ by no classifier.  Heads are stored 0-based; the root points at the
 lemma comparison in the classifiers is case-insensitive, and a ``_`` LEMMA
 becomes the lowercased FORM.
 
-An :class:`AnnotatedSentence` holds one tuple per column: ``forms``,
-``lemmas``, ``upos``, ``feats``, ``heads`` and ``deprels``, where position
-``i`` of each describes word ``i``.  Each distinct UPOS tag and DEPREL value
-is held as one shared string, and each distinct FEATS value as one shared
-dict that is read-only by contract: :func:`parse_conllu` parses each
-distinct FEATS column once per text and hands the same dict to every word
-that carries it, and the fallback annotator shares its lexicon's and its
-suffix rules' dicts in the same way.  A :class:`Token` is the named-tuple
-view of one word, built on demand: the classifiers build them only for the
-words of edited spans, and :func:`span_head` builds one for the head it
-finds.
+An :class:`AnnotatedSentence` is a named tuple of one tuple per column:
+``forms``, ``lemmas``, ``upos``, ``feats``, ``heads`` and ``deprels``,
+where position ``i`` of each describes word ``i``; iterating it yields the
+columns, and ``len()`` gives the number of words.  Each distinct UPOS tag
+and DEPREL value is held as one shared string, and each distinct FEATS
+value as one shared dict that is read-only by contract:
+:func:`parse_conllu` parses each distinct FEATS column once per text and
+hands the same dict to every word that carries it, and the fallback
+annotator shares its lexicon's and its suffix rules' dicts in the same
+way.  A :class:`Token` is the named-tuple view of one word, built on
+demand: the classifiers build them only for the words of edited spans, and
+:func:`span_head` builds one for the head it finds.
 
 :func:`parse_conllu` reads a text in one pass, checking each row as it
 builds the columns of its sentence and each sentence's tree when its block
-ends, so the error it raises is the first in the text.  It splits the
-text into lines in chunks of several hundred rows, each cut after blank
-lines (:data:`BLANK_LINES`), to keep the memory the line strings take
-small.  A text cut after any run of blank lines parses, piece by piece,
-into the sentences of the whole, and a piece fails when the whole does;
-``pipeline`` cuts the shards of ``--jobs`` there too.
+ends, so the error it raises is the first in the text.  Comment lines go
+before a block's rows: one after any row of its block is an error.  It
+splits the text into lines in chunks of several hundred rows, each cut
+after blank lines (:data:`BLANK_LINES`), to keep the memory the line
+strings take small.  A text cut after any run of blank lines parses,
+piece by piece, into the sentences of the whole, and a piece fails when
+the whole does; ``pipeline`` cuts the shards of ``--jobs`` there too.
 
 A small rule-plus-lexicon annotator (:func:`fallback_annotate`) provides
 annotations for tests and demos when no parser output is available.  It is
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -78,14 +79,7 @@ class Token(NamedTuple):
     deprel: str = "dep"
 
 
-@dataclass(frozen=True, slots=True)
-class AnnotatedSentence:
-    """One sentence's annotation, one tuple per column, all of equal length.
-
-    :func:`parse_conllu` and :func:`fallback_annotate` build them;
-    :meth:`token` and :attr:`tokens` give the :class:`Token` view.
-    """
-
+class _Columns(NamedTuple):
     forms: tuple[str, ...]
     lemmas: tuple[str, ...]
     upos: tuple[str, ...]
@@ -93,8 +87,24 @@ class AnnotatedSentence:
     heads: tuple[int, ...]
     deprels: tuple[str, ...]
 
+
+class AnnotatedSentence(_Columns):
+    """One sentence's annotation, one tuple per column, all of equal length.
+
+    A named tuple of the six columns: iterating it yields the columns, but
+    ``len()`` gives its number of words.  :func:`parse_conllu` and
+    :func:`fallback_annotate` build them; :meth:`token` and :attr:`tokens`
+    give the :class:`Token` view.
+    """
+
+    __slots__ = ()
+
     def __len__(self) -> int:
         return len(self.forms)
+
+    # through the constructor, as the named tuple's own _make counts the
+    # fields with len(), the word count here; _replace builds through it
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def token(self, index: int) -> Token:
         """Word ``index`` as a :class:`Token`."""
@@ -116,7 +126,7 @@ class AnnotatedSentence:
     @property
     def tokens(self) -> tuple[Token, ...]:
         """Every word as a :class:`Token`."""
-        return tuple(map(self.token, range(len(self.forms))))
+        return tuple(map(self.token, range(len(self))))
 
 
 def parse_feats(value: str) -> dict[str, str]:
@@ -157,9 +167,11 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
     """Parse CoNLL-U text into sentences.
 
     Lines split on ``\\n`` only, and whitespace-only lines are blank.
-    Comment lines are skipped, as are multiword-range rows (ids like
-    ``1-2``) and empty-node rows (ids like ``1.1``); an id holding ``-`` or
-    ``.`` that is not two integers around one of them is an error.  Every
+    Comment lines before a block's first row are skipped, and a comment
+    line after any row of its block is an error.  Multiword-range rows (ids
+    like ``1-2``) and empty-node rows (ids like ``1.1``) are skipped; an id
+    holding ``-`` or ``.`` that is not two integers around one of them is an
+    error.  Every
     kept row must have 10 tab-separated columns, a contiguous id, a known
     UPOS tag, FEATS pairs with unique names and no arrow in a value, and an
     in-range head; ids and heads are ASCII digits.  Each sentence must form
@@ -178,6 +190,7 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
     feats_by_value: dict[str, dict[str, str]] = {}
     deprel_by_value: dict[str, str] = {}
     rows: list[tuple] = []  # the open sentence's words, and the line of each
+    node_rows = False  # whether the open block holds a multiword-range or empty-node row
     for first_line, lines in _chunks(text):
         # the added blank line ends the text's last block; a chunk's own end in it
         for lineno, line in enumerate(chain(lines, [""]), first_line):
@@ -186,9 +199,11 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
                     forms, lemmas, upos, feats, heads, deprels, linenos = zip(*rows)
                     _check_tree(heads, linenos)
                     sentences.append(AnnotatedSentence(forms, lemmas, upos, feats, heads, deprels))
-                    rows = []
+                rows, node_rows = [], False
                 continue
             if line[0] == "#":
+                if rows or node_rows:
+                    raise ConlluParseError(lineno, "comment line inside a sentence")
                 continue
             try:
                 token_id, form, lemma, tag, _, feats_column, head, deprel, _, _ = line.split("\t")
@@ -202,6 +217,7 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
                     raise ConlluParseError(
                         lineno, f"malformed multiword range or empty node id {token_id!r}"
                     )
+                node_rows = True
                 continue  # multiword ranges and empty nodes carry no tree structure
             if int(token_id) != len(rows) + 1:
                 raise ConlluParseError(lineno, f"token id {int(token_id)} not contiguous")

@@ -280,6 +280,19 @@ def small_shards(monkeypatch):
     monkeypatch.setattr(pipeline, "_SHARD_CHARS", SMALL_SHARD_CHARS)
 
 
+def record_pools(monkeypatch) -> list[int]:
+    """Wrap ``pipeline._type_on_pool``; the list returned gets each started pool's worker count."""
+    pools = []
+    type_on_pool = pipeline._type_on_pool
+
+    def recording(task, shards, workers):
+        pools.append(workers)
+        return type_on_pool(task, shards, workers)
+
+    monkeypatch.setattr(pipeline, "_type_on_pool", recording)
+    return pools
+
+
 @pytest.fixture
 def in_process_pool(monkeypatch, small_shards):
     """Stand in for concurrent.futures.ProcessPoolExecutor, typing each shard in this process.

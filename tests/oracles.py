@@ -272,20 +272,25 @@ def reference_parse_conllu(text: str) -> list[tuple[Token, ...]]:
 
     The rules and messages are those of ``serrant.ud.parse_conllu``: lines
     split on ``\\n``, whitespace-only lines end a sentence, ``#`` lines are
-    comments, multiword ranges and empty nodes are skipped, and ids and
-    heads are ASCII digits.
+    comments and may only precede a sentence's rows, multiword ranges and
+    empty nodes are skipped, and ids and heads are ASCII digits.
     """
     sentences: list[tuple[Token, ...]] = []
     tokens: list[Token] = []  # the current sentence's, heads not yet checked
     linenos: list[int] = []
+    in_block = False  # whether a row of the current sentence has been read
     for lineno, raw in enumerate(text.split("\n"), start=1):
         if not raw or raw.isspace():  # blank, "\r" included
             if tokens:
                 sentences.append(_checked_tree(tokens, linenos))
                 tokens, linenos = [], []
+            in_block = False
             continue
         if raw.startswith("#"):
+            if in_block:
+                raise ConlluParseError(lineno, "comment line inside a sentence")
             continue
+        in_block = True
         cols = raw.rstrip("\r").split("\t")
         if len(cols) != 10:
             raise ConlluParseError(lineno, f"expected 10 columns, got {len(cols)}")

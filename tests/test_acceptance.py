@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-from conftest import GOLDEN_FLAGSHIP, GOLDEN_RULES, write_golden_corpus
+from conftest import GOLDEN_FLAGSHIP, GOLDEN_RULES, record_pools, write_golden_corpus
 from oracles import (
     dp_min_cost,
     enumerated_min_cost,
@@ -45,7 +45,6 @@ from serrant import pipeline
 from serrant.pipeline import (
     PipelineConfig,
     PipelineInputs,
-    classify_corpus_parallel,
     classify_edit,
     run,
 )
@@ -706,10 +705,13 @@ def test_criterion_6_parallel_determinism(tmp_path, monkeypatch):
     corpus = SyntheticCorpus(1000, seed=30606)
     config = _corpus_files(tmp_path, corpus)
     inputs = PipelineInputs(original=corpus.orig_text, corrected=corpus.cor_text)
-    serial = classify_corpus_parallel(config, inputs, 1)  # one shard: below the shard budget
-    # shards of about 50,000 characters, so that 1,000 pairs reach the workers
+    serial = run(config, inputs, 1)  # one shard: below the shard budget
+    # shards of about 50,000 characters, so that 1,000 pairs reach the workers,
+    # and two usable cores, so that a pool starts on a machine with one as well
     monkeypatch.setattr(pipeline, "_SHARD_CHARS", 50_000)
-    parallel = classify_corpus_parallel(config, inputs, 8)
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pools = record_pools(monkeypatch)
+    parallel = run(config, inputs, 8)
     m2_equal = emit_m2(serial) == emit_m2(parallel)
     reports_equal = all(
         emit_report(type_distribution(serial), format)
@@ -717,12 +719,13 @@ def test_criterion_6_parallel_determinism(tmp_path, monkeypatch):
         for format in (FORMAT_TSV, FORMAT_JSON)
     )
     edits = sum(len(record.edits) for record in serial)
-    ok = m2_equal and reports_equal and len(serial) == 1000
+    ok = m2_equal and reports_equal and len(serial) == 1000 and pools == [2]
     _verdict(
         6,
-        "1 and 8 workers produce byte-identical M2 and reports",
+        "worker counts 1 and 8 produce byte-identical M2 and reports",
         ok,
-        f"1000 pairs, {edits} edits; m2 equal: {m2_equal}, reports equal: {reports_equal}",
+        f"1000 pairs, {edits} edits; m2 equal: {m2_equal}, reports equal: {reports_equal};"
+        f" pools started: {pools}",
     )
 
 

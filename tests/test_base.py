@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from serrant.alignment import Edit
@@ -318,6 +320,18 @@ def test_empty_edit_is_rejected():
         classify_base(build_context(edit, None, None))
 
 
+# Every way to build a value with the fields of a valid one of its type
+# replaced: the constructor, _make, _replace, and unpickling (as a --jobs
+# worker does with what the parent sends it).
+BUILDS = {
+    "constructor": lambda valid, fields: type(valid)(*fields),
+    "_make": lambda valid, fields: type(valid)._make(fields),
+    "_replace": lambda valid, fields: valid._replace(**dict(zip(valid._fields, fields))),
+    "pickle": lambda valid, fields: pickle.loads(pickle.dumps(tuple.__new__(type(valid), fields))),
+}
+
+
+@pytest.mark.parametrize("build", list(BUILDS))
 @pytest.mark.parametrize(
     "category, payload, message",
     [
@@ -326,7 +340,7 @@ def test_empty_edit_is_rejected():
         (OTHER, "DET", "pos_payload must be present exactly for POS categories"),
     ],
 )
-def test_base_type_checks_its_category_and_payload(category, payload, message):
+def test_base_type_checks_its_category_and_payload(category, payload, message, build):
     with pytest.raises(ValueError) as info:
-        BaseType(category, payload)
+        BUILDS[build](BaseType(OTHER), (category, payload))
     assert str(info.value) == message

@@ -28,6 +28,7 @@ from conftest import (
     GOLDEN_FLAGSHIP,
     SMALL_SHARD_CHARS,
     golden_wordlist_words,
+    record_pools,
     write_golden_corpus,
 )
 from serrant.base import load_wordlist
@@ -275,12 +276,13 @@ def test_a_serial_run_does_not_import_multiprocessing(golden, tmp_path):
         "import sys\n"
         "from serrant.cli import main\n"
         f"assert main({classify_args(golden, tmp_path)!r}) == 0\n"
-        "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+        "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules,"
+        " 'dataclasses' in sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_module_env()
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False False\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False False False\n", "")
     assert (tmp_path / "out.m2").read_text(encoding="utf-8")
 
 
@@ -340,7 +342,9 @@ def _set_column(blocks: list[str], index: int, column: int, value: str) -> None:
 
 
 @pytest.fixture
-def sharded(tmp_path, small_shards):
+def sharded(tmp_path, small_shards, monkeypatch):
+    """A corpus cut into small shards, on two usable cores whatever the machine has."""
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     corpus = SyntheticCorpus(SHARDED_PAIRS, seed=23)
     texts = {
         "orig": corpus.orig_text,
@@ -380,11 +384,19 @@ def _run_jobs(tmp_path, texts, jobs, capfd):
     return code, out, err
 
 
-def _same_for_any_jobs(tmp_path, texts, capfd):
+def _same_for_any_jobs(tmp_path, texts, capfd, pool=True):
+    """Run ``--jobs 1`` and ``--jobs 2``, check that they agree, and return the first's result.
+
+    The second must start one pool of two workers, or, when ``pool`` is
+    false (the inputs fail before any shard is typed), none.
+    """
     serial = _run_jobs(tmp_path, texts, 1, capfd)
-    sharded = _run_jobs(tmp_path, texts, 2, capfd)
+    with pytest.MonkeyPatch.context() as patch:
+        pools = record_pools(patch)
+        sharded = _run_jobs(tmp_path, texts, 2, capfd)
     assert sharded == serial
     assert "Traceback" not in serial[2]
+    assert pools == ([2] if pool else [])
     return serial
 
 
@@ -419,7 +431,7 @@ def test_jobs_agree_on_an_extra_block(sharded, capfd):
     tmp_path, texts = sharded
     blocks = _blocks(texts["conllu_orig"])
     texts["conllu_orig"] = _join(blocks + blocks[:1])
-    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
+    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd, pool=False)
     assert (code, err) == (
         1,
         f"serrant: original annotations: {SHARDED_PAIRS + 1} sentences"
@@ -456,7 +468,7 @@ def test_jobs_agree_that_a_bad_original_beats_a_missing_corrected_file(sharded, 
     _set_column(blocks, 60, 3, "BLORP")
     texts["conllu_orig"] = _join(blocks)
     texts["conllu_cor"] = None
-    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
+    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd, pool=False)
     line = _first_row_line(blocks, 60)
     assert (code, err) == (1, f"serrant: line {line}: unknown UPOS tag 'BLORP'\n")
 
@@ -482,8 +494,6 @@ def test_a_killed_worker_gives_the_serial_result(sharded, capfd, monkeypatch, ba
     serial = _run_jobs(tmp_path, texts, 1, capfd)
     marker = tmp_path / "killed"
     monkeypatch.setattr(pipeline, "_type_shard", partial(_die_in_a_worker, marker=str(marker)))
-    # two usable cores, so that the pool starts on a machine with one as well
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     # fork, so that the workers run the patched function
     fork = multiprocessing.get_context("fork")
     monkeypatch.setattr(
@@ -821,7 +831,7 @@ def test_jobs_agree_on_input_that_is_not_utf8(sharded, capfd, name):
     tmp_path, texts = sharded
     texts["wordlist"] = "cat\ndog\nhouse\n"
     texts[name] = _not_utf8(texts[name], 3)
-    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
+    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd, pool=False)
     message = f"serrant: {tmp_path / name}.in: not valid UTF-8: byte 0xff on line 3\n"
     assert (code, err) == (1, message)
 
@@ -881,7 +891,8 @@ def fuzzed_corpora(draw):
 )
 @given(texts=fuzzed_corpora())
 def test_fuzzed_inputs_fail_cleanly_and_alike_for_any_jobs(tmp_path, capfd, texts):
-    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
+    # up to six pairs are one shard at the default shard size: no pool starts
+    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd, pool=False)
     assert code in (0, 1, 2)
     assert (code == 0) == (err == "")
     assert err == "" or err.startswith("serrant: ")

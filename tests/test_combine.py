@@ -30,14 +30,14 @@ from serrant.combine import (
     combine,
 )
 from serrant.m2 import EditSpan
-from serrant.pipeline import classify_edit
+from serrant.pipeline import PipelineConfig, PipelineInputs, classify_edit
 from serrant.sercl import (
     ARROW_UNICODE,
     GRANULARITY_UPOS_FEATS,
     SerclSide,
     SerclType,
 )
-from serrant.ud import Token
+from serrant.ud import Token, fallback_annotate
 from test_base import WORDLIST, make_edit
 
 
@@ -627,6 +627,58 @@ def test_build_context_shapes():
     assert pickle.loads(pickle.dumps(ctx)) == ctx
     assert edit._replace(cor_start=3).cor_end == 4
     assert ctx._replace(edit=edit._replace(span=edit.span._replace(start=0))).sentence_initial
+
+
+@pytest.mark.parametrize(
+    "value, fields, defaults",
+    [
+        (BaseType(POS, "NOUN"), ("category", "pos_payload"), {"pos_payload": None}),
+        (SerclSide("NOUN", ("plural",)), ("tag", "qualifiers"), {"qualifiers": ()}),
+        (SerclType(SerclSide("NOUN"), SerclSide(None)), ("left", "right"), {}),
+        (
+            # two words: len() is not the six fields, so _replace must not count with it
+            fallback_annotate(["we", "ate"]),
+            ("forms", "lemmas", "upos", "feats", "heads", "deprels"),
+            {},
+        ),
+        (
+            PipelineConfig(wordlist_path="words.txt"),
+            (
+                "granularity",
+                "wordlist_path",
+                "conllu_orig_path",
+                "conllu_cor_path",
+                "annotator_id",
+                "arrow",
+            ),
+            {
+                "granularity": "upos",
+                "wordlist_path": None,
+                "conllu_orig_path": None,
+                "conllu_cor_path": None,
+                "annotator_id": 0,
+                "arrow": "->",
+            },
+        ),
+        (
+            PipelineInputs(m2="S a\n"),
+            ("original", "corrected", "m2"),
+            {"original": None, "corrected": None, "m2": None},
+        ),
+    ],
+    ids=[
+        "BaseType", "SerclSide", "SerclType", "AnnotatedSentence", "PipelineConfig", "PipelineInputs"
+    ],
+)
+def test_value_types_are_named_tuples(value, fields, defaults):
+    # the same fields and defaults as the frozen dataclasses they replace
+    assert (type(value)._fields, type(value)._field_defaults) == (fields, defaults)
+    assert tuple(value) == tuple(getattr(value, name) for name in fields)
+    assert not hasattr(value, "__dict__")
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert type(value._replace()) is type(value) and value._replace() == value
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], None)
 
 
 def test_sentence_initial_flag():

@@ -23,7 +23,6 @@ from serrant.m2 import M2Edit, NOOP_TYPE, emit_m2, parse_m2
 from serrant.pipeline import (
     PipelineConfig,
     PipelineInputs,
-    classify_corpus_parallel,
     run,
 )
 from serrant.sercl import ARROW_UNICODE, GRANULARITY_UPOS_FEATS
@@ -211,7 +210,7 @@ def test_retype_corrected_attach_mismatch_names_record(tmp_path, golden_wordlist
 def test_m2_input_is_retyped_whatever_the_worker_count():
     m2 = "S we eat now\nA 1 2|||UNK|||ate|||REQUIRED|||-NONE-|||0\n"
     inputs = PipelineInputs(m2=m2)
-    assert classify_corpus_parallel(PipelineConfig(), inputs, 4) == run(PipelineConfig(), inputs)
+    assert run(PipelineConfig(), inputs, 4) == run(PipelineConfig(), inputs)
 
 
 def test_pool_starts_at_most_one_worker_per_usable_core(monkeypatch, in_process_pool):
@@ -221,7 +220,7 @@ def test_pool_starts_at_most_one_worker_per_usable_core(monkeypatch, in_process_
     inputs = PipelineInputs(original=corpus.orig_text, corrected=corpus.cor_text)
     serial = run(config, inputs)
     for jobs in (2, 64, 5000):
-        assert classify_corpus_parallel(config, inputs, jobs) == serial
+        assert run(config, inputs, jobs) == serial
     # the texts' 5,197 characters make 11 shards of about 500 for any worker count
     assert in_process_pool.workers == [2, 3, 3]
     assert in_process_pool.shards == [11, 11, 11]
@@ -229,7 +228,7 @@ def test_pool_starts_at_most_one_worker_per_usable_core(monkeypatch, in_process_
     assert gc.isenabled()  # and this process collects again
     # one usable core starts no pool: a pool of one worker would type nothing in parallel
     monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert classify_corpus_parallel(config, inputs, 4) == serial
+    assert run(config, inputs, 4) == serial
     assert in_process_pool.workers == [2, 3, 3]
 
 
@@ -305,7 +304,7 @@ def test_parallel_run_matches_serial_run():
     config = PipelineConfig()
     inputs = PipelineInputs(original=corpus.orig_text, corrected=corpus.cor_text)
     serial = run(config, inputs)
-    parallel = classify_corpus_parallel(config, inputs, worker_count=3)
+    parallel = run(config, inputs, worker_count=3)
     assert serial == parallel
     assert emit_m2(serial) == emit_m2(parallel)
 
@@ -352,12 +351,12 @@ def test_parallel_single_worker_equals_run():
     corpus = SyntheticCorpus(5, seed=4)
     config = PipelineConfig()
     inputs = PipelineInputs(original=corpus.orig_text, corrected=corpus.cor_text)
-    assert classify_corpus_parallel(config, inputs, worker_count=1) == run(config, inputs)
+    assert run(config, inputs, worker_count=1) == run(config, inputs)
 
 
 def test_parallel_rejects_bad_worker_count():
     with pytest.raises(ConfigurationError):
-        classify_corpus_parallel(PipelineConfig(), PipelineInputs(original="", corrected=""), 0)
+        run(PipelineConfig(), PipelineInputs(original="", corrected=""), 0)
 
 
 @pytest.mark.parametrize(
@@ -396,7 +395,7 @@ def test_inputs_must_be_both_texts_or_m2_alone(inputs):
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
         run(PipelineConfig(), inputs)
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
-        classify_corpus_parallel(PipelineConfig(), inputs, 2)
+        run(PipelineConfig(), inputs, 2)
 
 
 def test_synthetic_corpus_round_trips_through_retype():

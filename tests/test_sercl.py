@@ -17,7 +17,7 @@ from serrant.sercl import (
     render,
     render_side,
 )
-from test_base import make_edit
+from test_base import BUILDS, make_edit
 
 
 def test_display_tag_capitalisation():
@@ -52,8 +52,11 @@ def test_render_one_sided_pair():
 
 
 def test_absent_side_rejects_qualifiers():
-    with pytest.raises(ValueError):
-        SerclSide(None, ("singular",))
+    for build in BUILDS.values():
+        for qualifiers in [("singular",), ("x",)]:
+            with pytest.raises(ValueError, match="^an absent side cannot carry qualifiers$"):
+                build(SerclSide("NOUN"), (None, qualifiers))
+        assert build(SerclSide("NOUN"), (None, ())) == SerclSide(None)
 
 
 def test_replacement_pairs_the_two_heads():

@@ -95,10 +95,15 @@ def _row(token_id: str, head: str) -> str:
         *((f"# c\n{_row(token_id, '0')}", 2) for token_id in ("+1", " 1", "１")),
         ("".join(_row(str(i), "0" if i == 1 else "1") for i in range(1, 10)) + _row("1_0", "1"), 10),
         *(
-            (f"{_row('1', '0')}# c\n{_row('2', head)}", 3)
+            (f"# c\n{_row('1', '0')}{_row('2', head)}", 3)
             for head in ("+1", " 1", "-0", "１")
         ),
         ("".join(_row(str(i), "0" if i == 1 else "1") for i in range(1, 11)) + _row("11", "1_0"), 11),
+        # a comment line after any row of its sentence: a word, a range or an empty node
+        (f"{_row('1', '0')}# c\n{_row('2', '1')}", 2),
+        (f"1-2\tx\t_\t_\t_\t_\t_\t_\t_\t_\n# c\n{_row('1', '0')}", 2),
+        (f"1.1\tx\t_\t_\t_\t_\t_\t_\t_\t_\n#\n{_row('1', '0')}", 2),
+        (f"{_row('1', '0')}\n# c\n{_row('1', '0')}#\n", 5),
     ],
 )
 def test_parse_errors_carry_line_numbers(line, expected_lineno):
@@ -288,10 +293,11 @@ _BAD_INTEGERS = ("", "x", "+1", " 1", "1_0", "-0", "１", "٣", "-1", "1.5")
 def _conllu_texts(draw) -> str:
     """Valid sentences, some rows corrupted, with comments, ranges and empty nodes.
 
-    Each sentence is a random tree.  In about half of the texts, some
-    sentences then get one row broken in one way (columns, id, UPOS, FEATS,
-    head, a malformed range or empty node) or one head rewired, which may
-    leave a self-head, no root, two roots or a cycle.
+    Each sentence is a random tree, its comment lines before its rows.  In
+    about half of the texts, some sentences then get one row broken in one
+    way (columns, id, UPOS, FEATS, head, a malformed range or empty node),
+    one head rewired, which may leave a self-head, no root, two roots or a
+    cycle, or a comment line after one of their rows.
     """
     faulty = draw(st.booleans())
     lines: list[str] = []
@@ -321,7 +327,10 @@ def _conllu_texts(draw) -> str:
         if faulty:
             fault = draw(
                 st.sampled_from(
-                    ["none", "columns", "id", "upos", "feats", "head", "rewire", "roots", "cycle", "range"]
+                    [
+                        "none", "columns", "id", "upos", "feats", "head", "rewire", "roots",
+                        "cycle", "range", "comment",
+                    ]
                 )
             )
         if fault == "columns":
@@ -352,8 +361,10 @@ def _conllu_texts(draw) -> str:
             token_id = draw(st.sampled_from(["1-x", "-", "1-2-3", "１-2", "1.", "2-3"]))
             columns = draw(st.sampled_from([9, 10]))
             block.insert(draw(st.integers(0, len(block))), "\t".join([token_id] + ["_"] * (columns - 1)))
-        for _ in range(draw(st.integers(0, 2))):
-            block.insert(draw(st.integers(0, len(block))), draw(st.sampled_from(["# sent_id = 1", "#"])))
+        comments = draw(st.lists(st.sampled_from(["# sent_id = 1", "#"]), max_size=2))
+        if fault == "comment":
+            block.insert(draw(st.integers(1, len(block))), draw(st.sampled_from(["# c", "#"])))
+        block[:0] = comments
         if draw(st.booleans()):
             block = [line + "\r" for line in block]
         lines += block
