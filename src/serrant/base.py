@@ -113,7 +113,10 @@ def detect_spelling(edit: Edit, wordlist: frozenset[str]) -> bool:
     """True for single-token replacements that look like spelling fixes.
 
     The source must be out of the wordlist, the correction in it, and the
-    character distance within ``max(1, ceil(len(correction) / 4))``.
+    character distance within ``max(1, ceil(len(correction) / 4))``.  The
+    distance is computed only when the lengths differ by no more than that,
+    so its cost is bounded by the length of a wordlist word, whatever the
+    length of the source.
 
     Raises:
         ConfigurationError: when no wordlist is supplied.
@@ -127,6 +130,9 @@ def detect_spelling(edit: Edit, wordlist: frozenset[str]) -> bool:
     if source in wordlist or correction not in wordlist:
         return False
     limit = max(1, -(-len(correction) // 4))
+    # the length gap is a lower bound of the distance
+    if abs(len(source) - len(correction)) > limit:
+        return False
     return edit_distance(source, correction) <= limit
 
 

@@ -9,6 +9,11 @@ configuration errors (argparse reports usage errors with 2 as well).  The
 ``SERRANT_WORDLIST`` environment variable supplies a wordlist path when
 ``--wordlist`` is not given.
 
+This is the one module that reads input files; the library takes their
+texts.  A command reads every input file it is given, in flag order,
+before it checks a setting or parses a text, so a missing, unreadable or
+non-UTF-8 file is the first error reported.
+
 Output is UTF-8 whatever the locale: standard output gets the same bytes
 as ``--out``.  ``classify`` and ``retype`` type their input shard by shard
 (see :mod:`serrant.pipeline`), and each shard is rendered to M2 text and
@@ -32,9 +37,10 @@ from collections import Counter
 from collections.abc import Iterable
 from pathlib import Path
 
-from .errors import ConfigurationError, SerrantError
+from .base import load_wordlist
+from .errors import ConfigurationError, IngestionError, SerrantError
 from .m2 import M2Record, emit_m2, join_m2, parse_m2
-from .pipeline import PipelineConfig, PipelineInputs, read_input, run
+from .pipeline import PipelineConfig, PipelineInputs, run
 from .report import REPORT_FORMATS, emit_report, type_distribution
 from .sercl import ARROW_ASCII, ARROW_UNICODE, GRANULARITY_UPOS, GRANULARITY_UPOS_FEATS
 
@@ -119,26 +125,54 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--report-format", choices=REPORT_FORMATS, default="tsv")
 
 
+def read_input(path: str | None) -> str | None:
+    """Read a UTF-8 input file as it is, without newline translation; ``None`` for no path.
+
+    Each parser then applies its own line rule, so a file read here parses
+    as its text does when passed to the parser directly.
+
+    Raises:
+        OSError: when the file cannot be read.
+        IngestionError: naming the path, the first byte that is not UTF-8
+            and its 1-based line, when the file does not decode.
+    """
+    if path is None:
+        return None
+    with open(path, encoding="utf-8", newline="") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise IngestionError(
+                f"{path}: not valid UTF-8: byte 0x{exc.object[exc.start]:02x} on line {line}"
+            ) from None
+
+
+def _annotations(args: argparse.Namespace) -> dict[str, str | None]:
+    """The CoNLL-U texts of ``--conllu-orig`` and ``--conllu-cor``, in that order."""
+    return {"conllu_orig": read_input(args.conllu_orig), "conllu_cor": read_input(args.conllu_cor)}
+
+
 def _config(args: argparse.Namespace) -> PipelineConfig:
-    wordlist = args.wordlist or os.environ.get(WORDLIST_ENV) or None
+    """The settings of ``args``, with the wordlist file read and loaded."""
+    wordlist = read_input(args.wordlist or os.environ.get(WORDLIST_ENV) or None)
     return PipelineConfig(
         granularity=_GRANULARITY_FLAGS[args.granularity],
-        wordlist_path=wordlist,
-        conllu_orig_path=args.conllu_orig,
-        conllu_cor_path=args.conllu_cor,
+        wordlist=None if wordlist is None else load_wordlist(wordlist),
         annotator_id=getattr(args, "annotator", 0) or 0,
         arrow=_ARROW_FLAGS[args.arrow],
     )
 
 
 def _run_classify(args: argparse.Namespace) -> int:
-    inputs = PipelineInputs(original=read_input(args.orig), corrected=read_input(args.cor))
+    original, corrected = read_input(args.orig), read_input(args.cor)
+    inputs = PipelineInputs(original=original, corrected=corrected, **_annotations(args))
     _write_outputs(run(_config(args), inputs, args.jobs, finish=_finish), args)
     return 0
 
 
 def _run_retype(args: argparse.Namespace) -> int:
-    inputs = PipelineInputs(m2=read_input(args.m2))
+    inputs = PipelineInputs(m2=read_input(args.m2), **_annotations(args))
     _write_outputs(run(_config(args), inputs, finish=_finish), args)
     return 0
 

@@ -6,13 +6,15 @@ one.  With an M2 text alone, ``retype`` keeps the edits of the M2 file
 untouched (spans, corrections, annotator ids, and any noop sentinels) and
 only recomputes the type labels.
 
-Both commands annotate each side the same way: from CoNLL-U files when
-paths are configured (paired with sentences by position, and checked
-token-by-token against the surface), and with the built-in fallback
-annotator otherwise.  ``retype`` synthesises each annotator's corrected
-sentence by applying their edits before it is annotated.
+Both commands annotate each side the same way: from the CoNLL-U text of
+that side when it is given (paired with sentences by position, and
+checked token-by-token against the surface), and with the built-in
+fallback annotator otherwise.  ``retype`` synthesises each annotator's
+corrected sentence by applying their edits before it is annotated.
 
-Both commands work on shards: slices of the input texts that hold a
+The library reads no file: every input is a text, and the wordlist is the
+loaded set.  Both commands work on shards: a shard is a
+:class:`PipelineInputs` of slices of the input texts that hold a
 contiguous run of items (sentence pairs, or M2 records), with the CoNLL-U
 lines that annotate them.  ``run(config, inputs, worker_count=1)`` cuts
 every text at the same items, after line ends of parallel text and after
@@ -26,11 +28,10 @@ text and label counts) where the shard was typed, so no run need hold the
 records of the whole corpus.
 
 A shard plan has one fail-over, taken in ``run`` alone: when the cut fails
-(a CoNLL-U file is unreadable, or the texts hold different numbers of
-items), the pool cannot start (on a platform without named semaphores
-too), a worker dies, or a shard raises an error, the parent types the
-whole corpus as one shard and returns or raises what that gives, the
-serial result or error.
+(the texts hold different numbers of items), the pool cannot start (on a
+platform without named semaphores too), a worker dies, or a shard raises
+an error, the parent types the whole corpus as one shard and returns or
+raises what that gives, the serial result or error.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .alignment import Edit, align, merge
-from .base import classify_base, load_wordlist
+from .base import classify_base
 from .combine import SerrantType, build_context, combine
 from .errors import (
     AttachmentError,
@@ -60,24 +61,27 @@ from .ud import BLANK_LINES, AnnotatedSentence, attach, fallback_annotate, parse
 
 
 class PipelineConfig(NamedTuple):
+    """The settings of a run; ``wordlist`` is a loaded one (:func:`~serrant.base.load_wordlist`)."""
+
     granularity: str = GRANULARITY_UPOS
-    wordlist_path: str | None = None
-    conllu_orig_path: str | None = None
-    conllu_cor_path: str | None = None
+    wordlist: frozenset[str] | None = None
     annotator_id: int = 0
     arrow: str = ARROW_ASCII
 
 
 class PipelineInputs(NamedTuple):
-    """Raw input texts; the ones given choose the command.
+    """Raw input texts; ``original``, ``corrected`` and ``m2`` given choose the command.
 
     Both ``original`` and ``corrected`` classify them; ``m2`` alone
-    retypes it.
+    retypes it.  ``conllu_orig`` and ``conllu_cor`` annotate the original
+    and the corrected side; a side without one uses the fallback annotator.
     """
 
     original: str | None = None
     corrected: str | None = None
     m2: str | None = None
+    conllu_orig: str | None = None
+    conllu_cor: str | None = None
 
 
 def classify_edit(
@@ -113,33 +117,26 @@ def run(
     usable core, each with the cyclic garbage collector off; otherwise they
     are typed in this process.  Output is identical for any worker count
     and any shard plan, and so is the error raised on bad input: when the
-    cut fails, the pool cannot start (on a platform without named
-    semaphores too), a worker dies, or a shard raises an error, this
-    function catches it, types and finishes the whole corpus as one shard
-    itself, and returns or raises what that does.
+    texts hold different numbers of items, the pool cannot start (on a
+    platform without named semaphores too), a worker dies, or a shard
+    raises an error, this function catches it, types and finishes the whole
+    corpus as one shard itself, and returns or raises what that does.
     """
     if worker_count < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {worker_count}")
     _check_config(config)
-    retype = _is_retype(inputs)
-    wordlist = _load_wordlist(config)
-    task = partial(_type_shard, retype=retype, wordlist=wordlist, config=config, finish=finish)
+    task = partial(_type_shard, retype=_is_retype(inputs), config=config, finish=finish)
     try:
-        parts = _type_shards(task, config, inputs, worker_count)
+        parts = _type_shards(task, inputs, worker_count)
     except (SerrantError, OSError, RuntimeError):
-        # RuntimeError covers a pool that breaks (BrokenExecutor) or that the
-        # platform cannot start (NotImplementedError); any other one is raised
-        # again below.  The whole corpus is typed once this handler has ended
-        # and freed the failed plan's texts (see _type_shards).
+        # OSError and RuntimeError cover a pool that cannot start (OSError,
+        # NotImplementedError) or that breaks (BrokenExecutor); any other
+        # RuntimeError is raised again below.  The whole corpus is typed once
+        # this handler has ended and freed the failed plan's shards (see
+        # _type_shards).
         parts = None
     if parts is None:
-        # each CoNLL-U file is read when its side is parsed, so one text is held at a time
-        whole = _Shard(
-            inputs,
-            partial(_read_conllu, config.conllu_orig_path),
-            partial(_read_conllu, config.conllu_cor_path),
-        )
-        parts = [task(whole)]
+        parts = [task(inputs)]
     return parts if finish is not None else [record for records in parts for record in records]
 
 
@@ -172,36 +169,6 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def read_input(path: str) -> str:
-    """Read a UTF-8 input file as it is, without newline translation.
-
-    Each parser then applies its own line rule, so a file read here parses
-    as its text does when passed to the parser directly.
-
-    Raises:
-        IngestionError: naming the path, the first byte that is not UTF-8
-            and its 1-based line, when the file does not decode.
-    """
-    with open(path, encoding="utf-8", newline="") as handle:
-        try:
-            return handle.read()
-        except UnicodeDecodeError as exc:
-            line = exc.object.count(b"\n", 0, exc.start) + 1
-            raise IngestionError(
-                f"{path}: not valid UTF-8: byte 0x{exc.object[exc.start]:02x} on line {line}"
-            ) from None
-
-
-def _load_wordlist(config: PipelineConfig) -> frozenset[str] | None:
-    if config.wordlist_path is None:
-        return None
-    return load_wordlist(read_input(config.wordlist_path))
-
-
-def _read_conllu(path: str | None) -> str | None:
-    return None if path is None else read_input(path)
-
-
 def _sentences(
     conllu: str | None, count: int, which: str
 ) -> list[AnnotatedSentence] | list[None]:
@@ -230,42 +197,27 @@ def _annotate(
 
 _Pair = tuple[tuple[str, ...], tuple[str, ...]]
 
-
-class _Shard(NamedTuple):
-    """The texts of contiguous items, and loaders of the CoNLL-U text that annotates them.
-
-    The items are sentence pairs or M2 records.  Each loader takes no
-    arguments and gives that side's text, or ``None`` when the side uses
-    the fallback annotator.
-    """
-
-    inputs: PipelineInputs
-    orig: Callable[[], str | None]
-    cor: Callable[[], str | None]
+# what a run does with each shard: type it, and finish its records
+_Task = Callable[[PipelineInputs], object]
 
 
-def _type_shards(
-    task: Callable[[_Shard], object],
-    config: PipelineConfig,
-    inputs: PipelineInputs,
-    worker_count: int,
-) -> list:
+def _type_shards(task: _Task, inputs: PipelineInputs, worker_count: int) -> list:
     """Cut the inputs into shards and return what ``task`` gives for each, in order.
 
     The shards go to ``min(worker_count, shards, usable cores)`` worker
     processes when that is above 1; otherwise this process types them one
     at a time.  Raises what the cut, the pool or a shard raises.
     """
-    # A function of its own: its frame holds the texts the cut read, and is
+    # A function of its own: its frame holds the shard being typed, and is
     # freed with the exception once the handler in run ends.
-    count, shards = _cut(config, inputs)
+    count, shards = _cut(inputs)
     workers = min(worker_count, count, _usable_cores())
     if workers > 1:
         return _type_on_pool(task, shards, workers)
     return [task(shard) for shard in shards]
 
 
-def _type_on_pool(task: Callable[[_Shard], object], shards: Iterator[_Shard], workers: int) -> list:
+def _type_on_pool(task: _Task, shards: Iterator[PipelineInputs], workers: int) -> list:
     """Apply ``task`` to each shard on ``workers`` processes; raise what the pool or a shard raises.
 
     Only a few shards more than there are workers are sliced and queued at
@@ -276,8 +228,8 @@ def _type_on_pool(task: Callable[[_Shard], object], shards: Iterator[_Shard], wo
 
     # The platform's default start method: "spawn" would re-run the caller's
     # main module in every worker, which breaks scripts that call this
-    # without an ``if __name__ == "__main__"`` guard.  The task, wordlist
-    # included, goes to each worker once; each shard sends only its texts.
+    # without an ``if __name__ == "__main__"`` guard.  The task, the config's
+    # wordlist included, goes to each worker once; each shard sends only its texts.
     executor = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(task,))
     try:
         queued = deque()
@@ -293,10 +245,10 @@ def _type_on_pool(task: Callable[[_Shard], object], shards: Iterator[_Shard], wo
 
 
 # the task a worker process runs on each of its shards, set by _start_worker
-_worker_task: Callable[[_Shard], object] | None = None
+_worker_task: _Task | None = None
 
 
-def _start_worker(task: Callable[[_Shard], object]) -> None:
+def _start_worker(task: _Task) -> None:
     """Set up a worker process: keep ``task`` for its shards and switch the collector off.
 
     A shard builds no reference cycles, so workers skip the collector.
@@ -306,7 +258,7 @@ def _start_worker(task: Callable[[_Shard], object]) -> None:
     _worker_task = task
 
 
-def _run_in_worker(shard: _Shard) -> object:
+def _run_in_worker(shard: PipelineInputs) -> object:
     """Type ``shard`` with the task :func:`_start_worker` kept in this worker."""
     return _worker_task(shard)
 
@@ -322,7 +274,7 @@ _SHARD_CHARS = 500_000
 _LINE_END = re.compile("\n")
 
 
-def _cut(config: PipelineConfig, inputs: PipelineInputs) -> tuple[int, Iterator[_Shard]]:
+def _cut(inputs: PipelineInputs) -> tuple[int, Iterator[PipelineInputs]]:
     """Cut every text at the same items into shards of about :data:`_SHARD_CHARS` characters.
 
     Returns the number of shards, and an iterator that slices each shard's
@@ -335,17 +287,9 @@ def _cut(config: PipelineConfig, inputs: PipelineInputs) -> tuple[int, Iterator[
     check of the shard that holds it, fails.
 
     Raises:
-        OSError: when a CoNLL-U file cannot be read.
-        IngestionError: when a CoNLL-U file is not UTF-8, or the texts hold
-            different numbers of items.
+        IngestionError: when the texts hold different numbers of items.
     """
-    texts = [
-        inputs.original,
-        inputs.corrected,
-        inputs.m2,
-        _read_conllu(config.conllu_orig_path),
-        _read_conllu(config.conllu_cor_path),
-    ]
+    texts = list(inputs)
     item_ends = (_LINE_END, _LINE_END, BLANK_LINES, BLANK_LINES, BLANK_LINES)
     starts = [None if text is None else _starts(text, end) for text, end in zip(texts, item_ends)]
     given = [text_starts for text_starts in starts if text_starts is not None]
@@ -381,7 +325,7 @@ def _starts(text: str, item_end: re.Pattern[str]) -> list[int]:
 
 def _slices(
     texts: list[str | None], cuts: list[list[int] | None], count: int
-) -> Iterator[_Shard]:
+) -> Iterator[PipelineInputs]:
     """Yield ``count`` shards one at a time, each text cut at its offsets in ``cuts``.
 
     A text's offsets are where its shards start, then its end: the first
@@ -389,24 +333,15 @@ def _slices(
     every line is parsed by exactly one shard.
     """
     for shard in range(count):
-        original, corrected, m2, orig, cor = (
+        yield PipelineInputs._make(
             None if text is None else text[text_cuts[shard] : text_cuts[shard + 1]]
             for text, text_cuts in zip(texts, cuts)
         )
-        yield _Shard(
-            PipelineInputs(original, corrected, m2), partial(_given, orig), partial(_given, cor)
-        )
-
-
-def _given(text: str | None) -> str | None:
-    """Return ``text``; bound to a piece, it is a picklable shard loader."""
-    return text
 
 
 def _type_shard(
-    shard: _Shard,
+    shard: PipelineInputs,
     retype: bool,
-    wordlist: frozenset[str] | None,
     config: PipelineConfig,
     finish: Callable[[list[M2Record]], object] | None = None,
 ) -> object:
@@ -419,20 +354,20 @@ def _type_shard(
     corrected sentence.
     """
     if retype:
-        items = parse_m2(shard.inputs.m2)
+        items = parse_m2(shard.m2)
         type_item, sources = _retype_record, [record.source_tokens for record in items]
     else:
-        items = read_parallel(shard.inputs.original, shard.inputs.corrected)
+        items = read_parallel(shard.original, shard.corrected)
         type_item, sources = _classify_pair, [src for src, _ in items]
     src_sentences = [
         _annotate(sentence, tokens, "original", index)
         for index, (sentence, tokens) in enumerate(
-            zip(_sentences(shard.orig(), len(sources), "original"), sources)
+            zip(_sentences(shard.conllu_orig, len(sources), "original"), sources)
         )
     ]
-    cor_sentences = _sentences(shard.cor(), len(sources), "corrected")
+    cor_sentences = _sentences(shard.conllu_cor, len(sources), "corrected")
     records = [
-        type_item(item, src_sentence, cor_sentence, wordlist, config, index)
+        type_item(item, src_sentence, cor_sentence, config, index)
         for index, (item, src_sentence, cor_sentence) in enumerate(
             zip(items, src_sentences, cor_sentences)
         )
@@ -447,7 +382,6 @@ def _classify_pair(
     pair: _Pair,
     src_sentence: AnnotatedSentence,
     cor_sentence: AnnotatedSentence | None,
-    wordlist: frozenset[str] | None,
     config: PipelineConfig,
     index: int,
 ) -> M2Record:
@@ -460,7 +394,7 @@ def _classify_pair(
     ops = align(src, trg, src_lemmas=src_sentence.lemmas, trg_lemmas=trg_sentence.lemmas)
     m2_edits = []
     for edit in merge(ops, src, trg):
-        typed = classify_edit(edit, src_sentence, trg_sentence, wordlist, config.granularity)
+        typed = classify_edit(edit, src_sentence, trg_sentence, config.wordlist, config.granularity)
         m2_edits.append(M2Edit(edit.span, typed.render(config.arrow), config.annotator_id))
     return M2Record(src, tuple(m2_edits))
 
@@ -469,7 +403,6 @@ def _retype_record(
     record: M2Record,
     src_sentence: AnnotatedSentence,
     cor_sentence: AnnotatedSentence | None,
-    wordlist: frozenset[str] | None,
     config: PipelineConfig,
     record_index: int,
 ) -> M2Record:
@@ -496,6 +429,8 @@ def _retype_record(
         trg_sentence = _annotate(cor_sentence, cor_tokens, "corrected", record_index)
         for position, span, cor_start in zip(positions, spans, cor_starts):
             edit = Edit(span, source_tokens[span.start : span.end], cor_start)
-            typed = classify_edit(edit, src_sentence, trg_sentence, wordlist, config.granularity)
+            typed = classify_edit(
+                edit, src_sentence, trg_sentence, config.wordlist, config.granularity
+            )
             new_edits[position] = M2Edit(span, typed.render(config.arrow), annotator_id)
     return M2Record(source_tokens, tuple(new_edits))

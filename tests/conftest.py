@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from serrant import pipeline
+from serrant.pipeline import PipelineConfig, PipelineInputs
 
 
 Row = tuple[str, str, str, str, int, str]
@@ -242,30 +243,43 @@ def golden_wordlist_words() -> set[str]:
     return words
 
 
-@pytest.fixture
-def golden_wordlist(tmp_path: Path) -> str:
-    path = tmp_path / "wordlist.txt"
-    path.write_text("\n".join(sorted(golden_wordlist_words())) + "\n", encoding="utf-8")
-    return str(path)
+def golden_config(**settings) -> PipelineConfig:
+    """A config with the golden wordlist and ``settings``."""
+    return PipelineConfig(wordlist=frozenset(golden_wordlist_words()), **settings)
+
+
+def golden_inputs(pairs: list[GoldenPair], m2: str | None = None) -> PipelineInputs:
+    """Both CoNLL-U texts of ``pairs``, with their parallel texts, or with ``m2`` when given."""
+    conllu = {
+        "conllu_orig": conllu_file([p.orig_rows for p in pairs]),
+        "conllu_cor": conllu_file([p.cor_rows for p in pairs]),
+    }
+    if m2 is not None:
+        return PipelineInputs(m2=m2, **conllu)
+    return PipelineInputs(
+        original="\n".join(" ".join(p.orig_tokens) for p in pairs) + "\n",
+        corrected="\n".join(" ".join(p.cor_tokens) for p in pairs) + "\n",
+        **conllu,
+    )
+
+
+# the file each text of golden_inputs is written to, by its key in write_golden_corpus
+_GOLDEN_FILES = {
+    "orig": ("orig.txt", "original"),
+    "cor": ("cor.txt", "corrected"),
+    "conllu_orig": ("orig.conllu", "conllu_orig"),
+    "conllu_cor": ("cor.conllu", "conllu_cor"),
+}
 
 
 def write_golden_corpus(tmp_path: Path, pairs: list[GoldenPair]) -> dict[str, str]:
     """Write parallel text and both CoNLL-U files; return their paths."""
-    paths = {
-        "orig": tmp_path / "orig.txt",
-        "cor": tmp_path / "cor.txt",
-        "conllu_orig": tmp_path / "orig.conllu",
-        "conllu_cor": tmp_path / "cor.conllu",
-    }
-    paths["orig"].write_text(
-        "\n".join(" ".join(p.orig_tokens) for p in pairs) + "\n", encoding="utf-8"
-    )
-    paths["cor"].write_text(
-        "\n".join(" ".join(p.cor_tokens) for p in pairs) + "\n", encoding="utf-8"
-    )
-    paths["conllu_orig"].write_text(conllu_file([p.orig_rows for p in pairs]), encoding="utf-8")
-    paths["conllu_cor"].write_text(conllu_file([p.cor_rows for p in pairs]), encoding="utf-8")
-    return {key: str(path) for key, path in paths.items()}
+    inputs = golden_inputs(pairs)
+    paths = {}
+    for key, (name, field) in _GOLDEN_FILES.items():
+        (tmp_path / name).write_text(getattr(inputs, field), encoding="utf-8")
+        paths[key] = str(tmp_path / name)
+    return paths
 
 
 # A shard budget small enough that test corpora of a few dozen items make

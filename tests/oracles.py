@@ -22,6 +22,10 @@ exhaustive up to token renaming.
 the rows and check each sentence's tree when the sentence ends; the
 reference builds every token as it reads its row, where the production
 parser builds each sentence's columns and reads its text in chunks.
+
+``reference_run`` is the pipeline that ``serrant.pipeline.run`` is
+checked against on well-formed inputs: the README's contract in one pass
+over whole texts, with no shards, no worker processes and no fail-over.
 """
 
 from __future__ import annotations
@@ -29,8 +33,19 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
-from serrant.errors import ConlluParseError
-from serrant.ud import ROOT, UPOS_TAGS, Token, parse_feats
+from serrant.alignment import Edit, align, merge
+from serrant.errors import ConfigurationError, ConlluParseError, IngestionError
+from serrant.m2 import M2Edit, M2Record, apply_edits, parse_m2, read_parallel
+from serrant.pipeline import PipelineConfig, PipelineInputs, classify_edit
+from serrant.ud import (
+    ROOT,
+    UPOS_TAGS,
+    AnnotatedSentence,
+    Token,
+    attach,
+    fallback_annotate,
+    parse_feats,
+)
 
 
 def _sub_cost(
@@ -360,3 +375,83 @@ def _checked_tree(tokens: list[Token], linenos: list[int]) -> tuple[Token, ...]:
             seen.add(current)
             current = heads[current]
     return tuple(tokens)
+
+
+# --- the whole pipeline -------------------------------------------------------
+
+
+def reference_run(config: PipelineConfig, inputs: PipelineInputs) -> list[M2Record]:
+    """Classify both texts, or retype an M2 text alone, as the README says ``run`` does."""
+    retype = inputs.m2 is not None
+    items = parse_m2(inputs.m2) if retype else read_parallel(inputs.original, inputs.corrected)
+    origs = _reference_sentences(inputs.conllu_orig, len(items))
+    cors = _reference_sentences(inputs.conllu_cor, len(items))
+    records = []
+    for item, orig, cor in zip(items, origs, cors):
+        source = item[0]  # the source tokens of a record and of a pair
+        src = _reference_annotate(orig, source)
+        if retype:
+            records.append(_reference_retype(config, item, src, cor))
+            continue
+        target = item[1]
+        trg = _reference_annotate(cor, target)
+        edits = merge(align(source, target, src.lemmas, trg.lemmas), source, target)
+        typed = [_reference_typed(config, edit, src, trg, config.annotator_id) for edit in edits]
+        records.append(M2Record(source, tuple(typed)))
+    return records
+
+
+def _reference_retype(
+    config: PipelineConfig,
+    record: M2Record,
+    src: AnnotatedSentence,
+    cor: AnnotatedSentence | None,
+) -> M2Record:
+    """Type each annotator's edits against the sentence they correct to; noop edits stay."""
+    source, edits = record
+    annotators = {edit.annotator_id for edit in edits if not edit.span.is_noop}
+    if cor is not None and len(annotators) > 1:
+        raise ConfigurationError("one corrected sentence for several annotators")
+    typed = list(edits)
+    for annotator in annotators:
+        positions = [
+            position
+            for position, edit in enumerate(edits)
+            if edit.annotator_id == annotator and not edit.span.is_noop
+        ]
+        spans = [edits[position].span for position in positions]
+        target, starts = apply_edits(source, spans)
+        trg = _reference_annotate(cor, target)
+        for position, span, start in zip(positions, spans, starts):
+            edit = Edit(span, source[span.start : span.end], start)
+            typed[position] = _reference_typed(config, edit, src, trg, annotator)
+    return M2Record(source, tuple(typed))
+
+
+def _reference_typed(
+    config: PipelineConfig,
+    edit: Edit,
+    src: AnnotatedSentence,
+    trg: AnnotatedSentence,
+    annotator: int,
+) -> M2Edit:
+    label = classify_edit(edit, src, trg, config.wordlist, config.granularity)
+    return M2Edit(edit.span, label.render(config.arrow), annotator)
+
+
+def _reference_annotate(
+    sentence: AnnotatedSentence | None, tokens: tuple[str, ...]
+) -> AnnotatedSentence:
+    return fallback_annotate(tokens) if sentence is None else attach(sentence, tokens)
+
+
+def _reference_sentences(conllu: str | None, count: int) -> list:
+    """Each sentence of ``conllu`` in columns, or ``None`` for each of ``count`` items."""
+    if conllu is None:
+        return [None] * count
+    sentences = [
+        AnnotatedSentence(*list(zip(*tokens))[1:]) for tokens in reference_parse_conllu(conllu)
+    ]
+    if len(sentences) != count:
+        raise IngestionError(f"{len(sentences)} sentences for {count} items")
+    return sentences

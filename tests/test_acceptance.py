@@ -26,10 +26,9 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
-from conftest import GOLDEN_FLAGSHIP, GOLDEN_RULES, record_pools, write_golden_corpus
+from conftest import GOLDEN_FLAGSHIP, GOLDEN_RULES, golden_config, golden_inputs, record_pools
 from oracles import (
     dp_min_cost,
     enumerated_min_cost,
@@ -38,7 +37,7 @@ from oracles import (
     rgs_strings,
 )
 from serrant.alignment import Edit, align, merge
-from serrant.base import BaseType, classify_base
+from serrant.base import BaseType, classify_base, load_wordlist
 from serrant.combine import EditContext, build_context, combine
 from serrant.m2 import EditSpan, M2Edit, M2Record, emit_m2, parse_m2
 from serrant import pipeline
@@ -89,18 +88,8 @@ def _verdict(number: int, description: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _golden_run(tmp_path: Path, wordlist: str, pairs) -> list[tuple[int, int, int, str]]:
-    paths = write_golden_corpus(tmp_path, pairs)
-    config = PipelineConfig(
-        wordlist_path=wordlist,
-        conllu_orig_path=paths["conllu_orig"],
-        conllu_cor_path=paths["conllu_cor"],
-    )
-    inputs = PipelineInputs(
-        original=Path(paths["orig"]).read_text(encoding="utf-8"),
-        corrected=Path(paths["cor"]).read_text(encoding="utf-8"),
-    )
-    records = run(config, inputs)
+def _golden_run(pairs) -> list[tuple[int, int, int, str]]:
+    records = run(golden_config(), golden_inputs(pairs))
     return [
         (index, edit.span.start, edit.span.end, edit.type_label)
         for index, record in enumerate(records)
@@ -116,8 +105,8 @@ def _golden_expected(pairs) -> list[tuple[int, int, int, str]]:
     ]
 
 
-def test_criterion_1_golden_corpus_types(tmp_path, golden_wordlist):
-    got = _golden_run(tmp_path, golden_wordlist, GOLDEN_FLAGSHIP)
+def test_criterion_1_golden_corpus_types():
+    got = _golden_run(GOLDEN_FLAGSHIP)
     want = _golden_expected(GOLDEN_FLAGSHIP)
     diff = [f"{g} != {w}" for g, w in zip(got, want) if g != w]
     ok = got == want
@@ -128,8 +117,8 @@ def test_criterion_1_golden_corpus_types(tmp_path, golden_wordlist):
     _verdict(1, "golden corpus classifies to its stipulated types", ok, detail)
 
 
-def test_criterion_2_rule_example_types(tmp_path, golden_wordlist):
-    got = _golden_run(tmp_path, golden_wordlist, GOLDEN_RULES)
+def test_criterion_2_rule_example_types():
+    got = _golden_run(GOLDEN_RULES)
     want = _golden_expected(GOLDEN_RULES)
     labels = [label for _, _, _, label in want]
     # the fixture must exercise both sides of the word-choice contrast
@@ -686,25 +675,21 @@ def test_criterion_5_classifier_laws():
 # --- criteria 6 and 7: determinism and throughput ---------------------------
 
 
-def _corpus_files(tmp_path: Path, corpus: SyntheticCorpus) -> PipelineConfig:
-    conllu_orig = tmp_path / "orig.conllu"
-    conllu_cor = tmp_path / "cor.conllu"
-    wordlist = tmp_path / "words.txt"
-    conllu_orig.write_text(corpus.conllu_orig, encoding="utf-8")
-    conllu_cor.write_text(corpus.conllu_cor, encoding="utf-8")
-    forms = sorted({entry[0].lower() for entry in VOCAB if entry[0].isalpha()})
-    wordlist.write_text("\n".join(forms) + "\n", encoding="utf-8")
-    return PipelineConfig(
-        wordlist_path=str(wordlist),
-        conllu_orig_path=str(conllu_orig),
-        conllu_cor_path=str(conllu_cor),
-    )
+# the config of criteria 6 and 7: a wordlist of the synthetic vocabulary's words
+_CORPUS_CONFIG = PipelineConfig(
+    wordlist=load_wordlist("\n".join(entry[0] for entry in VOCAB if entry[0].isalpha()))
+)
 
 
-def test_criterion_6_parallel_determinism(tmp_path, monkeypatch):
+def test_criterion_6_parallel_determinism(monkeypatch):
     corpus = SyntheticCorpus(1000, seed=30606)
-    config = _corpus_files(tmp_path, corpus)
-    inputs = PipelineInputs(original=corpus.orig_text, corrected=corpus.cor_text)
+    config = _CORPUS_CONFIG
+    inputs = PipelineInputs(
+        original=corpus.orig_text,
+        corrected=corpus.cor_text,
+        conllu_orig=corpus.conllu_orig,
+        conllu_cor=corpus.conllu_cor,
+    )
     serial = run(config, inputs, 1)  # one shard: below the shard budget
     # shards of about 50,000 characters, so that 1,000 pairs reach the workers,
     # and two usable cores, so that a pool starts on a machine with one as well
@@ -729,17 +714,13 @@ def test_criterion_6_parallel_determinism(tmp_path, monkeypatch):
     )
 
 
-def test_criterion_7_retype_throughput(tmp_path):
+def test_criterion_7_retype_throughput():
     corpus = SyntheticCorpus(10000, seed=30607)
-    config = _corpus_files(tmp_path, corpus)
-    config = PipelineConfig(
-        wordlist_path=config.wordlist_path,
-        conllu_orig_path=config.conllu_orig_path,
-        conllu_cor_path=config.conllu_cor_path,
+    inputs = PipelineInputs(
+        m2=corpus.untyped_m2(), conllu_orig=corpus.conllu_orig, conllu_cor=corpus.conllu_cor
     )
-    inputs = PipelineInputs(m2=corpus.untyped_m2())
     started = time.perf_counter()
-    records = run(config, inputs)
+    records = run(_CORPUS_CONFIG, inputs)
     elapsed = time.perf_counter() - started
     labels = [
         edit.type_label

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from serrant import base
 from serrant.alignment import Edit
 from serrant.base import (
     ADJ_FORM,
@@ -126,6 +129,38 @@ def test_detect_spelling_rejects_distant_forms():
 
 def test_detect_spelling_rejects_multi_token_edits():
     assert not detect_spelling(_bare_edit(["we", "rk"], ["work"]), WORDLIST)
+
+
+def _old_detect_spelling(source: str, correction: str, wordlist: frozenset[str]) -> bool:
+    """The spelling rule as it was before it stopped at the length gap."""
+    source, correction = source.lower(), correction.lower()
+    if source in wordlist or correction not in wordlist:
+        return False
+    return edit_distance(source, correction) <= max(1, -(-len(correction) // 4))
+
+
+@given(
+    data=st.data(),
+    longest=st.sampled_from([12, 40]),
+    in_wordlist=st.sets(st.sampled_from(["source", "correction"])),
+)
+def test_detect_spelling_agrees_with_the_distance_it_skips(data, longest, in_wordlist):
+    token = st.text(alphabet="abA", min_size=1, max_size=longest)
+    source, correction = data.draw(token), data.draw(token)
+    tokens = {"source": source, "correction": correction}
+    wordlist = load_wordlist("\n".join(tokens[name] for name in in_wordlist))
+    assert detect_spelling(_bare_edit([source], [correction]), wordlist) == (
+        _old_detect_spelling(source, correction, wordlist)
+    )
+
+
+def test_detect_spelling_skips_the_distance_of_a_long_source(monkeypatch):
+    sources = []
+    distance = base.edit_distance
+    monkeypatch.setattr(base, "edit_distance", lambda a, b: sources.append(a) or distance(a, b))
+    assert not detect_spelling(_bare_edit(["w" * 200_000], ["work"]), WORDLIST)
+    assert detect_spelling(_bare_edit(["werk"], ["work"]), WORDLIST)
+    assert sources == ["werk"]
 
 
 def test_detect_spelling_requires_wordlist():

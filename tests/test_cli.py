@@ -32,10 +32,10 @@ from conftest import (
     write_golden_corpus,
 )
 from serrant.base import load_wordlist
-from serrant.cli import main
+from serrant.cli import main, read_input
 from serrant.errors import ConfigurationError, SerrantError
 from serrant.m2 import emit_m2, parse_m2
-from serrant.pipeline import PipelineConfig, PipelineInputs, read_input, run
+from serrant.pipeline import PipelineConfig, PipelineInputs, run
 from serrant.report import emit_report, type_distribution
 from synthgen import SyntheticCorpus
 
@@ -117,6 +117,15 @@ def test_classify_missing_file_is_exit_1(golden, tmp_path, capsys):
 def test_classify_bad_jobs_is_exit_2(golden, tmp_path, capsys):
     assert main(classify_args(golden, tmp_path, "--jobs", "0")) == 2
     assert "worker count" in capsys.readouterr().err
+
+
+def test_a_missing_file_is_reported_before_a_bad_setting(golden, tmp_path, capsys):
+    # every input file is read before the settings are checked
+    missing = str(tmp_path / "does-not-exist.txt")
+    args = classify_args(golden, tmp_path, "--jobs", "0")
+    args[args.index(golden["wordlist"])] = missing
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"serrant: [Errno 2] No such file or directory: {missing!r}\n"
 
 
 def test_classify_mismatched_lengths_is_exit_1(golden, tmp_path, capsys):
@@ -462,15 +471,24 @@ def test_jobs_agree_that_the_original_side_fails_first(sharded, capfd):
     assert (code, err) == (1, f"serrant: line {line}: unknown UPOS tag 'BLORP'\n")
 
 
-def test_jobs_agree_that_a_bad_original_beats_a_missing_corrected_file(sharded, capfd):
+def test_jobs_agree_that_a_missing_corrected_file_beats_a_bad_original(
+    sharded, capfd, monkeypatch
+):
+    # every input file is read before any text is parsed
     tmp_path, texts = sharded
     blocks = _blocks(texts["conllu_orig"])
     _set_column(blocks, 60, 3, "BLORP")
     texts["conllu_orig"] = _join(blocks)
     texts["conllu_cor"] = None
+    parsed = []
+    parse_conllu = pipeline.parse_conllu
+    monkeypatch.setattr(
+        pipeline, "parse_conllu", lambda text: parsed.append(text) or parse_conllu(text)
+    )
     code, _, err = _same_for_any_jobs(tmp_path, texts, capfd, pool=False)
-    line = _first_row_line(blocks, 60)
-    assert (code, err) == (1, f"serrant: line {line}: unknown UPOS tag 'BLORP'\n")
+    missing = str(tmp_path / "conllu_cor.in")
+    assert (code, err) == (1, f"serrant: [Errno 2] No such file or directory: {missing!r}\n")
+    assert parsed == []
 
 
 _TYPE_SHARD = pipeline._type_shard
@@ -587,20 +605,20 @@ def test_cli_writes_the_library_output_from_small_shards(
     tmp_path, capfd, monkeypatch, corpus_files
 ):
     paths = corpus_files
-    config = PipelineConfig(
-        wordlist_path=paths.get("wordlist"),
-        conllu_orig_path=paths["conllu_orig"],
-        conllu_cor_path=paths["conllu_cor"],
+    texts = {name: read_input(path) for name, path in paths.items()}
+    wordlist = load_wordlist(texts["wordlist"]) if "wordlist" in texts else None
+    config = PipelineConfig(wordlist=wordlist)
+    inputs = PipelineInputs(
+        original=texts["orig"],
+        corrected=texts["cor"],
+        conllu_orig=texts["conllu_orig"],
+        conllu_cor=texts["conllu_cor"],
     )
-    inputs = PipelineInputs(original=read_input(paths["orig"]), corrected=read_input(paths["cor"]))
     expected = _library_outputs(config, inputs)  # one shard: each corpus is small
     assert expected[1]["tsv"].count("\n") > 5
     (tmp_path / "typed.m2").write_text(expected[0], encoding="utf-8")
-    retype_inputs = PipelineInputs(m2=expected[0])
-    retype_config = PipelineConfig(
-        wordlist_path=paths.get("wordlist"), conllu_orig_path=paths["conllu_orig"]
-    )
-    expected_retype = _library_outputs(retype_config, retype_inputs)
+    retype_inputs = PipelineInputs(m2=expected[0], conllu_orig=texts["conllu_orig"])
+    expected_retype = _library_outputs(config, retype_inputs)
 
     monkeypatch.setattr(pipeline, "_SHARD_CHARS", SMALL_SHARD_CHARS)
     flags = ["--conllu-orig", paths["conllu_orig"]]
@@ -612,7 +630,7 @@ def test_cli_writes_the_library_output_from_small_shards(
     retype = ["retype", "--m2", str(tmp_path / "typed.m2"), *flags]
     assert _cli_outputs(tmp_path, capfd, retype) == expected_retype
     for worker_count in (1, 2, 4):
-        assert _library_outputs(retype_config, retype_inputs, worker_count) == expected_retype
+        assert _library_outputs(config, retype_inputs, worker_count) == expected_retype
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -711,15 +729,13 @@ def _library_result(command: str, texts: dict[str, str]) -> tuple[int, str, str]
             return 0, emit_report(type_distribution(parse_m2(texts["m2"])), "tsv"), ""
         wordlist = load_wordlist(texts["wordlist"]) if "wordlist" in texts else None
         retype = command == "retype"
+        annotations = {name: texts.get(name) for name in ("conllu_orig", "conllu_cor")}
         if retype:
-            inputs = pipeline.PipelineInputs(m2=texts["m2"])
+            inputs = PipelineInputs(m2=texts["m2"], **annotations)
         else:
-            inputs = pipeline.PipelineInputs(original=texts["orig"], corrected=texts["cor"])
-        shard = pipeline._Shard(
-            inputs, partial(texts.get, "conllu_orig"), partial(texts.get, "conllu_cor")
-        )
+            inputs = PipelineInputs(original=texts["orig"], corrected=texts["cor"], **annotations)
         records = pipeline._type_shard(
-            shard, retype=retype, wordlist=wordlist, config=pipeline.PipelineConfig()
+            inputs, retype=retype, config=PipelineConfig(wordlist=wordlist)
         )
         return 0, emit_m2(records), ""
     except ConfigurationError as exc:
@@ -890,9 +906,22 @@ def fuzzed_corpora(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(texts=fuzzed_corpora())
-def test_fuzzed_inputs_fail_cleanly_and_alike_for_any_jobs(tmp_path, capfd, texts):
-    # up to six pairs are one shard at the default shard size: no pool starts
-    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd, pool=False)
+def test_fuzzed_inputs_fail_cleanly_and_alike_for_any_jobs(
+    tmp_path, capfd, small_shards, monkeypatch, texts
+):
+    # two usable cores, so that --jobs 2 starts a pool of two whenever the shard plan holds
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    inputs = PipelineInputs(
+        original=texts["orig"],
+        corrected=texts["cor"],
+        conllu_orig=texts["conllu_orig"],
+        conllu_cor=texts["conllu_cor"],
+    )
+    try:
+        plan_holds = pipeline._cut(inputs)[0] >= 2
+    except SerrantError:
+        plan_holds = False
+    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd, pool=plan_holds)
     assert code in (0, 1, 2)
     assert (code == 0) == (err == "")
     assert err == "" or err.startswith("serrant: ")

@@ -642,28 +642,14 @@ def test_build_context_shapes():
             {},
         ),
         (
-            PipelineConfig(wordlist_path="words.txt"),
-            (
-                "granularity",
-                "wordlist_path",
-                "conllu_orig_path",
-                "conllu_cor_path",
-                "annotator_id",
-                "arrow",
-            ),
-            {
-                "granularity": "upos",
-                "wordlist_path": None,
-                "conllu_orig_path": None,
-                "conllu_cor_path": None,
-                "annotator_id": 0,
-                "arrow": "->",
-            },
+            PipelineConfig(wordlist=frozenset({"word"})),
+            ("granularity", "wordlist", "annotator_id", "arrow"),
+            {"granularity": "upos", "wordlist": None, "annotator_id": 0, "arrow": "->"},
         ),
         (
-            PipelineInputs(m2="S a\n"),
-            ("original", "corrected", "m2"),
-            {"original": None, "corrected": None, "m2": None},
+            PipelineInputs(m2="S a\n", conllu_cor="# one sentence\n"),
+            ("original", "corrected", "m2", "conllu_orig", "conllu_cor"),
+            dict.fromkeys(("original", "corrected", "m2", "conllu_orig", "conllu_cor")),
         ),
     ],
     ids=[

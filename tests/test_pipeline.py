@@ -9,8 +9,9 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from conftest import GOLDEN_ALL, GOLDEN_FLAGSHIP, write_golden_corpus
+from conftest import GOLDEN_ALL, GOLDEN_FLAGSHIP, golden_config, golden_inputs
 from serrant import pipeline
+from serrant.base import load_wordlist
 from serrant.errors import (
     AttachmentError,
     ConfigurationError,
@@ -25,31 +26,13 @@ from serrant.pipeline import (
     PipelineInputs,
     run,
 )
-from serrant.sercl import ARROW_UNICODE, GRANULARITY_UPOS_FEATS
+from oracles import reference_run
+from serrant.sercl import ARROW_UNICODE, GRANULARITY_UPOS, GRANULARITY_UPOS_FEATS
 from synthgen import SyntheticCorpus
 
 
-def golden_config(paths, wordlist, **kwargs):
-    return PipelineConfig(
-        wordlist_path=wordlist,
-        conllu_orig_path=paths["conllu_orig"],
-        conllu_cor_path=paths["conllu_cor"],
-        **kwargs,
-    )
-
-
-def golden_inputs(paths):
-    from pathlib import Path
-
-    return PipelineInputs(
-        original=Path(paths["orig"]).read_text(encoding="utf-8"),
-        corrected=Path(paths["cor"]).read_text(encoding="utf-8"),
-    )
-
-
-def test_classify_flagship_pairs(tmp_path, golden_wordlist):
-    paths = write_golden_corpus(tmp_path, GOLDEN_FLAGSHIP)
-    records = run(golden_config(paths, golden_wordlist), golden_inputs(paths))
+def test_classify_flagship_pairs():
+    records = run(golden_config(), golden_inputs(GOLDEN_FLAGSHIP))
     assert len(records) == len(GOLDEN_FLAGSHIP)
     for record, pair in zip(records, GOLDEN_FLAGSHIP):
         got = [(e.span.start, e.span.end, e.type_label) for e in record.edits]
@@ -60,11 +43,8 @@ def test_classify_flagship_pairs(tmp_path, golden_wordlist):
 GOLDEN_FEATS_CHANGES = {6: [(1, 2, "R:Verb:present->Verb:past")]}
 
 
-def test_one_process_types_the_golden_corpus_under_each_setting_in_turn(
-    tmp_path, golden_wordlist
-):
+def test_one_process_types_the_golden_corpus_under_each_setting_in_turn():
     # the shared types and the kept label texts carry nothing from one setting to the next
-    paths = write_golden_corpus(tmp_path, GOLDEN_ALL)
     upos = [pair.expected for pair in GOLDEN_ALL]
     feats = [GOLDEN_FEATS_CHANGES.get(i, edits) for i, edits in enumerate(upos)]
     unicode = [[(s, e, label.replace("->", "→")) for s, e, label in edits] for edits in upos]
@@ -75,7 +55,7 @@ def test_one_process_types_the_golden_corpus_under_each_setting_in_turn(
         ({"arrow": ARROW_UNICODE}, unicode),
         ({}, upos),
     ]:
-        records = run(golden_config(paths, golden_wordlist, **settings), golden_inputs(paths))
+        records = run(golden_config(**settings), golden_inputs(GOLDEN_ALL))
         got = [[(e.span.start, e.span.end, e.type_label) for e in r.edits] for r in records]
         assert got == want
 
@@ -90,48 +70,42 @@ def test_classify_identical_pair_yields_no_edits():
     assert records[0].source_tokens == ("the", "cat", "sat", ".")
 
 
-def test_classify_with_fallback_annotations(tmp_path):
-    wordlist = tmp_path / "words.txt"
-    wordlist.write_text("work\npen\n", encoding="utf-8")
+def test_classify_with_fallback_annotations():
     records = run(
-        PipelineConfig(wordlist_path=str(wordlist)),
+        PipelineConfig(wordlist=load_wordlist("work\npen\n")),
         PipelineInputs(original="I werk for pen\n", corrected="I work for Pen\n"),
     )
     labels = [e.type_label for e in records[0].edits]
     assert labels == ["R:Spell", "R:Noun->Propn"]
 
 
-def test_classify_respects_annotator_id_and_arrow(tmp_path, golden_wordlist):
-    paths = write_golden_corpus(tmp_path, GOLDEN_FLAGSHIP[:1])
-    config = golden_config(paths, golden_wordlist, annotator_id=2, arrow=ARROW_UNICODE)
-    records = run(config, golden_inputs(paths))
+def test_classify_respects_annotator_id_and_arrow():
+    config = golden_config(annotator_id=2, arrow=ARROW_UNICODE)
+    records = run(config, golden_inputs(GOLDEN_FLAGSHIP[:1]))
     edits = records[0].edits
     assert all(e.annotator_id == 2 for e in edits)
     assert [e.type_label for e in edits] == ["R:Spell", "R:Noun→Propn"]
 
 
-def test_classify_conllu_count_mismatch(tmp_path, golden_wordlist):
-    paths = write_golden_corpus(tmp_path, GOLDEN_FLAGSHIP)
-    inputs = PipelineInputs(original="one line\n", corrected="one line\n")
+def test_classify_conllu_count_mismatch():
+    inputs = golden_inputs(GOLDEN_FLAGSHIP)._replace(original="one line\n", corrected="one line\n")
     with pytest.raises(IngestionError) as info:
-        run(golden_config(paths, golden_wordlist), inputs)
+        run(golden_config(), inputs)
     assert "1" in str(info.value)
 
 
-def test_classify_attach_mismatch_names_sentence(tmp_path, golden_wordlist):
-    paths = write_golden_corpus(tmp_path, GOLDEN_FLAGSHIP[:1])
-    inputs = PipelineInputs(
+def test_classify_attach_mismatch_names_sentence():
+    inputs = golden_inputs(GOLDEN_FLAGSHIP[:1])._replace(
         original="I werk for pencil\n", corrected="I work for Pen\n"
     )
     with pytest.raises(AttachmentError) as info:
-        run(golden_config(paths, golden_wordlist), inputs)
+        run(golden_config(), inputs)
     assert "original sentence 0" in str(info.value)
 
 
-def test_retype_recovers_classified_labels(tmp_path, golden_wordlist):
-    paths = write_golden_corpus(tmp_path, GOLDEN_FLAGSHIP)
-    config = golden_config(paths, golden_wordlist)
-    classified = run(config, golden_inputs(paths))
+def test_retype_recovers_classified_labels():
+    config = golden_config()
+    classified = run(config, golden_inputs(GOLDEN_FLAGSHIP))
 
     blanked = [
         record.__class__(
@@ -140,10 +114,7 @@ def test_retype_recovers_classified_labels(tmp_path, golden_wordlist):
         )
         for record in classified
     ]
-    retyped = run(
-        golden_config(paths, golden_wordlist),
-        PipelineInputs(m2=emit_m2(blanked)),
-    )
+    retyped = run(config, golden_inputs(GOLDEN_FLAGSHIP, m2=emit_m2(blanked)))
     assert retyped == classified
 
 
@@ -170,39 +141,36 @@ def test_retype_noop_only_record_is_unchanged():
     assert emit_m2(records) == m2
 
 
-def test_retype_rejects_multiple_annotators_with_corrected_conllu(tmp_path, golden_wordlist):
-    paths = write_golden_corpus(tmp_path, GOLDEN_FLAGSHIP[:1])
+def test_retype_rejects_multiple_annotators_with_corrected_conllu():
     m2 = (
         "S I werk for pen\n"
         "A 1 2|||UNK|||work|||REQUIRED|||-NONE-|||0\n"
         "A 3 4|||UNK|||Pen|||REQUIRED|||-NONE-|||1\n"
     )
     with pytest.raises(ConfigurationError) as info:
-        run(golden_config(paths, golden_wordlist), PipelineInputs(m2=m2))
+        run(golden_config(), golden_inputs(GOLDEN_FLAGSHIP[:1], m2=m2))
     assert "annotator" in str(info.value)
 
 
-def test_retype_conllu_count_mismatch(tmp_path, golden_wordlist):
-    paths = write_golden_corpus(tmp_path, GOLDEN_FLAGSHIP)
+def test_retype_conllu_count_mismatch():
     m2 = "S I werk for pen\nA 1 2|||UNK|||work|||REQUIRED|||-NONE-|||0\n"
     with pytest.raises(IngestionError):
-        run(golden_config(paths, golden_wordlist), PipelineInputs(m2=m2))
+        run(golden_config(), golden_inputs(GOLDEN_FLAGSHIP, m2=m2))
 
 
-def test_retype_corrected_conllu_count_mismatch(tmp_path):
-    paths = write_golden_corpus(tmp_path, GOLDEN_FLAGSHIP[:2])
+def test_retype_corrected_conllu_count_mismatch():
     m2 = "S I werk for pen\nA 1 2|||UNK|||work|||REQUIRED|||-NONE-|||0\n"
+    inputs = golden_inputs(GOLDEN_FLAGSHIP[:2], m2=m2)._replace(conllu_orig=None)
     with pytest.raises(IngestionError) as info:
-        run(PipelineConfig(conllu_cor_path=paths["conllu_cor"]), PipelineInputs(m2=m2))
+        run(PipelineConfig(), inputs)
     assert str(info.value) == "corrected annotations: 2 sentences for 1 inputs"
 
 
-def test_retype_corrected_attach_mismatch_names_record(tmp_path, golden_wordlist):
-    paths = write_golden_corpus(tmp_path, GOLDEN_FLAGSHIP[:1])
+def test_retype_corrected_attach_mismatch_names_record():
     # the corrected CoNLL-U reads "Pen", but these edits leave "pen"
     m2 = "S I werk for pen\nA 1 2|||UNK|||work|||REQUIRED|||-NONE-|||0\n"
     with pytest.raises(AttachmentError) as info:
-        run(golden_config(paths, golden_wordlist), PipelineInputs(m2=m2))
+        run(golden_config(), golden_inputs(GOLDEN_FLAGSHIP[:1], m2=m2))
     assert str(info.value).startswith("corrected sentence 0: annotation form")
     assert info.value.index == 3
 
@@ -232,30 +200,26 @@ def test_pool_starts_at_most_one_worker_per_usable_core(monkeypatch, in_process_
     assert in_process_pool.workers == [2, 3, 3]
 
 
-def test_each_shard_carries_its_texts_and_not_the_wordlist(tmp_path, in_process_pool):
-    words = tmp_path / "words.txt"
-    words.write_text("".join(f"word{i}\n" for i in range(50_000)), encoding="utf-8")
+def test_each_shard_carries_its_texts_and_not_the_wordlist(in_process_pool):
+    words = load_wordlist("".join(f"word{i}\n" for i in range(50_000)))
     corpus = SyntheticCorpus(40, seed=3)
-    config = PipelineConfig(wordlist_path=str(words))
+    config = PipelineConfig(wordlist=words)
     inputs = PipelineInputs(original=corpus.orig_text, corrected=corpus.cor_text)
     assert run(config, inputs, 2) == run(config, inputs)
     (mapped,) = in_process_pool.mapped  # pickled with every shard by a process pool
     assert len(pickle.dumps(mapped)) < 1000
 
 
-def _retype_corpus(tmp_path):
-    """120 untyped synthetic records and the paths of both CoNLL-U files."""
+def _retype_corpus():
+    """120 untyped synthetic records and both CoNLL-U texts."""
     corpus = SyntheticCorpus(120, seed=8)
-    orig, cor = tmp_path / "orig.conllu", tmp_path / "cor.conllu"
-    orig.write_text(corpus.conllu_orig, encoding="utf-8")
-    cor.write_text(corpus.conllu_cor, encoding="utf-8")
-    return corpus.untyped_m2(), str(orig), str(cor)
+    return corpus.untyped_m2(), corpus.conllu_orig, corpus.conllu_cor
 
 
-def test_retype_runs_on_shards(tmp_path, in_process_pool):
-    m2, orig, _ = _retype_corpus(tmp_path)
-    config = PipelineConfig(conllu_orig_path=orig)
-    inputs = PipelineInputs(m2=m2)
+def test_retype_runs_on_shards(in_process_pool):
+    m2, orig, _ = _retype_corpus()
+    config = PipelineConfig()
+    inputs = PipelineInputs(m2=m2, conllu_orig=orig)
     serial = run(config, inputs)
     assert "UNK" not in emit_m2(serial)
     assert run(config, inputs, 4) == serial
@@ -280,15 +244,16 @@ def test_retype_runs_on_shards(tmp_path, in_process_pool):
     ids=["overlapping-spans", "two-annotators-with-corrected-conllu", "empty-edit"],
 )
 def test_retype_shard_errors_are_the_serial_errors(
-    tmp_path, in_process_pool, edit_lines, both_conllu, error
+    in_process_pool, edit_lines, both_conllu, error
 ):
-    m2, orig, cor = _retype_corpus(tmp_path)
+    m2, orig, cor = _retype_corpus()
     blocks = m2.rstrip("\n").split("\n\n")
     late = max(i for i, block in enumerate(blocks) if len(block.split("\n")[0].split()) >= 4)
     assert late >= 100  # in one of the last shards
     blocks[late] = "\n".join([blocks[late].split("\n")[0], *edit_lines])
-    config = PipelineConfig(conllu_orig_path=orig, conllu_cor_path=cor if both_conllu else None)
-    inputs = PipelineInputs(m2="\n\n".join(blocks) + "\n")
+    config = PipelineConfig()
+    m2 = "\n\n".join(blocks) + "\n"
+    inputs = PipelineInputs(m2=m2, conllu_orig=orig, conllu_cor=cor if both_conllu else None)
     with pytest.raises(error) as serial:
         run(config, inputs)
     with pytest.raises(error) as sharded:
@@ -347,11 +312,41 @@ def test_a_pool_that_cannot_start_gives_the_serial_records(monkeypatch, small_sh
         assert run(config, inputs, 2) == serial
 
 
-def test_parallel_single_worker_equals_run():
-    corpus = SyntheticCorpus(5, seed=4)
-    config = PipelineConfig()
-    inputs = PipelineInputs(original=corpus.orig_text, corrected=corpus.cor_text)
-    assert run(config, inputs, worker_count=1) == run(config, inputs)
+def _reference_cases(corpus: str, granularity: str):
+    """(name, config, inputs) of both commands on ``corpus``, with and without CoNLL-U."""
+    if corpus == "golden":
+        config = golden_config(granularity=granularity)
+        texts = golden_inputs(GOLDEN_ALL)
+    else:
+        synthetic = SyntheticCorpus(200, seed=12)
+        config = PipelineConfig(granularity, frozenset(synthetic.cor_text.lower().split()))
+        texts = PipelineInputs(
+            original=synthetic.orig_text,
+            corrected=synthetic.cor_text,
+            conllu_orig=synthetic.conllu_orig,
+            conllu_cor=synthetic.conllu_cor,
+        )
+    m2 = emit_m2(reference_run(config, texts))
+    return [
+        ("classify", config, texts),
+        ("classify-original-conllu", config, texts._replace(conllu_cor=None)),
+        ("classify-fallback", config, texts._replace(conllu_orig=None, conllu_cor=None)),
+        ("retype", config, PipelineInputs(m2=m2, conllu_orig=texts.conllu_orig)),
+        ("retype-fallback", config, PipelineInputs(m2=m2)),
+    ]
+
+
+@pytest.mark.parametrize("granularity", [GRANULARITY_UPOS, GRANULARITY_UPOS_FEATS])
+@pytest.mark.parametrize("corpus", ["golden", "synthetic"])
+def test_run_gives_the_records_of_the_reference_pipeline(in_process_pool, corpus, granularity):
+    # shards of about 500 characters, typed in this process by worker_count 1
+    for name, config, inputs in _reference_cases(corpus, granularity):
+        expected = reference_run(config, inputs)
+        assert sum(len(record.edits) for record in expected) > 10, name
+        for worker_count in (1, 2):
+            assert (name, run(config, inputs, worker_count)) == (name, expected)
+    # worker_count 2 starts a pool for every case but the golden M2 alone, one shard
+    assert len(in_process_pool.workers) == (4 if corpus == "golden" else 5)
 
 
 def test_parallel_rejects_bad_worker_count():
@@ -430,16 +425,13 @@ def _cut_texts() -> dict[str, str]:
     }
 
 
-def _cut_run(tmp_path, texts, command, conllu):
-    """The config and inputs of ``command``, with the CoNLL-U files named in ``conllu``."""
-    paths = {}
-    for name in conllu:
-        path = tmp_path / f"{name}.conllu"
-        path.write_text(texts[name], encoding="utf-8")
-        paths[f"{name}_path"] = str(path)
+def _cut_run(texts, command, conllu):
+    """The config and inputs of ``command``, with the CoNLL-U texts named in ``conllu``."""
+    annotations = {name: texts[name] for name in conllu}
     if command == "retype":
-        return PipelineConfig(**paths), PipelineInputs(m2=texts["m2"])
-    return PipelineConfig(**paths), PipelineInputs(original=texts["orig"], corrected=texts["cor"])
+        return PipelineConfig(), PipelineInputs(m2=texts["m2"], **annotations)
+    inputs = PipelineInputs(original=texts["orig"], corrected=texts["cor"], **annotations)
+    return PipelineConfig(), inputs
 
 
 def _records_or_error(config, inputs, worker_count):
@@ -514,11 +506,11 @@ def _extra_original_line(texts):
     ],
 )
 def test_a_cut_that_does_not_hold_gives_the_serial_result(
-    tmp_path, in_process_pool, command, conllu, change, shards, error
+    in_process_pool, command, conllu, change, shards, error
 ):
     texts = _cut_texts()
     change(texts)
-    config, inputs = _cut_run(tmp_path, texts, command, conllu)
+    config, inputs = _cut_run(texts, command, conllu)
     serial = _records_or_error(config, inputs, 1)
     assert _records_or_error(config, inputs, 2) == serial
     # [] when the cut fails and no pool starts; a leading blank run is an item of no record;
@@ -534,14 +526,14 @@ def test_a_cut_that_does_not_hold_gives_the_serial_result(
     "command, conllu", [("classify", ("conllu_orig", "conllu_cor")), ("retype", ("conllu_orig",))]
 )
 def test_well_formed_inputs_are_typed_on_their_shards_alone(
-    tmp_path, in_process_pool, monkeypatch, command, conllu
+    in_process_pool, monkeypatch, command, conllu
 ):
-    config, inputs = _cut_run(tmp_path, _cut_texts(), command, conllu)
+    config, inputs = _cut_run(_cut_texts(), command, conllu)
     serial = run(config, inputs)
     typed = []
 
     def type_shard(shard, **kwargs):
-        typed.append(shard.inputs)
+        typed.append(shard)
         return type_whole(shard, **kwargs)
 
     type_whole = pipeline._type_shard
