@@ -199,7 +199,8 @@ def _pick_body(base: BaseType, sercl: SerclType, ctx: EditContext) -> str | Serc
             return _sercl_body(sercl)
         return _NAMED_BODIES[base_types.ORTH]
 
-    if category == base_types.POS and base.pos_payload == "VERB":
+    # only a POS base carries a payload (BaseType)
+    if base.pos_payload == "VERB":
         if s == "AUX" and t == "AUX":
             return _tag_body("AUX")
         if (s == "AUX" and t is None) or (t == "AUX" and s is None):
@@ -213,7 +214,7 @@ def _pick_body(base: BaseType, sercl: SerclType, ctx: EditContext) -> str | Serc
             return _sercl_body(sercl)
         return _NAMED_BODIES[base_types.VERB_FORM]
 
-    if category == base_types.POS and base.pos_payload in ("PRON", "DET"):
+    if base.pos_payload in ("PRON", "DET"):
         if {s, t} == {"PRON", "DET"}:
             return _sercl_body(sercl)
         return _tag_body(base.pos_payload)

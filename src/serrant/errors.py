@@ -21,12 +21,16 @@ class SerrantError(Exception):
         return _restore, (type(self), self.args, self.__dict__)
 
 
-class M2ParseError(SerrantError):
-    """Malformed M2 text.  ``line_number`` is 1-based."""
+class _LineError(SerrantError):
+    """An error on one line of an input text.  ``line_number`` is 1-based."""
 
     def __init__(self, line_number: int, message: str) -> None:
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+class M2ParseError(_LineError):
+    """Malformed M2 text.  ``line_number`` is 1-based."""
 
 
 class M2ValidationError(SerrantError):
@@ -37,12 +41,8 @@ class M2ValidationError(SerrantError):
         self.record_index = record_index
 
 
-class ConlluParseError(SerrantError):
+class ConlluParseError(_LineError):
     """Malformed CoNLL-U text.  ``line_number`` is 1-based."""
-
-    def __init__(self, line_number: int, message: str) -> None:
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 class AttachmentError(SerrantError):

@@ -28,7 +28,8 @@ ordinary deletions and repeated blank lines between blocks, so
 ``emit_m2(parse_m2(text))`` is byte-identical only for canonically formatted
 input, while ``parse_m2(emit_m2(records))`` always returns equal records:
 ``emit_m2`` rejects a type label holding whitespace other than the space,
-as the line rule would.
+as the line rule would.  It checks each record as it writes its lines, so
+every token string it writes is joined once, checked and written.
 
 :class:`EditSpan`, :class:`M2Edit` and :class:`M2Record` are named tuples:
 they compare equal to plain tuples of their fields, and ``_replace`` gives
@@ -182,6 +183,11 @@ def _parse_annotation_line(
 def emit_m2(records: Sequence[M2Record]) -> str:
     """Render records canonically.  Empty input renders as an empty string.
 
+    Each record is checked as its lines are written, in one pass: its
+    source tokens, then for each edit in turn its span, correction, type
+    label (each distinct label once per call) and annotator id.  The first
+    fault found is the one raised.
+
     Raises:
         M2ValidationError: naming the 0-based record index, when a record
             violates the format invariants (tokens containing whitespace,
@@ -193,22 +199,52 @@ def emit_m2(records: Sequence[M2Record]) -> str:
             :func:`parse_m2` always pass, so the checks guard records that
             callers build by hand and labels that carry input FEATS values.
     """
-    blocks = []
+    lines: list[str] = []
     labels: set[str] = set()  # the labels checked so far, each checked once
-    for index, record in enumerate(records):
-        _validate_record(record, index, labels)
-        lines = ["S " + " ".join(record.source_tokens) if record.source_tokens else "S"]
-        for (start, end, tokens), label, annotator_id in record.edits:
-            if tokens:
-                correction = " ".join(tokens)
-            else:
-                correction = _FLAG_NONE if label == NOOP_TYPE else ""
-            lines.append(
-                f"A {start} {end}|||{label}|||{correction}"
-                f"|||{_FLAG_REQUIRED}|||{_FLAG_NONE}|||{annotator_id}"
-            )
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n" if blocks else ""
+    flags = f"|||{_FLAG_REQUIRED}|||{_FLAG_NONE}|||"  # the two fixed fields of an A line
+    for index, (source_tokens, edits) in enumerate(records):
+        # Joined with spaces and split on whitespace, tokens come back unchanged
+        # exactly when none is empty and none holds whitespace (str.split and
+        # str.isspace share one definition of whitespace).
+        source = " ".join(source_tokens)
+        if source.split() != list(source_tokens):
+            bad = next(tok for tok in source_tokens if tok.split() != [tok])
+            raise M2ValidationError(index, f"invalid source token {bad!r}")
+        lines.append(f"S {source}" if source else "S")
+        for (start, end, tokens), label, annotator_id in edits:
+            if not ((start, end) == (-1, -1) or 0 <= start <= end <= len(source_tokens)):
+                raise M2ValidationError(index, f"span {start} {end} out of range")
+            correction = " ".join(tokens)
+            # A field ends at the first "|||", so a trailing "|" would move into the
+            # next field, and parse_m2 reads a lone -NONE- as a deletion.
+            if (
+                correction.split() != list(tokens)
+                or "|||" in correction
+                or correction.endswith("|")
+                or correction == _FLAG_NONE
+            ):
+                bad = next((t for t in tokens if t.split() != [t] or "|||" in t), tokens[-1])
+                raise M2ValidationError(index, f"invalid correction token {bad!r}")
+            if label not in labels:
+                # the line rule of parse_m2 would reject any whitespace but the space
+                if (
+                    not label
+                    or "|||" in label
+                    or label.endswith("|")
+                    or "\n" in label
+                    or _OTHER_SPACE.search(label)
+                ):
+                    raise M2ValidationError(index, f"invalid type label {label!r}")
+                labels.add(label)
+            if annotator_id < 0:
+                raise M2ValidationError(index, f"negative annotator id {annotator_id}")
+            if not correction and label == NOOP_TYPE:
+                correction = _FLAG_NONE
+            lines.append(f"A {start} {end}|||{label}|||{correction}{flags}{annotator_id}")
+        # "\n".join turns this into the line end of the record's last line, and
+        # before the next record into the blank line that parts them
+        lines.append("")
+    return "\n".join(lines)
 
 
 def join_m2(texts: Iterable[str]) -> Iterator[str]:
@@ -224,58 +260,6 @@ def join_m2(texts: Iterable[str]) -> Iterator[str]:
             yield separator
             yield text
             separator = "\n"
-
-
-def _validate_record(record: M2Record, index: int, labels: set[str]) -> None:
-    """Check one record; ``labels`` holds type labels that passed, and gains this record's."""
-    source_tokens, edits = record
-    if not _plain_tokens(source_tokens):
-        bad = next(tok for tok in source_tokens if not _plain_token(tok))
-        raise M2ValidationError(index, f"invalid source token {bad!r}")
-    for (start, end, tokens), label, annotator_id in edits:
-        if not ((start, end) == (-1, -1) or 0 <= start <= end <= len(source_tokens)):
-            raise M2ValidationError(index, f"span {start} {end} out of range")
-        correction = " ".join(tokens)
-        # A field ends at the first "|||", so a trailing "|" would move into the next
-        # field, and parse_m2 reads a lone -NONE- as a deletion.
-        if (
-            not _plain_tokens(tokens)
-            or "|||" in correction
-            or correction.endswith("|")
-            or correction == _FLAG_NONE
-        ):
-            bad = next(
-                (tok for tok in tokens if not _plain_token(tok) or "|||" in tok), tokens[-1]
-            )
-            raise M2ValidationError(index, f"invalid correction token {bad!r}")
-        if label not in labels:
-            # the line rule of parse_m2 would reject any whitespace but the space
-            if (
-                not label
-                or "|||" in label
-                or label.endswith("|")
-                or "\n" in label
-                or _OTHER_SPACE.search(label)
-            ):
-                raise M2ValidationError(index, f"invalid type label {label!r}")
-            labels.add(label)
-        if annotator_id < 0:
-            raise M2ValidationError(index, f"negative annotator id {annotator_id}")
-
-
-def _plain_token(token: str) -> bool:
-    """A token is plain when it is not empty and holds no whitespace."""
-    return bool(token) and not any(c.isspace() for c in token)
-
-
-def _plain_tokens(tokens: Sequence[str]) -> bool:
-    """Whether every token is plain, checked in one step.
-
-    Joined with spaces and split on whitespace, the tokens come back
-    unchanged exactly when none is empty and none holds whitespace
-    (``str.split`` and ``str.isspace`` share one definition of whitespace).
-    """
-    return " ".join(tokens).split() == list(tokens)
 
 
 def read_parallel(original: str, corrected: str) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:

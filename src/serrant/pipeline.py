@@ -10,7 +10,10 @@ Both commands annotate each side the same way: from the CoNLL-U text of
 that side when it is given (paired with sentences by position, and
 checked token-by-token against the surface), and with the built-in
 fallback annotator otherwise.  ``retype`` synthesises each annotator's
-corrected sentence by applying their edits before it is annotated.
+corrected sentence by applying their edits before it is annotated.  Both
+commands then type their edits in one place, :func:`_type_edits`, the only
+caller of :func:`classify_edit`: it renders each label and builds the
+:class:`~serrant.m2.M2Edit`.
 
 The library reads no file: every input is a text, and the wordlist is the
 loaded set.  Both commands work on shards: a shard is a
@@ -392,11 +395,9 @@ def _classify_pair(
     src, trg = pair
     trg_sentence = _annotate(cor_sentence, trg, "corrected", index)
     ops = align(src, trg, src_lemmas=src_sentence.lemmas, trg_lemmas=trg_sentence.lemmas)
-    m2_edits = []
-    for edit in merge(ops, src, trg):
-        typed = classify_edit(edit, src_sentence, trg_sentence, config.wordlist, config.granularity)
-        m2_edits.append(M2Edit(edit.span, typed.render(config.arrow), config.annotator_id))
-    return M2Record(src, tuple(m2_edits))
+    edits = merge(ops, src, trg)
+    typed = _type_edits(edits, src_sentence, trg_sentence, config, config.annotator_id)
+    return M2Record(src, typed)
 
 
 def _retype_record(
@@ -427,10 +428,26 @@ def _retype_record(
         except ValueError as exc:
             raise M2ValidationError(record_index, str(exc)) from None
         trg_sentence = _annotate(cor_sentence, cor_tokens, "corrected", record_index)
-        for position, span, cor_start in zip(positions, spans, cor_starts):
-            edit = Edit(span, source_tokens[span.start : span.end], cor_start)
-            typed = classify_edit(
-                edit, src_sentence, trg_sentence, config.wordlist, config.granularity
-            )
-            new_edits[position] = M2Edit(span, typed.render(config.arrow), annotator_id)
+        annotator_edits = [
+            Edit(span, source_tokens[span.start : span.end], cor_start)
+            for span, cor_start in zip(spans, cor_starts)
+        ]
+        typed = _type_edits(annotator_edits, src_sentence, trg_sentence, config, annotator_id)
+        for position, m2_edit in zip(positions, typed):
+            new_edits[position] = m2_edit
     return M2Record(source_tokens, tuple(new_edits))
+
+
+def _type_edits(
+    edits: list[Edit],
+    src_sentence: AnnotatedSentence,
+    trg_sentence: AnnotatedSentence,
+    config: PipelineConfig,
+    annotator_id: int,
+) -> tuple[M2Edit, ...]:
+    """Type each edit and render its label: the one place both commands type edits."""
+    m2_edits = []
+    for edit in edits:
+        typed = classify_edit(edit, src_sentence, trg_sentence, config.wordlist, config.granularity)
+        m2_edits.append(M2Edit(edit.span, typed.render(config.arrow), annotator_id))
+    return tuple(m2_edits)

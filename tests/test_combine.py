@@ -157,6 +157,24 @@ def test_other_base_double_propn_collapses():
     assert got == SerrantType("R", "Propn", ("WC", "MW"))
 
 
+def test_other_base_double_propn_collapses_over_differing_features():
+    # the PROPN pair rule, not the SErCl pair, which would show the Number values
+    got = typed(
+        [
+            ("see", "see", "VERB", ""),
+            ("the", "the", "DET", ""),
+            ("Paris", "paris", "PROPN", "Number=Sing"),
+        ],
+        [("see", "see", "VERB", ""), ("Londons", "london", "PROPN", "Number=Plur")],
+        1,
+        3,
+        1,
+        2,
+        granularity=GRANULARITY_UPOS_FEATS,
+    )
+    assert got == "R:Propn:WC:MW"
+
+
 # --- rule 2: MORPH bases adopt the tag pair, with screens ------------------
 
 

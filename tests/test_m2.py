@@ -231,6 +231,51 @@ def test_emit_names_a_label_or_correction_that_would_read_back_differently(
     assert str(info.value) == f"record 0: {message}"
 
 
+def _edit(start, end, correction=("x",), label="T", annotator_id=0):
+    return M2Edit(EditSpan(start, end, correction), label, annotator_id)
+
+
+# Each case holds two faults; the first named in emit_m2's order is reported:
+# source tokens, then for each edit in turn its span, correction, label and
+# annotator id, one record after another.
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        (
+            [M2Record(("a b",), (_edit(0, 2),))],
+            "record 0: invalid source token 'a b'",
+        ),
+        (
+            [M2Record(("a",), (_edit(0, 2, ("x|||y",)),))],
+            "record 0: span 0 2 out of range",
+        ),
+        (
+            [M2Record(("a",), (_edit(0, 1, ("x|||y",), label="T|"),))],
+            "record 0: invalid correction token 'x|||y'",
+        ),
+        (
+            [M2Record(("a",), (_edit(0, 1, label="T\t", annotator_id=-1),))],
+            "record 0: invalid type label 'T\\t'",
+        ),
+        (
+            [M2Record(("a",), (_edit(0, 1, label="T|"), _edit(0, 2)))],
+            "record 0: invalid type label 'T|'",
+        ),
+        (
+            [
+                M2Record(("a",), (_edit(0, 1, annotator_id=-1),)),
+                M2Record(("a b",), (_edit(0, 2),)),
+            ],
+            "record 0: negative annotator id -1",
+        ),
+    ],
+)
+def test_emit_reports_the_first_fault_in_check_order(records, message):
+    with pytest.raises(M2ValidationError) as info:
+        emit_m2(records)
+    assert str(info.value) == message
+
+
 def test_leading_and_inner_bars_round_trip():
     records = [
         M2Record(("a", "b"), (M2Edit(EditSpan(0, 1, ("|x", "a|", "y")), "|T", 0),)),
