@@ -91,8 +91,6 @@ def load_wordlist(text: str) -> frozenset[str]:
 
 def edit_distance(a: str, b: str) -> int:
     """Plain character-level Levenshtein distance."""
-    if len(a) < len(b):
-        a, b = b, a
     previous = list(range(len(b) + 1))
     for i, ca in enumerate(a, start=1):
         current = [i]

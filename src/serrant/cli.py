@@ -178,7 +178,10 @@ def _run_retype(args: argparse.Namespace) -> int:
 
 
 def _run_stats(args: argparse.Namespace) -> int:
-    records = parse_m2(read_input(args.m2))
+    text = read_input(args.m2)
+    if args.annotator is not None and args.annotator < 0:
+        raise ConfigurationError(f"annotator id must be >= 0, got {args.annotator}")
+    records = parse_m2(text)
     distribution = type_distribution(records, annotator_filter=args.annotator)
     _write_stdout([emit_report(distribution, args.report_format)])
     return 0

@@ -25,9 +25,10 @@ swaps in the SErCl pair:
   adjective/proper-noun alternations always keep the pair;
 * an ORTH base whose correction head is a proper noun (and whose source
   head is not) becomes the pair, unless the edit starts the sentence;
-* a VERB base re-separates auxiliaries: two auxiliary heads give ``Aux``, a
-  lone auxiliary head on a one-sided edit gives ``Aux``, a mixed
-  replacement gives the pair;
+* a VERB base re-separates auxiliaries: two auxiliary heads give ``Aux``,
+  and one auxiliary head gives the SErCl pair, which is ``Aux->Verb`` for a
+  mixed replacement and ``Aux`` for a lone auxiliary on a one-sided edit
+  (a one-sided body keeps only the present side, below);
 * a VERB:FORM base whose heads go noun to verb becomes the pair;
 * PRON and DET bases whose heads cross between pronoun and determiner
   become the pair;
@@ -202,8 +203,6 @@ def _pick_body(base: BaseType, sercl: SerclType, ctx: EditContext) -> str | Serc
     # only a POS base carries a payload (BaseType)
     if base.pos_payload == "VERB":
         if s == "AUX" and t == "AUX":
-            return _tag_body("AUX")
-        if (s == "AUX" and t is None) or (t == "AUX" and s is None):
             return _tag_body("AUX")
         if s == "AUX" or t == "AUX":
             return _sercl_body(sercl)

@@ -104,6 +104,7 @@ def test_detect_orthography_rejects_true_rewrites():
     assert not detect_orthography(_bare_edit(["dog"], ["cat"]))
     assert not detect_orthography(_bare_edit(["a"], []))
     assert not detect_orthography(_bare_edit([], ["a"]))
+    assert not detect_orthography(_bare_edit([], []))  # no letters on either side
 
 
 WORDLIST = load_wordlist("work\npen\nnecessary\ntrap\neat")
@@ -112,6 +113,9 @@ WORDLIST = load_wordlist("work\npen\nnecessary\ntrap\neat")
 def test_detect_spelling_accepts_close_oov_source():
     assert detect_spelling(_bare_edit(["werk"], ["work"]), WORDLIST)
     assert detect_spelling(_bare_edit(["necessry"], ["necessary"]), WORDLIST)
+    # "within max(1, ceil(len(correction) / 4))" (docstring) includes the
+    # limit: a length gap of 1 against the limit of 1 of a four-letter word
+    assert detect_spelling(_bare_edit(["wrk"], ["work"]), WORDLIST)
 
 
 def test_detect_spelling_rejects_known_source():
@@ -129,6 +133,9 @@ def test_detect_spelling_rejects_distant_forms():
 
 def test_detect_spelling_rejects_multi_token_edits():
     assert not detect_spelling(_bare_edit(["we", "rk"], ["work"]), WORDLIST)
+    # "single-token replacements" (docstring): one token on each side, so a
+    # close source with a correction of two tokens is no spelling fix either
+    assert not detect_spelling(_bare_edit(["wrk"], ["work", "hard"]), WORDLIST)
 
 
 def _old_detect_spelling(source: str, correction: str, wordlist: frozenset[str]) -> bool:
@@ -255,11 +262,25 @@ def test_verb_agreement():
         ("eats", "eat", "VERB", "Number=Sing|Person=3|Tense=Pres|VerbForm=Fin"),
     )
     assert got == BaseType(VERB_SVA)
+    # a Person or a Number change is agreement: either one alone is enough
+    got = one_to_one(
+        ("is", "be", "AUX", "Mood=Ind|Number=Sing|Person=3|Tense=Pres"),
+        ("are", "be", "AUX", "Mood=Ind|Number=Plur|Person=3|Tense=Pres"),
+    )
+    assert got == BaseType(VERB_SVA)
+    got = one_to_one(
+        ("am", "be", "AUX", "Mood=Ind|Number=Sing|Person=1|Tense=Pres"),
+        ("is", "be", "AUX", "Mood=Ind|Number=Sing|Person=3|Tense=Pres"),
+    )
+    assert got == BaseType(VERB_SVA)
 
 
 def test_adjective_degree():
     got = one_to_one(("big", "big", "ADJ", "Degree=Pos"), ("bigger", "big", "ADJ", "Degree=Cmp"))
     assert got == BaseType(ADJ_FORM)
+    # a Degree change between two adjectives only: an adverb keeps its tag
+    got = one_to_one(("fast", "fast", "ADV", "Degree=Pos"), ("faster", "fast", "ADV", "Degree=Cmp"))
+    assert got == BaseType(POS, "ADV")
 
 
 def test_verb_inflection_identical_features():
@@ -329,6 +350,16 @@ def test_multi_token_shared_tag_without_tense_change():
         1,
     )
     assert classify_base(build_context(edit, src, trg)) == BaseType(POS, "NOUN")
+    # VERB_TENSE needs verbal heads that differ in Tense; both heads here are "going"
+    edit, src, trg = make_edit(
+        [("it", "it", "PRON", ""), ("is", "be", "AUX", "Tense=Pres"), ("going", "go", "VERB", "VerbForm=Ger")],
+        [("it", "it", "PRON", ""), ("was", "be", "AUX", "Tense=Past"), ("going", "go", "VERB", "VerbForm=Ger")],
+        1,
+        3,
+        1,
+        3,
+    )
+    assert classify_base(build_context(edit, src, trg)) == BaseType(POS, "VERB")
 
 
 def test_multi_token_mixed_tags_are_other():

@@ -194,6 +194,21 @@ def test_stats_annotator_filter(golden, tmp_path, capsys):
     assert capsys.readouterr().out == "type\tcount\tfraction\n"
 
 
+def test_stats_rejects_a_negative_annotator_as_classify_does(golden, tmp_path, capsys):
+    assert main(classify_args(golden, tmp_path)) == 0
+    message = "serrant: annotator id must be >= 0, got -1\n"
+    assert main(classify_args(golden, tmp_path, "--annotator", "-1")) == 2
+    assert capsys.readouterr().err == message
+    assert main(["stats", "--m2", str(tmp_path / "out.m2"), "--annotator", "-1"]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+def test_stats_reports_a_missing_file_before_a_negative_annotator(tmp_path, capsys):
+    missing = str(tmp_path / "does-not-exist.m2")
+    assert main(["stats", "--m2", missing, "--annotator", "-1"]) == 1
+    assert capsys.readouterr().err == f"serrant: [Errno 2] No such file or directory: {missing!r}\n"
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

@@ -306,6 +306,21 @@ def test_verb_base_with_auxiliary_heads_is_aux():
     assert combine(base, sercl, ctx) == SerrantType("R", "Aux")
 
 
+def test_auxiliary_heads_are_aux_over_differing_features():
+    # "two auxiliary heads give Aux" (module docstring), not the qualified pair
+    # that the mixed-replacement rule below would give at upos+feats
+    got = typed(
+        [("if", "if", "SCONJ", ""), ("I", "i", "PRON", ""), ("was", "be", "AUX", "Mood=Ind|Tense=Past")],
+        [("if", "if", "SCONJ", ""), ("I", "i", "PRON", ""), ("were", "be", "AUX", "Mood=Sub|Tense=Past")],
+        2,
+        3,
+        2,
+        3,
+        granularity=GRANULARITY_UPOS_FEATS,
+    )
+    assert got == "R:Aux"
+
+
 def test_one_sided_auxiliary_is_aux():
     got = typed(
         [("we", "we", "PRON", ""), ("can", "can", "AUX", ""), ("go", "go", "VERB", "")],
@@ -338,6 +353,18 @@ def test_plain_verb_replacement_with_word_choice():
         2,
         1,
         2,
+    )
+    assert got == "R:Verb:WC"
+    # "a mixed replacement gives the pair" (module docstring): only a mixed
+    # one, so two verbs keep Verb at upos+feats, whatever features differ
+    got = typed(
+        [("I", "i", "PRON", ""), ("drove", "drive", "VERB", "Tense=Past")],
+        [("I", "i", "PRON", ""), ("ride", "ride", "VERB", "Tense=Pres")],
+        1,
+        2,
+        1,
+        2,
+        granularity=GRANULARITY_UPOS_FEATS,
     )
     assert got == "R:Verb:WC"
 
@@ -402,15 +429,20 @@ def test_determiner_base_without_cross_keeps_tag():
 
 
 def test_pronoun_replacement_same_lemma_has_no_word_choice():
-    got = typed(
-        [("see", "see", "VERB", ""), ("he", "he", "PRON", "Case=Nom")],
-        [("see", "see", "VERB", ""), ("him", "he", "PRON", "Case=Acc")],
-        1,
-        2,
-        1,
-        2,
-    )
-    assert got == "R:Pron"
+    # "PRON and DET bases whose heads cross between pronoun and determiner
+    # become the pair" (module docstring): two pronouns keep Pron at upos+feats
+    # too, where the pair would show the Case values
+    for granularity in ("upos", GRANULARITY_UPOS_FEATS):
+        got = typed(
+            [("see", "see", "VERB", ""), ("he", "he", "PRON", "Case=Nom")],
+            [("see", "see", "VERB", ""), ("him", "he", "PRON", "Case=Acc")],
+            1,
+            2,
+            1,
+            2,
+            granularity=granularity,
+        )
+        assert got == "R:Pron"
 
 
 # --- rule 7: tense bases split into Verb:Tense, Modal, and the pair ---------

@@ -8,6 +8,8 @@ import pickle
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN_ALL, GOLDEN_FLAGSHIP, golden_config, golden_inputs
 from serrant import pipeline
@@ -27,7 +29,7 @@ from serrant.pipeline import (
     run,
 )
 from oracles import reference_run
-from serrant.sercl import ARROW_UNICODE, GRANULARITY_UPOS, GRANULARITY_UPOS_FEATS
+from serrant.sercl import ARROW_UNICODE, GRANULARITIES, GRANULARITY_UPOS, GRANULARITY_UPOS_FEATS
 from synthgen import SyntheticCorpus
 
 
@@ -347,6 +349,43 @@ def test_run_gives_the_records_of_the_reference_pipeline(in_process_pool, corpus
             assert (name, run(config, inputs, worker_count)) == (name, expected)
     # worker_count 2 starts a pool for every case but the golden M2 alone, one shard
     assert len(in_process_pool.workers) == (4 if corpus == "golden" else 5)
+
+
+# the CoNLL-U texts each case gives: classify with both, one or neither, retype
+# with the original's or none
+_SYNTHETIC_CASES = {
+    "classify": ("conllu_orig", "conllu_cor"),
+    "classify-original-conllu": ("conllu_orig",),
+    "classify-corrected-conllu": ("conllu_cor",),
+    "classify-fallback": (),
+    "retype": ("conllu_orig",),
+    "retype-fallback": (),
+}
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    size=st.integers(1, 40),
+    seed=st.integers(0, 1000),
+    case=st.sampled_from(sorted(_SYNTHETIC_CASES)),
+    granularity=st.sampled_from(GRANULARITIES),
+    shard_chars=st.integers(50, 5000),
+    worker_count=st.sampled_from([1, 2, 4]),
+)
+def test_run_gives_the_reference_records_for_any_shard_budget(
+    in_process_pool, monkeypatch, size, seed, case, granularity, shard_chars, worker_count
+):
+    monkeypatch.setattr(pipeline, "_SHARD_CHARS", shard_chars)
+    corpus = SyntheticCorpus(size, seed)
+    config = PipelineConfig(granularity, frozenset(corpus.cor_text.lower().split()))
+    if case.startswith("retype"):
+        inputs = PipelineInputs(m2=corpus.untyped_m2())
+    else:
+        inputs = PipelineInputs(original=corpus.orig_text, corrected=corpus.cor_text)
+    inputs = inputs._replace(**{name: getattr(corpus, name) for name in _SYNTHETIC_CASES[case]})
+    assert run(config, inputs, worker_count) == reference_run(config, inputs)
 
 
 def test_parallel_rejects_bad_worker_count():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -62,3 +63,68 @@ def test_code_line_counter_skips_docstrings_comments_and_blank_lines(tmp_path):
         ["1", str(tmp_path / "pkg" / "b.py")],
         ["7", "total"],
     ]
+
+
+def _mutate_rules():
+    spec = importlib.util.spec_from_file_location("mutate_rules", SCRIPTS / "mutate_rules.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_RULES = '''from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import os
+
+
+class C:
+    def rule(self, a, b):
+        if a == 1 and (b
+                       is not None):
+            return a in b
+        if a == 1 and b is not None:
+            return 0 < a >= b
+        return ("→", a < b)
+'''
+
+
+def test_mutant_generator_names_and_applies_each_change():
+    mutate_rules = _mutate_rules()
+    got = list(mutate_rules.mutants(_RULES, "rules.py"))
+    condition = "a == 1 and b is not None"
+    assert [m.key for m in got] == [
+        f"rules.py C.rule: force True: {condition}",
+        f"rules.py C.rule: force False: {condition}",
+        f"rules.py C.rule: and -> or: {condition}",
+        "rules.py C.rule: == -> !=: a == 1",
+        "rules.py C.rule: is not -> is: b is not None",
+        "rules.py C.rule: in -> not in: a in b",
+        f"rules.py C.rule: force True: {condition} (occurrence 2)",
+        f"rules.py C.rule: force False: {condition} (occurrence 2)",
+        f"rules.py C.rule: and -> or: {condition} (occurrence 2)",
+        "rules.py C.rule: == -> !=: a == 1 (occurrence 2)",
+        "rules.py C.rule: is not -> is: b is not None (occurrence 2)",
+        "rules.py C.rule: < -> <=: 0 < a >= b",
+        "rules.py C.rule: >= -> >: 0 < a >= b",
+        "rules.py C.rule: < -> <=: a < b",
+    ]
+    lines = _RULES.splitlines()
+    for mutant in got:
+        # one expression changes, in parentheses; every line keeps its number
+        changed = [i for i, line in enumerate(mutant.source.splitlines()) if line != lines[i]]
+        assert len(mutant.source.splitlines()) == len(lines)
+        assert changed and all(8 <= i <= 13 for i in changed), mutant.key
+    assert got[1].source.splitlines()[8:10] == ["        if (False", "):"]
+    assert got[2].source.splitlines()[8] == "        if (a == 1 or b is not None"
+    assert got[-2].source.splitlines()[12] == "            return (0 < a > b)"
+    # ast counts columns in UTF-8 bytes: the change lands after the arrow
+    assert got[-1].source.splitlines()[13] == '        return ("→", (a <= b))'
+
+
+def test_every_listed_survivor_is_a_mutant_of_the_rule_modules_with_a_reason():
+    mutate_rules = _mutate_rules()
+    listed = mutate_rules.listed_survivors(mutate_rules.SURVIVORS.read_text(encoding="utf-8"))
+    keys = {mutant.key for mutant in mutate_rules.rule_mutants()}
+    assert listed and not listed.keys() - keys
+    assert all(reason for reason in listed.values())
