@@ -3,17 +3,21 @@
 Each mutant is ``src/serrant/combine.py``, ``base.py`` or ``sercl.py``
 with one change: one comparison flipped (``==``/``!=``, ``in``/``not in``,
 ``is``/``is not``, ``<``/``<=``, ``>``/``>=``), one ``and``/``or`` swapped,
-or one ``if`` test forced to ``True`` or to ``False`` (``if TYPE_CHECKING:``
-excepted).  The rule tests run against each mutant in a temporary copy of
-the tree; a mutant they all pass survives.  The check exits 1 when a
-survivor is not listed in ``tests/surviving_mutants.txt``, or when a listed
-mutant no longer survives, and 0 otherwise.  It tests one mutant per
-usable core at a time.
+or one ``if`` test or ``lambda`` body forced to ``True`` or to ``False``
+(``if TYPE_CHECKING:`` excepted).  A ``lambda`` is the test of a row of a
+rule table, so each row is forced as an ``if`` branch is; a row that always
+matches carries ``None`` and has no such mutant.  The rule tests run against
+each mutant in a temporary copy of the tree; a mutant they all pass
+survives.  The check exits 1 when a survivor is not listed in
+``tests/surviving_mutants.txt``, or when a listed mutant no longer
+survives, and 0 otherwise.  It tests one mutant per usable core at a time.
 
-A mutant is named by its module, the function around it, the condition it
-changes (as ``ast.unparse`` writes it) and the change, for example::
+A mutant is named by its module, the function around it (or the name of
+the module-level assignment around it, such as a rule table), the condition
+it changes (as ``ast.unparse`` writes it) and the change, for example::
 
     combine.py _side: force False: end - start == 1
+    combine.py _RULES: force True: s == 'PROPN'
 
 A condition that occurs more than once in a function with the same change
 gets `` (occurrence N)`` from the second on.  Each entry of the list is such
@@ -110,6 +114,17 @@ class _Points(ast.NodeVisitor):
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _nested
 
+    def visit_Assign(self, node: ast.Assign) -> None:
+        (target, *others) = node.targets
+        if self.scope or others or not isinstance(target, ast.Name):
+            self.generic_visit(node)
+            return
+        # a module-level table, such as the rules of combine.py, names the
+        # mutants of its rows
+        self.scope.append(target.id)
+        self.generic_visit(node)
+        self.scope.pop()
+
     def _add(self, node: ast.expr, mutation: str, replacement: str) -> None:
         self.points.append((".".join(self.scope) or "<module>", node, mutation, replacement))
 
@@ -118,6 +133,11 @@ class _Points(ast.NodeVisitor):
             self._add(node.test, "force True", "True")
             self._add(node.test, "force False", "False")
             self.generic_visit(node)
+
+    def visit_Lambda(self, node: ast.Lambda) -> None:
+        self._add(node.body, "force True", "True")
+        self._add(node.body, "force False", "False")
+        self.generic_visit(node)
 
     def visit_Compare(self, node: ast.Compare) -> None:
         for i, op in enumerate(node.ops):

@@ -161,7 +161,7 @@ def classify_base(ctx: EditContext, wordlist: frozenset[str] | None = None) -> B
     tags = {surface_tag(t.upos) for t in src_tokens} | {surface_tag(t.upos) for t in trg_tokens}
     if len(tags) == 1:
         src_head, trg_head = ctx.src_head, ctx.trg_head
-        if _both_verbal(src_head, trg_head) and _differ(src_head, trg_head, "Tense"):
+        if _verbal(src_head) and _differ(src_head, trg_head, "Tense"):
             return _shared(VERB_TENSE)
         return _shared(POS, tags.pop())
 
@@ -173,11 +173,11 @@ def _one_to_one(src: Token, trg: Token) -> BaseType:
     if src.lemma == trg.lemma and same_tag:
         if src.upos == "NOUN" and trg.upos == "NOUN" and _differ(src, trg, "Number"):
             return _shared(NOUN_NUM)
-        if _both_verbal(src, trg) and _differ(src, trg, "Tense"):
+        if _verbal(src) and _differ(src, trg, "Tense"):
             return _shared(VERB_TENSE)
-        if _both_verbal(src, trg) and _differ(src, trg, "VerbForm"):
+        if _verbal(src) and _differ(src, trg, "VerbForm"):
             return _shared(VERB_FORM)
-        if _both_verbal(src, trg) and (_differ(src, trg, "Person") or _differ(src, trg, "Number")):
+        if _verbal(src) and (_differ(src, trg, "Person") or _differ(src, trg, "Number")):
             return _shared(VERB_SVA)
         if src.upos == "ADJ" and trg.upos == "ADJ" and _differ(src, trg, "Degree"):
             return _shared(ADJ_FORM)
@@ -194,8 +194,13 @@ def _one_to_one(src: Token, trg: Token) -> BaseType:
     return _shared(OTHER)
 
 
-def _both_verbal(src: Token, trg: Token) -> bool:
-    return src.upos in ("VERB", "AUX") and trg.upos in ("VERB", "AUX")
+def _verbal(token: Token) -> bool:
+    """VERB or AUX, the two tags whose surface tag is VERB.
+
+    Every caller has made both sides share one surface tag, so one token
+    is verbal exactly when the other is.
+    """
+    return token.upos in ("VERB", "AUX")
 
 
 def _differ(src: Token, trg: Token, feature: str) -> bool:

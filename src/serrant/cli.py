@@ -129,7 +129,9 @@ def read_input(path: str | None) -> str | None:
     """Read a UTF-8 input file as it is, without newline translation; ``None`` for no path.
 
     Each parser then applies its own line rule, so a file read here parses
-    as its text does when passed to the parser directly.
+    as its text does when passed to the parser directly.  A byte-order mark
+    at the start of the file is dropped, and only there: a file saved with
+    one reads as its copy without it.
 
     Raises:
         OSError: when the file cannot be read.
@@ -138,7 +140,7 @@ def read_input(path: str | None) -> str | None:
     """
     if path is None:
         return None
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         try:
             return handle.read()
         except UnicodeDecodeError as exc:

@@ -14,27 +14,10 @@ named tuples, and every tag or tag-pair body is a shared
 :class:`~serrant.sercl.SerclType` rendered through the bounded caches of
 :mod:`serrant.sercl`.
 
-Bodies come from the base category unless one of the combination rules
-swaps in the SErCl pair:
-
-* an OTHER base becomes the SErCl pair, except that edits touching the
-  unreliable tags (interjections, numerals, symbols, X, punctuation) or
-  turning a proper noun into something else stay OTHER, while a pair of
-  proper nouns collapses to ``Propn``;
-* a MORPH base becomes the SErCl pair under the same screen, except that
-  adjective/proper-noun alternations always keep the pair;
-* an ORTH base whose correction head is a proper noun (and whose source
-  head is not) becomes the pair, unless the edit starts the sentence;
-* a VERB base re-separates auxiliaries: two auxiliary heads give ``Aux``,
-  and one auxiliary head gives the SErCl pair, which is ``Aux->Verb`` for a
-  mixed replacement and ``Aux`` for a lone auxiliary on a one-sided edit
-  (a one-sided body keeps only the present side, below);
-* a VERB:FORM base whose heads go noun to verb becomes the pair;
-* PRON and DET bases whose heads cross between pronoun and determiner
-  become the pair;
-* a VERB:TENSE base is kept when both sides are anchored by be/have lemmas
-  or the wordform "will"; a pair of modal verbs becomes ``Modal``; anything
-  else becomes the SErCl pair.
+Bodies come from :data:`_RULES`, the combination rules as one ordered
+table: the first row that matches an edit's base and head tags picks the
+body, and the comment on each row says what it decides.  A part-of-speech
+base that no row matches keeps its collapsed tag.
 
 One-sided edits drop the absent side from a SErCl body: the prefix already
 encodes the direction, so a deleted verb is ``U:Verb``, not ``U:Verb->None``.
@@ -65,19 +48,6 @@ REPLACEMENT = "R"
 
 WORD_CHOICE = "WC"
 MULTI_WORD = "MW"
-
-_NAMED_BODIES = {
-    base_types.SPELL: "Spell",
-    base_types.ORTH: "Orth",
-    base_types.MORPH: "Morph",
-    base_types.OTHER: "Other",
-    base_types.VERB_TENSE: "Verb:Tense",
-    base_types.VERB_FORM: "Verb:Form",
-    base_types.VERB_INFL: "Verb:Infl",
-    base_types.VERB_SVA: "Verb:SVA",
-    base_types.NOUN_NUM: "Noun:Num",
-    base_types.ADJ_FORM: "Adj:Form",
-}
 
 
 class EditContext(NamedTuple):
@@ -140,19 +110,7 @@ def _side(
 
 
 def combine(base: BaseType, sercl: SerclType, ctx: EditContext) -> SerrantType:
-    """Produce the final type from both classifications and the edit context.
-
-    Two combination rules cannot fire on the base types that
-    :func:`~serrant.base.classify_base` gives, so they change no label of
-    ``classify_edit`` and act only when ``combine`` is called directly:
-
-    * the VERB:FORM noun-to-verb rule, since VERB:FORM is given only to
-      one-to-one edits whose tokens are both VERB or AUX;
-    * the PRON/DET crossing rule, since a PRON or DET base is given only
-      when every token on both sides carries that one tag.
-
-    Both are SERRANT's rules and are kept.
-    """
+    """Produce the final type from both classifications and the edit context."""
     _, src_tokens, trg_tokens, src_head, trg_head = ctx
     if not src_tokens:
         op = MISSING
@@ -169,70 +127,10 @@ def combine(base: BaseType, sercl: SerclType, ctx: EditContext) -> SerrantType:
     if op == REPLACEMENT and body.collapsed and src_head.lemma != trg_head.lemma:
         suffixes.append(WORD_CHOICE)
     multi_word = len(src_tokens) > 1 or len(trg_tokens) > 1
-    if multi_word and not (body.left.qualifiers or body.right.qualifiers):
+    # a body qualifies both its sides or neither
+    if multi_word and not body.left.qualifiers:
         suffixes.append(MULTI_WORD)
     return SerrantType(op, render(body), tuple(suffixes))
-
-
-def _pick_body(base: BaseType, sercl: SerclType, ctx: EditContext) -> str | SerclType:
-    """The body a rule picks: a named body, or the tag or tag pair the label shows."""
-    category = base.category
-    _, src_tokens, trg_tokens, src_head, trg_head = ctx
-    s = src_head.upos if src_head is not None else None
-    t = trg_head.upos if trg_head is not None else None
-
-    if category == base_types.OTHER:
-        if _screened(s, t):
-            return _NAMED_BODIES[base_types.OTHER]
-        if s == "PROPN" and t == "PROPN":
-            return _tag_body("PROPN")
-        return _sercl_body(sercl)
-
-    if category == base_types.MORPH:
-        if {s, t} == {"ADJ", "PROPN"}:
-            return _sercl_body(sercl)
-        if _screened(s, t):
-            return _NAMED_BODIES[base_types.OTHER]
-        return _sercl_body(sercl)
-
-    if category == base_types.ORTH:
-        if not ctx.sentence_initial and t == "PROPN" and s != "PROPN":
-            return _sercl_body(sercl)
-        return _NAMED_BODIES[base_types.ORTH]
-
-    # only a POS base carries a payload (BaseType)
-    if base.pos_payload == "VERB":
-        if s == "AUX" and t == "AUX":
-            return _tag_body("AUX")
-        if s == "AUX" or t == "AUX":
-            return _sercl_body(sercl)
-        return _tag_body("VERB")
-
-    if category == base_types.VERB_FORM:
-        if s == "NOUN" and t == "VERB":
-            return _sercl_body(sercl)
-        return _NAMED_BODIES[base_types.VERB_FORM]
-
-    if base.pos_payload in ("PRON", "DET"):
-        if {s, t} == {"PRON", "DET"}:
-            return _sercl_body(sercl)
-        return _tag_body(base.pos_payload)
-
-    if category == base_types.VERB_TENSE:
-        if _tense_anchored(src_tokens) and _tense_anchored(trg_tokens):
-            return _NAMED_BODIES[base_types.VERB_TENSE]
-        if (
-            len(src_tokens) == 1
-            and len(trg_tokens) == 1
-            and src_tokens[0].form.lower() in MODAL_FORMS
-            and trg_tokens[0].form.lower() in MODAL_FORMS
-        ):
-            return "Modal"
-        return _sercl_body(sercl)
-
-    if category == base_types.POS:
-        return _tag_body(base.pos_payload)
-    return _NAMED_BODIES[category]
 
 
 def _screened(s: str | None, t: str | None) -> bool:
@@ -240,8 +138,14 @@ def _screened(s: str | None, t: str | None) -> bool:
     return s in UNRELIABLE_TAGS or t in UNRELIABLE_TAGS or (s == "PROPN") != (t == "PROPN")
 
 
-def _tense_anchored(tokens: tuple[Token, ...]) -> bool:
+def _anchored(tokens: tuple[Token, ...]) -> bool:
+    """A be or have lemma, or the wordform "will", among ``tokens``."""
     return any(t.lemma in TENSE_LEMMAS or t.form.lower() == "will" for t in tokens)
+
+
+def _modal(tokens: tuple[Token, ...]) -> bool:
+    """One token, a modal verb."""
+    return len(tokens) == 1 and tokens[0].form.lower() in MODAL_FORMS
 
 
 def _tag_body(tag: str) -> SerclType:
@@ -258,3 +162,73 @@ def _sercl_body(sercl: SerclType) -> SerclType:
     else:
         return sercl
     return shared_type(side, side)
+
+
+# the body of a row that takes the SErCl pair
+_PAIR = None
+
+# The combination rules: (base, test, body) rows, in order.  A row's base is
+# a base category, or the surface tag of a POS base; its test takes the head
+# tags s and t (None for an absent side) and the EditContext, and None
+# always passes; its body is a named body, a collapsed tag or _PAIR.
+_RULES = (
+    # unreliable heads, and a proper noun on one side only, stay Other
+    (base_types.OTHER, lambda s, t, ctx: _screened(s, t), "Other"),
+    # two proper nouns, whatever their features, collapse to Propn
+    (base_types.OTHER, lambda s, t, ctx: s == "PROPN", _tag_body("PROPN")),
+    (base_types.OTHER, None, _PAIR),
+    # adjective/proper-noun alternations keep the pair past the screen
+    (base_types.MORPH, lambda s, t, ctx: {s, t} == {"ADJ", "PROPN"}, _PAIR),
+    (base_types.MORPH, lambda s, t, ctx: _screened(s, t), "Other"),
+    (base_types.MORPH, None, _PAIR),
+    # a word recapitalised into a proper noun is a retag, but not at the start
+    (
+        base_types.ORTH,
+        lambda s, t, ctx: t == "PROPN" and s != "PROPN" and not ctx.sentence_initial,
+        _PAIR,
+    ),
+    (base_types.ORTH, None, "Orth"),
+    # VERB bases separate auxiliaries back out: two auxiliary heads are Aux,
+    # one is the pair (Aux->Verb, or Aux on a one-sided edit)
+    ("VERB", lambda s, t, ctx: s == "AUX" and t == "AUX", _tag_body("AUX")),
+    ("VERB", lambda s, t, ctx: s == "AUX" or t == "AUX", _PAIR),
+    # noun-to-verb heads keep the pair; classify_base cannot reach this row,
+    # as it gives VERB:FORM only to one-to-one edits of VERB or AUX tokens
+    (base_types.VERB_FORM, lambda s, t, ctx: s == "NOUN" and t == "VERB", _PAIR),
+    (base_types.VERB_FORM, None, "Verb:Form"),
+    # heads that cross between pronoun and determiner keep the pair;
+    # classify_base cannot reach these rows, as it gives a PRON or DET base
+    # only when every token on both sides carries that one tag
+    ("PRON", lambda s, t, ctx: {s, t} == {"PRON", "DET"}, _PAIR),
+    ("DET", lambda s, t, ctx: {s, t} == {"PRON", "DET"}, _PAIR),
+    # tense changes anchored on both sides stay Verb:Tense, a modal for a
+    # modal is Modal, and any other tense change is the pair
+    (
+        base_types.VERB_TENSE,
+        lambda s, t, ctx: _anchored(ctx.src_tokens) and _anchored(ctx.trg_tokens),
+        "Verb:Tense",
+    ),
+    (
+        base_types.VERB_TENSE,
+        lambda s, t, ctx: _modal(ctx.src_tokens) and _modal(ctx.trg_tokens),
+        "Modal",
+    ),
+    (base_types.VERB_TENSE, None, _PAIR),
+    # the categories no rule changes keep their named bodies
+    (base_types.SPELL, None, "Spell"),
+    (base_types.VERB_INFL, None, "Verb:Infl"),
+    (base_types.VERB_SVA, None, "Verb:SVA"),
+    (base_types.NOUN_NUM, None, "Noun:Num"),
+    (base_types.ADJ_FORM, None, "Adj:Form"),
+)
+
+
+def _pick_body(base: BaseType, sercl: SerclType, ctx: EditContext) -> str | SerclType:
+    """The body of the first row of :data:`_RULES` that matches, or a POS base's tag."""
+    key = base.pos_payload or base.category
+    s = ctx.src_head.upos if ctx.src_head is not None else None
+    t = ctx.trg_head.upos if ctx.trg_head is not None else None
+    for row_base, test, body in _RULES:
+        if row_base == key and (test is None or test(s, t, ctx)):
+            return _sercl_body(sercl) if body is _PAIR else body
+    return _tag_body(key)

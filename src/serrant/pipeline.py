@@ -30,10 +30,12 @@ shard's records into what the caller keeps (the command line keeps M2
 text and label counts) where the shard was typed, so no run need hold the
 records of the whole corpus.
 
-A shard plan has one fail-over, taken in ``run`` alone: when the cut fails
-(the texts hold different numbers of items), the pool cannot start (on a
-platform without named semaphores too), a worker dies, or a shard raises
-an error, the parent types the whole corpus as one shard and returns or
+A shard plan has two fail-overs.  When the pool cannot start (on a
+platform without named semaphores too) or breaks (a worker dies), the
+parent cuts the inputs again and types those shards one at a time itself,
+so it still holds one shard's sentences and records at a time.  When the
+cut fails (the texts hold different numbers of items) or a shard raises
+an error, ``run`` types the whole corpus as one shard and returns or
 raises what that gives, the serial result or error.
 """
 
@@ -118,12 +120,13 @@ def run(
     With ``worker_count`` above 1, two shards or more and two usable cores
     or more, the shards are typed by worker processes, at most one per
     usable core, each with the cyclic garbage collector off; otherwise they
-    are typed in this process.  Output is identical for any worker count
-    and any shard plan, and so is the error raised on bad input: when the
-    texts hold different numbers of items, the pool cannot start (on a
-    platform without named semaphores too), a worker dies, or a shard
-    raises an error, this function catches it, types and finishes the whole
-    corpus as one shard itself, and returns or raises what that does.
+    are typed in this process, as they are when the pool cannot start (on
+    a platform without named semaphores too) or a worker dies.  Output is
+    identical for any worker count and any shard plan, and so is the error
+    raised on bad input: when the texts hold different numbers of items or
+    a shard raises an error, this function catches it, types and finishes
+    the whole corpus as one shard itself, and returns or raises what that
+    does.
     """
     if worker_count < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {worker_count}")
@@ -131,12 +134,9 @@ def run(
     task = partial(_type_shard, retype=_is_retype(inputs), config=config, finish=finish)
     try:
         parts = _type_shards(task, inputs, worker_count)
-    except (SerrantError, OSError, RuntimeError):
-        # OSError and RuntimeError cover a pool that cannot start (OSError,
-        # NotImplementedError) or that breaks (BrokenExecutor); any other
-        # RuntimeError is raised again below.  The whole corpus is typed once
-        # this handler has ended and freed the failed plan's shards (see
-        # _type_shards).
+    except SerrantError:
+        # The whole corpus is typed once this handler has ended and freed the
+        # failed plan's shards (see _type_shards).
         parts = None
     if parts is None:
         parts = [task(inputs)]
@@ -208,43 +208,51 @@ def _type_shards(task: _Task, inputs: PipelineInputs, worker_count: int) -> list
     """Cut the inputs into shards and return what ``task`` gives for each, in order.
 
     The shards go to ``min(worker_count, shards, usable cores)`` worker
-    processes when that is above 1; otherwise this process types them one
-    at a time.  Raises what the cut, the pool or a shard raises.
+    processes when that is above 1; otherwise, or when the pool cannot
+    start or breaks, this process types them one at a time, from a fresh
+    cut.  Raises what the cut or a shard raises.
     """
     # A function of its own: its frame holds the shard being typed, and is
     # freed with the exception once the handler in run ends.
     count, shards = _cut(inputs)
     workers = min(worker_count, count, _usable_cores())
     if workers > 1:
-        return _type_on_pool(task, shards, workers)
+        parts = _type_on_pool(task, shards, workers)
+        if parts is not None:
+            return parts
+        _, shards = _cut(inputs)
     return [task(shard) for shard in shards]
 
 
-def _type_on_pool(task: _Task, shards: Iterator[PipelineInputs], workers: int) -> list:
-    """Apply ``task`` to each shard on ``workers`` processes; raise what the pool or a shard raises.
+def _type_on_pool(task: _Task, shards: Iterator[PipelineInputs], workers: int) -> list | None:
+    """Apply ``task`` to each shard on ``workers`` processes; raise what a shard raises.
 
-    Only a few shards more than there are workers are sliced and queued at
-    a time, and on a failure the queued ones are dropped, not typed.
+    Returns None when the pool cannot start or breaks.  Only a few shards
+    more than there are workers are sliced and queued at a time, and on a
+    failure the queued ones are dropped, not typed.
     """
     # imported here, so that a serial run does not load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     # The platform's default start method: "spawn" would re-run the caller's
     # main module in every worker, which breaks scripts that call this
     # without an ``if __name__ == "__main__"`` guard.  The task, the config's
     # wordlist included, goes to each worker once; each shard sends only its texts.
-    executor = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(task,))
     try:
-        queued = deque()
-        parts = []
-        for shard in shards:
-            queued.append(executor.submit(_run_in_worker, shard))
-            if len(queued) > 2 * workers:
-                parts.append(queued.popleft().result())
-        parts.extend(future.result() for future in queued)
-        return parts
-    finally:
-        executor.shutdown(cancel_futures=True)
+        executor = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(task,))
+        try:
+            queued = deque()
+            parts = []
+            for shard in shards:
+                queued.append(executor.submit(_run_in_worker, shard))
+                if len(queued) > 2 * workers:
+                    parts.append(queued.popleft().result())
+            parts.extend(future.result() for future in queued)
+            return parts
+        finally:
+            executor.shutdown(cancel_futures=True)
+    except (OSError, NotImplementedError, BrokenExecutor):  # the pool's own failures
+        return None
 
 
 # the task a worker process runs on each of its shards, set by _start_worker

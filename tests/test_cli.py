@@ -867,6 +867,45 @@ def test_jobs_agree_on_input_that_is_not_utf8(sharded, capfd, name):
     assert (code, err) == (1, message)
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def _with_bom(path: str) -> str:
+    """A copy of the file at ``path`` with a byte-order mark in front."""
+    copy = Path(path).with_name("bom-" + Path(path).name)
+    copy.write_bytes(BOM + Path(path).read_bytes())
+    return str(copy)
+
+
+@pytest.mark.parametrize("flag", ["--orig", "--cor", "--conllu-orig", "--conllu-cor", "--wordlist"])
+def test_a_byte_order_mark_leaves_a_classify_input_as_it_was(golden, tmp_path, flag):
+    # "work" first, so that the spelling edit werk -> work needs the first word
+    words = sorted(golden_wordlist_words() - {"work"})
+    Path(golden["wordlist"]).write_text("\n".join(["work", *words]) + "\n", encoding="utf-8")
+    args = classify_args(golden, tmp_path, "--report", str(tmp_path / "report.tsv"))
+    assert main(args) == 0
+    plain = [(tmp_path / name).read_bytes() for name in ("out.m2", "report.tsv")]
+    assert b"A 1 2|||R:Spell|||work|||" in plain[0]
+    args[args.index(flag) + 1] = _with_bom(args[args.index(flag) + 1])
+    assert main(args) == 0
+    assert [(tmp_path / name).read_bytes() for name in ("out.m2", "report.tsv")] == plain
+
+
+@pytest.mark.parametrize("command", ["retype", "stats"])
+def test_a_byte_order_mark_leaves_an_m2_input_as_it_was(golden, tmp_path, capfd, command):
+    assert main(classify_args(golden, tmp_path)) == 0
+    m2 = tmp_path / "out.m2"
+    capfd.readouterr()
+    assert main([command, "--m2", str(m2)]) == 0
+    plain = capfd.readouterr()
+    assert main([command, "--m2", _with_bom(str(m2))]) == 0
+    assert capfd.readouterr() == plain
+    # the mark moves no byte or line of the UTF-8 error message
+    m2.write_bytes(BOM + _not_utf8(m2.read_text(encoding="utf-8"), 2))
+    assert main([command, "--m2", str(m2)]) == 1
+    assert capfd.readouterr().err == f"serrant: {m2}: not valid UTF-8: byte 0xff on line 2\n"
+
+
 @pytest.mark.parametrize("command", ["retype", "stats"])
 def test_m2_that_is_not_utf8_is_exit_1(tmp_path, capfd, command):
     path = tmp_path / "in.m2"

@@ -21,8 +21,10 @@ from serrant.base import (
     VERB_SVA,
     VERB_TENSE,
     BaseType,
+    classify_base,
 )
 from serrant.combine import (
+    _RULES,
     MODAL_FORMS,
     EditContext,
     SerrantType,
@@ -36,6 +38,7 @@ from serrant.sercl import (
     GRANULARITY_UPOS_FEATS,
     SerclSide,
     SerclType,
+    classify_sercl,
 )
 from serrant.ud import Token, fallback_annotate
 from test_base import WORDLIST, make_edit
@@ -307,8 +310,8 @@ def test_verb_base_with_auxiliary_heads_is_aux():
 
 
 def test_auxiliary_heads_are_aux_over_differing_features():
-    # "two auxiliary heads give Aux" (module docstring), not the qualified pair
-    # that the mixed-replacement rule below would give at upos+feats
+    # "two auxiliary heads are Aux" (the rule table), not the qualified pair
+    # that the mixed-replacement row would give at upos+feats
     got = typed(
         [("if", "if", "SCONJ", ""), ("I", "i", "PRON", ""), ("was", "be", "AUX", "Mood=Ind|Tense=Past")],
         [("if", "if", "SCONJ", ""), ("I", "i", "PRON", ""), ("were", "be", "AUX", "Mood=Sub|Tense=Past")],
@@ -355,8 +358,8 @@ def test_plain_verb_replacement_with_word_choice():
         2,
     )
     assert got == "R:Verb:WC"
-    # "a mixed replacement gives the pair" (module docstring): only a mixed
-    # one, so two verbs keep Verb at upos+feats, whatever features differ
+    # "one [auxiliary head] is the pair" (the rule table): only a mixed
+    # replacement, so two verbs keep Verb at upos+feats, whatever features differ
     got = typed(
         [("I", "i", "PRON", ""), ("drove", "drive", "VERB", "Tense=Past")],
         [("I", "i", "PRON", ""), ("ride", "ride", "VERB", "Tense=Pres")],
@@ -426,12 +429,23 @@ def test_determiner_base_without_cross_keeps_tag():
     sercl = pair("DET", "DET")
     ctx = context(src_head_upos="DET", trg_head_upos="DET", src_head_lemma="a", trg_head_lemma="the")
     assert combine(base, sercl, ctx) == SerrantType("R", "Det", ("WC",))
+    # at upos+feats too, where the pair would show the Definite values
+    got = typed(
+        [("see", "see", "VERB", ""), ("a", "a", "DET", "Definite=Ind")],
+        [("see", "see", "VERB", ""), ("the", "the", "DET", "Definite=Def")],
+        1,
+        2,
+        1,
+        2,
+        granularity=GRANULARITY_UPOS_FEATS,
+    )
+    assert got == "R:Det:WC"
 
 
 def test_pronoun_replacement_same_lemma_has_no_word_choice():
-    # "PRON and DET bases whose heads cross between pronoun and determiner
-    # become the pair" (module docstring): two pronouns keep Pron at upos+feats
-    # too, where the pair would show the Case values
+    # "heads that cross between pronoun and determiner keep the pair" (the
+    # rule table): two pronouns keep Pron at upos+feats too, where the pair
+    # would show the Case values
     for granularity in ("upos", GRANULARITY_UPOS_FEATS):
         got = typed(
             [("see", "see", "VERB", ""), ("he", "he", "PRON", "Case=Nom")],
@@ -532,6 +546,120 @@ def test_modal_forms_cover_the_nine_modals():
         "would",
         "must",
     }
+
+
+# --- the rule table: one example per row -----------------------------------
+
+
+def _classified(src_entries, trg_entries, start, end, cor_start, cor_end, granularity="upos"):
+    """(base, SErCl type, context) of an edit, as classify_edit computes them."""
+    edit, src, trg = make_edit(src_entries, trg_entries, start, end, cor_start, cor_end)
+    ctx = build_context(edit, src, trg)
+    return classify_base(ctx, WORDLIST), classify_sercl(ctx, granularity), ctx
+
+
+def _one(src_entry, trg_entry):
+    """(base, SErCl type, context) of a one-token replacement at the start of a sentence."""
+    return _classified([src_entry], [trg_entry], 0, 1, 0, 1)
+
+
+# row of the rule table -> (base, SErCl type, context) of an edit that the
+# row decides, and its label; the rows that classify_base cannot reach take
+# hand-built bases and contexts
+_ROW_EXAMPLES = {
+    0: (_one(("two", "two", "NUM", ""), ("oh", "oh", "INTJ", "")), "R:Other"),
+    1: (
+        _classified(
+            [("the", "the", "DET", ""), ("Paris", "paris", "PROPN", "Number=Sing")],
+            [("Londons", "london", "PROPN", "Number=Plur")],
+            0,
+            2,
+            0,
+            1,
+            GRANULARITY_UPOS_FEATS,
+        ),
+        "R:Propn:WC:MW",
+    ),
+    2: (_one(("these", "this", "PRON", ""), ("their", "they", "DET", "")), "R:Pron->Det"),
+    3: (_one(("english", "england", "ADJ", ""), ("England", "england", "PROPN", "")), "R:Adj->Propn"),
+    4: (_one(("Paris", "paris", "PROPN", ""), ("parisian", "paris", "NOUN", "")), "R:Other"),
+    5: (_one(("trap", "trap", "NOUN", ""), ("trapped", "trap", "VERB", "")), "R:Noun->Verb"),
+    6: (
+        _classified(
+            [("for", "for", "ADP", ""), ("pen", "pen", "NOUN", "")],
+            [("for", "for", "ADP", ""), ("Pen", "pen", "PROPN", "")],
+            1,
+            2,
+            1,
+            2,
+        ),
+        "R:Noun->Propn",
+    ),
+    7: (_one(("pen", "pen", "NOUN", ""), ("Pen", "pen", "PROPN", "")), "R:Orth"),
+    8: (_one(("was", "be", "AUX", "Mood=Ind"), ("were", "be", "AUX", "Mood=Sub")), "R:Aux"),
+    9: (_one(("is", "be", "AUX", ""), ("runs", "run", "VERB", "")), "R:Aux->Verb"),
+    10: (
+        (BaseType(VERB_FORM), pair("NOUN", "VERB"), context(src_head_upos="NOUN", trg_head_upos="VERB")),
+        "R:Noun->Verb",
+    ),
+    11: (
+        _one(("eat", "eat", "VERB", "VerbForm=Inf"), ("eating", "eat", "VERB", "VerbForm=Ger")),
+        "R:Verb:Form",
+    ),
+    12: (
+        (BaseType(POS, "PRON"), pair("PRON", "DET"), context(src_head_upos="PRON", trg_head_upos="DET")),
+        "R:Pron->Det",
+    ),
+    13: (
+        (BaseType(POS, "DET"), pair("DET", "PRON"), context(src_head_upos="DET", trg_head_upos="PRON")),
+        "R:Det->Pron",
+    ),
+    14: (_one(("is", "be", "AUX", ""), ("has", "have", "AUX", "")), "R:Verb:Tense"),
+    15: (_one(("can", "can", "AUX", ""), ("could", "could", "AUX", "")), "R:Modal"),
+    16: (_one(("eat", "eat", "VERB", "Tense=Pres"), ("ate", "eat", "VERB", "Tense=Past")), "R:Verb"),
+    17: (_one(("werk", "werk", "NOUN", ""), ("work", "work", "NOUN", "")), "R:Spell"),
+    18: (
+        _one(("eated", "eat", "VERB", "Tense=Past"), ("ate", "eat", "VERB", "Tense=Past")),
+        "R:Verb:Infl",
+    ),
+    19: (
+        _one(("go", "go", "VERB", "Number=Plur"), ("goes", "go", "VERB", "Number=Sing")),
+        "R:Verb:SVA",
+    ),
+    20: (
+        _one(("cat", "cat", "NOUN", "Number=Sing"), ("cats", "cat", "NOUN", "Number=Plur")),
+        "R:Noun:Num",
+    ),
+    21: (
+        _one(("big", "big", "ADJ", "Degree=Pos"), ("bigger", "big", "ADJ", "Degree=Cmp")),
+        "R:Adj:Form",
+    ),
+}
+
+
+def _deciding_row(base, ctx):
+    """The index of the first row of the rule table that matches, or None."""
+    key = base.pos_payload or base.category
+    s = ctx.src_head.upos if ctx.src_head is not None else None
+    t = ctx.trg_head.upos if ctx.trg_head is not None else None
+    for index, (row_base, test, _) in enumerate(_RULES):
+        if row_base == key and (test is None or test(s, t, ctx)):
+            return index
+    return None
+
+
+@pytest.mark.parametrize("row", range(len(_RULES)))
+def test_each_rule_row_decides_its_example(row):
+    assert row in _ROW_EXAMPLES, f"row {row} of the rule table has no example"
+    (base, sercl, ctx), label = _ROW_EXAMPLES[row]
+    assert _deciding_row(base, ctx) == row
+    assert combine(base, sercl, ctx).render() == label
+
+
+def test_a_pos_base_no_row_matches_keeps_its_collapsed_tag():
+    base, sercl, ctx = _one(("cat", "cat", "NOUN", ""), ("dog", "dog", "NOUN", ""))
+    assert _deciding_row(base, ctx) is None
+    assert combine(base, sercl, ctx).render() == "R:Noun:WC"
 
 
 # --- suffixes ---------------------------------------------------------------

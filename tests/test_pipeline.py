@@ -314,6 +314,35 @@ def test_a_pool_that_cannot_start_gives_the_serial_records(monkeypatch, small_sh
         assert run(config, inputs, 2) == serial
 
 
+def test_a_pool_that_cannot_start_leaves_the_parent_typing_shard_by_shard(
+    monkeypatch, small_shards
+):
+    corpus = SyntheticCorpus(40, seed=3)
+    config = PipelineConfig()
+    inputs = PipelineInputs(original=corpus.orig_text, corrected=corpus.cor_text)
+    serial = run(config, inputs)
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def cannot_start(*args, **kwargs):
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", cannot_start)
+    typed = []
+    type_shard = pipeline._type_shard
+
+    def recording(shard, **kwargs):
+        typed.append(shard)
+        return type_shard(shard, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_type_shard", recording)
+    assert run(config, inputs, worker_count=2) == serial
+    # each shard once, in order, and never the whole corpus as one shard
+    count, shards = pipeline._cut(inputs)
+    assert count > 1
+    assert typed == list(shards)
+    assert inputs not in typed
+
+
 def _reference_cases(corpus: str, granularity: str):
     """(name, config, inputs) of both commands on ``corpus``, with and without CoNLL-U."""
     if corpus == "golden":

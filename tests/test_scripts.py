@@ -122,6 +122,32 @@ def test_mutant_generator_names_and_applies_each_change():
     assert got[-1].source.splitlines()[13] == '        return ("→", (a <= b))'
 
 
+_TABLE = '''ROWS = (
+    ("a", lambda s, t: s == t, "x"),
+    ("b", None, "y"),
+)
+
+
+def pick(key):
+    rows = [row for row in ROWS if row[0] == key]
+    return rows
+'''
+
+
+def test_mutant_generator_forces_each_lambda_of_a_table():
+    mutate_rules = _mutate_rules()
+    got = list(mutate_rules.mutants(_TABLE, "table.py"))
+    # a row that always matches carries None, and gives no mutant
+    assert [m.key for m in got] == [
+        "table.py ROWS: force True: s == t",
+        "table.py ROWS: force False: s == t",
+        "table.py ROWS: == -> !=: s == t",
+        "table.py pick: == -> !=: row[0] == key",
+    ]
+    assert got[0].source.splitlines()[1] == '    ("a", lambda s, t: (True), "x"),'
+    assert got[1].source.splitlines()[1] == '    ("a", lambda s, t: (False), "x"),'
+
+
 def test_every_listed_survivor_is_a_mutant_of_the_rule_modules_with_a_reason():
     mutate_rules = _mutate_rules()
     listed = mutate_rules.listed_survivors(mutate_rules.SURVIVORS.read_text(encoding="utf-8"))
