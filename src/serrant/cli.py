@@ -189,9 +189,12 @@ def _run_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _finish(records: list[M2Record]) -> tuple[str, Counter[str]]:
-    """A shard's M2 text and label counts, made where the shard was typed."""
-    return emit_m2(records), type_distribution(records)
+def _finish(records: list[M2Record], first: int) -> tuple[str, Counter[str]]:
+    """The M2 text and label counts of a shard whose first record is ``first``.
+
+    They are made where the shard was typed.
+    """
+    return emit_m2(records, first), type_distribution(records)
 
 
 def _write_outputs(parts: list[tuple[str, Counter[str]]], args: argparse.Namespace) -> None:

@@ -89,15 +89,20 @@ class M2Record(NamedTuple):
     edits: tuple[M2Edit, ...] = ()
 
 
-def parse_m2(text: str) -> list[M2Record]:
-    """Parse M2 text into records.
+def parse_m2(text: str, first_line: int = 1) -> list[M2Record]:
+    """Parse M2 text into records; ``first_line`` is the number of its first line.
+
+    Span offsets and annotator ids are ASCII digits with an optional
+    leading ``-``, the integers of CoNLL-U ids and heads plus the sign of
+    the noop's ``-1 -1``.
 
     Raises:
         M2ParseError: on whitespace other than the space and the line end,
             malformed lines, annotations appearing before any sentence
             line, empty tokens (two spaces in a row), non-integer or
             out-of-range offsets, an empty type label, or a negative
-            annotator id.  The error carries the 1-based line number.
+            annotator id.  The error carries the line's number, counted
+            from ``first_line``.
     """
     records: list[M2Record] = []
     tokens: tuple[str, ...] | None = None
@@ -113,7 +118,7 @@ def parse_m2(text: str) -> list[M2Record]:
         tokens = None
         edits = []
 
-    for lineno, line in enumerate(_lines(text, M2ParseError), start=1):
+    for lineno, line in enumerate(_lines(text, M2ParseError, first_line), first_line):
         if not line.strip():
             close()
             continue
@@ -154,7 +159,7 @@ def _parse_annotation_line(
     if len(offsets) != 2:
         raise M2ParseError(lineno, f"expected two span offsets, got {fields[0]!r}")
     try:
-        start, end = int(offsets[0]), int(offsets[1])
+        start, end = _integer(offsets[0]), _integer(offsets[1])
     except ValueError:
         raise M2ParseError(lineno, f"non-integer span offsets {fields[0]!r}") from None
     if not ((start, end) == (-1, -1) or 0 <= start <= end <= n_tokens):
@@ -171,7 +176,7 @@ def _parse_annotation_line(
                 raise M2ParseError(lineno, "empty token in correction field")
         corrections[fields[2]] = correction
     try:
-        annotator = int(fields[5])
+        annotator = _integer(fields[5])
     except ValueError:
         raise M2ParseError(lineno, f"non-integer annotator id {fields[5]!r}") from None
     if annotator < 0:
@@ -180,8 +185,22 @@ def _parse_annotation_line(
     return M2Edit(EditSpan(start, end, correction), label, annotator)
 
 
-def emit_m2(records: Sequence[M2Record]) -> str:
+def _integer(text: str) -> int:
+    """``text`` as an M2 integer: ASCII digits, as in CoNLL-U, with an optional leading ``-``.
+
+    Raises ValueError for any other form ``int`` takes (``+1``, ``1_0``,
+    `` 1``, ``１``, ...).
+    """
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise ValueError(text)
+
+
+def emit_m2(records: Sequence[M2Record], first: int = 0) -> str:
     """Render records canonically.  Empty input renders as an empty string.
+
+    ``first`` is the index of the first record, which error messages count
+    from: a shard of a larger corpus passes the index of its first record.
 
     Each record is checked as its lines are written, in one pass: its
     source tokens, then for each edit in turn its span, correction, type
@@ -189,20 +208,21 @@ def emit_m2(records: Sequence[M2Record]) -> str:
     fault found is the one raised.
 
     Raises:
-        M2ValidationError: naming the 0-based record index, when a record
-            violates the format invariants (tokens containing whitespace,
-            correction tokens containing the field separator, a correction
-            or type label ending in ``|``, an empty type label or one
-            holding the field separator, a line break or other whitespace
-            than the space, a correction that is just ``-NONE-``, spans out
-            of range, negative annotator ids).  Records from
+        M2ValidationError: naming the record's 0-based index, counted from
+            ``first``, when a record violates the format invariants
+            (tokens containing whitespace, correction tokens containing
+            the field separator, a correction or type label ending in
+            ``|``, an empty type label or one holding the field separator,
+            a line break or other whitespace than the space, a correction
+            that is just ``-NONE-``, spans out of range, negative
+            annotator ids).  Records from
             :func:`parse_m2` always pass, so the checks guard records that
             callers build by hand and labels that carry input FEATS values.
     """
     lines: list[str] = []
     labels: set[str] = set()  # the labels checked so far, each checked once
     flags = f"|||{_FLAG_REQUIRED}|||{_FLAG_NONE}|||"  # the two fixed fields of an A line
-    for index, (source_tokens, edits) in enumerate(records):
+    for index, (source_tokens, edits) in enumerate(records, first):
         # Joined with spaces and split on whitespace, tokens come back unchanged
         # exactly when none is empty and none holds whitespace (str.split and
         # str.isspace share one definition of whitespace).
@@ -262,8 +282,12 @@ def join_m2(texts: Iterable[str]) -> Iterator[str]:
             separator = "\n"
 
 
-def read_parallel(original: str, corrected: str) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+def read_parallel(
+    original: str, corrected: str, first_line: int = 1
+) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Pair up two one-sentence-per-line texts, tokenised on spaces.
+
+    ``first_line`` is the number of the first line of both texts.
 
     Lines follow the line rule of M2 (:func:`_lines`): they split on
     ``\\n`` only, each losing one trailing ``\\r``.  Tokens split on runs of
@@ -271,12 +295,12 @@ def read_parallel(original: str, corrected: str) -> list[tuple[tuple[str, ...], 
 
     Raises:
         IngestionError: when a line holds any other whitespace or line
-            break character (the message names the side, the 1-based line
-            and the character), or when the two texts have different line
-            counts (the message reports both counts).
+            break character (the message names the side, the line, counted
+            from ``first_line``, and the character), or when the two texts
+            have different line counts (the message reports both counts).
     """
-    orig_lines = _lines(original, partial(_text_error, "original"))
-    cor_lines = _lines(corrected, partial(_text_error, "corrected"))
+    orig_lines = _lines(original, partial(_text_error, "original"), first_line)
+    cor_lines = _lines(corrected, partial(_text_error, "corrected"), first_line)
     if len(orig_lines) != len(cor_lines):
         raise IngestionError(
             f"parallel texts differ in length: {len(orig_lines)} original lines"
@@ -294,16 +318,18 @@ def _text_error(side: str, line: int, message: str) -> IngestionError:
 _OTHER_SPACE = re.compile(r"[^\S \n]")
 
 
-def _lines(text: str, error: Callable[[int, str], SerrantError]) -> list[str]:
-    """Split ``text`` into lines: the one line rule of text and M2 input.
+def _lines(text: str, error: Callable[[int, str], SerrantError], first_line: int) -> list[str]:
+    """Split ``text``, whose first line is numbered ``first_line``, into lines.
+
+    This is the one line rule of text and M2 input.
 
     Lines end at ``\\n``, and one ``\\r`` before each line end, the end of
     the text included, is dropped.  A final line end adds no empty line.
 
     Raises:
-        SerrantError: ``error(line, message)``, naming the 1-based line of
-            the first whitespace or line-break character other than the
-            space and the line end.
+        SerrantError: ``error(line, message)``, naming the number of the
+            line of the first whitespace or line-break character other
+            than the space and the line end.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
@@ -311,7 +337,7 @@ def _lines(text: str, error: Callable[[int, str], SerrantError]) -> list[str]:
             text = text[:-1] + "\n"
     bad = _OTHER_SPACE.search(text)
     if bad is not None:
-        line = text.count("\n", 0, bad.start()) + 1
+        line = text.count("\n", 0, bad.start()) + first_line
         raise error(line, f"unsupported whitespace character U+{ord(bad.group()):04X}")
     lines = text.split("\n")
     if lines[-1] == "":

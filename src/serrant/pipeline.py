@@ -30,13 +30,16 @@ shard's records into what the caller keeps (the command line keeps M2
 text and label counts) where the shard was typed, so no run need hold the
 records of the whole corpus.
 
-A shard plan has two fail-overs.  When the pool cannot start (on a
-platform without named semaphores too) or breaks (a worker dies), the
-parent cuts the inputs again and types those shards one at a time itself,
-so it still holds one shard's sentences and records at a time.  When the
-cut fails (the texts hold different numbers of items) or a shard raises
-an error, ``run`` types the whole corpus as one shard and returns or
-raises what that gives, the serial result or error.
+Each shard knows where it starts: the index of its first item, and the
+number of the first line of each of its texts.  So every error names the
+item or the line of the whole input, and every input is typed once.  The
+error a run raises is the first fault of the first shard that holds one,
+in input order; within a shard, the first in :func:`_type_shard`'s stage
+order.  When the texts hold different numbers of items, the cut cannot be
+trusted, and the whole corpus is one shard.  When the pool cannot start
+(on a platform without named semaphores too) or breaks (a worker dies),
+the parent cuts the inputs again and types those shards one at a time
+itself, so it still holds one shard's sentences and records at a time.
 """
 
 from __future__ import annotations
@@ -53,13 +56,7 @@ from typing import NamedTuple
 from .alignment import Edit, align, merge
 from .base import classify_base
 from .combine import SerrantType, build_context, combine
-from .errors import (
-    AttachmentError,
-    ConfigurationError,
-    IngestionError,
-    M2ValidationError,
-    SerrantError,
-)
+from .errors import AttachmentError, ConfigurationError, IngestionError, M2ValidationError
 from .m2 import M2Edit, M2Record, apply_edits, parse_m2, read_parallel
 from .sercl import ARROW_ASCII, ARROW_UNICODE, GRANULARITIES, GRANULARITY_UPOS, classify_sercl
 from .ud import BLANK_LINES, AnnotatedSentence, attach, fallback_annotate, parse_conllu
@@ -105,41 +102,42 @@ def run(
     config: PipelineConfig,
     inputs: PipelineInputs,
     worker_count: int = 1,
-    finish: Callable[[list[M2Record]], object] | None = None,
+    finish: Callable[[list[M2Record], int], object] | None = None,
 ) -> list:
     """Run one full pass and return the resulting records, or what ``finish`` made of them.
 
-    The inputs are typed shard by shard: the parent cuts every text at the
-    same items, without parsing any, into shards of about
-    :data:`_SHARD_CHARS` characters, and slices each shard's texts only
-    when that shard is typed.  With ``finish``, each shard's records go to
-    ``finish`` in the process that typed them, and ``run`` returns what it
-    gave for each shard, in order, instead of the records; the records and
-    the sentences of a shard are then dropped once it is finished.
+    The inputs are typed shard by shard, in one pass over the shard plan:
+    the parent cuts every text at the same items, without parsing any,
+    into shards of about :data:`_SHARD_CHARS` characters (see :func:`_cut`),
+    and slices each shard's texts only when that shard is typed.  With
+    ``finish``, each shard's records and the index of its first record go
+    to ``finish(records, first)`` in the process that typed them, and
+    ``run`` returns what it gave for each shard, in order, instead of the
+    records; the records and the sentences of a shard are then dropped once
+    it is finished.
 
     With ``worker_count`` above 1, two shards or more and two usable cores
     or more, the shards are typed by worker processes, at most one per
     usable core, each with the cyclic garbage collector off; otherwise they
-    are typed in this process, as they are when the pool cannot start (on
-    a platform without named semaphores too) or a worker dies.  Output is
-    identical for any worker count and any shard plan, and so is the error
-    raised on bad input: when the texts hold different numbers of items or
-    a shard raises an error, this function catches it, types and finishes
-    the whole corpus as one shard itself, and returns or raises what that
-    does.
+    are typed in this process, one at a time, from a fresh cut when the
+    pool cannot start (on a platform without named semaphores too) or a
+    worker dies.  Output is identical for any worker count and any shard
+    plan.  On bad input, the error raised is that of the first shard, in
+    input order, that fails, and each shard names the items and lines of
+    the whole input, so the error is the same for any worker count;
+    shards after it are not typed, or their results are dropped.
     """
     if worker_count < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {worker_count}")
     _check_config(config)
     task = partial(_type_shard, retype=_is_retype(inputs), config=config, finish=finish)
-    try:
-        parts = _type_shards(task, inputs, worker_count)
-    except SerrantError:
-        # The whole corpus is typed once this handler has ended and freed the
-        # failed plan's shards (see _type_shards).
-        parts = None
+    count, shards = _cut(inputs)
+    workers = min(worker_count, count, _usable_cores())
+    parts = _type_on_pool(task, shards, workers) if workers > 1 else None
     if parts is None:
-        parts = [task(inputs)]
+        if workers > 1:  # the pool could not start or broke, and took part of the plan
+            _, shards = _cut(inputs)
+        parts = [task(shard) for shard in shards]
     return parts if finish is not None else [record for records in parts for record in records]
 
 
@@ -173,14 +171,19 @@ def _usable_cores() -> int:
 
 
 def _sentences(
-    conllu: str | None, count: int, which: str
+    conllu: str | None, line: int, first: int, count: int, which: str
 ) -> list[AnnotatedSentence] | list[None]:
-    """Parse ``count`` sentences from CoNLL-U text; ``None`` for each input when there is none."""
+    """Parse the sentences of inputs ``first`` on from CoNLL-U text whose first line is ``line``.
+
+    Gives ``None`` for each of the ``count`` inputs when there is no text.
+    """
     if conllu is None:
         return [None] * count
-    sentences = parse_conllu(conllu)
+    sentences = parse_conllu(conllu, line)
     if len(sentences) != count:
-        raise IngestionError(f"{which} annotations: {len(sentences)} sentences for {count} inputs")
+        raise IngestionError(
+            f"{which} annotations: {len(sentences)} sentences for {count} inputs from input {first}"
+        )
     return sentences
 
 
@@ -200,31 +203,25 @@ def _annotate(
 
 _Pair = tuple[tuple[str, ...], tuple[str, ...]]
 
-# what a run does with each shard: type it, and finish its records
-_Task = Callable[[PipelineInputs], object]
 
+class _Shard(NamedTuple):
+    """A contiguous run of items: the slices of the texts that hold them, and where they start.
 
-def _type_shards(task: _Task, inputs: PipelineInputs, worker_count: int) -> list:
-    """Cut the inputs into shards and return what ``task`` gives for each, in order.
-
-    The shards go to ``min(worker_count, shards, usable cores)`` worker
-    processes when that is above 1; otherwise, or when the pool cannot
-    start or breaks, this process types them one at a time, from a fresh
-    cut.  Raises what the cut or a shard raises.
+    ``first`` is the index of the first item in the whole input, and
+    ``lines`` holds the number of the first line of each slice in its text
+    (1 where there is no text).
     """
-    # A function of its own: its frame holds the shard being typed, and is
-    # freed with the exception once the handler in run ends.
-    count, shards = _cut(inputs)
-    workers = min(worker_count, count, _usable_cores())
-    if workers > 1:
-        parts = _type_on_pool(task, shards, workers)
-        if parts is not None:
-            return parts
-        _, shards = _cut(inputs)
-    return [task(shard) for shard in shards]
+
+    texts: PipelineInputs
+    first: int
+    lines: PipelineInputs
 
 
-def _type_on_pool(task: _Task, shards: Iterator[PipelineInputs], workers: int) -> list | None:
+# what a run does with each shard: type it, and finish its records
+_Task = Callable[[_Shard], object]
+
+
+def _type_on_pool(task: _Task, shards: Iterator[_Shard], workers: int) -> list | None:
     """Apply ``task`` to each shard on ``workers`` processes; raise what a shard raises.
 
     Returns None when the pool cannot start or breaks.  Only a few shards
@@ -269,7 +266,7 @@ def _start_worker(task: _Task) -> None:
     _worker_task = task
 
 
-def _run_in_worker(shard: PipelineInputs) -> object:
+def _run_in_worker(shard: _Shard) -> object:
     """Type ``shard`` with the task :func:`_start_worker` kept in this worker."""
     return _worker_task(shard)
 
@@ -285,28 +282,29 @@ _SHARD_CHARS = 500_000
 _LINE_END = re.compile("\n")
 
 
-def _cut(inputs: PipelineInputs) -> tuple[int, Iterator[PipelineInputs]]:
+def _cut(inputs: PipelineInputs) -> tuple[int, Iterator[_Shard]]:
     """Cut every text at the same items into shards of about :data:`_SHARD_CHARS` characters.
 
     Returns the number of shards, and an iterator that slices each shard's
-    texts when it is reached.  The characters of all texts count, and each
-    shard starts at the first item whose texts start at or past its share
-    of them.  Nothing is parsed: an item is a line of parallel text, or a
-    block of M2 or CoNLL-U text.  A block that is not one item (a CoNLL-U
-    block that holds no word, M2 records not separated by blank lines)
-    makes the counts of two texts disagree, and then the cut, or the count
-    check of the shard that holds it, fails.
-
-    Raises:
-        IngestionError: when the texts hold different numbers of items.
+    texts when it is reached and gives it its origin: the index of its
+    first item, and the number of the first line of each slice, counted
+    from the slices before it.  The characters of all texts count, and
+    each shard starts at the first item whose texts start at or past its
+    share of them.  Nothing is parsed: an item is a line of parallel text,
+    or a block of M2 or CoNLL-U text.  A block that is not one item (a
+    CoNLL-U block that holds no word, M2 records not separated by blank
+    lines) makes the counts of two texts disagree.  When the whole texts
+    disagree, the plan is one shard, the whole corpus, which then fails as
+    a single pass does; otherwise the count check of the shard that holds
+    the block fails.
     """
     texts = list(inputs)
     item_ends = (_LINE_END, _LINE_END, BLANK_LINES, BLANK_LINES, BLANK_LINES)
     starts = [None if text is None else _starts(text, end) for text, end in zip(texts, item_ends)]
     given = [text_starts for text_starts in starts if text_starts is not None]
     counts = {len(text_starts) for text_starts in given}
-    if len(counts) != 1:
-        raise IngestionError(f"the inputs hold different numbers of items: {sorted(counts)}")
+    if len(counts) != 1:  # the cut cannot be trusted: one shard, the whole corpus
+        return 1, iter([_Shard(inputs, 0, PipelineInputs(1, 1, 1, 1, 1))])
     count = counts.pop()
     total = sum(len(text) for text in texts if text is not None)
     shares = -(-total // _SHARD_CHARS)
@@ -323,7 +321,7 @@ def _cut(inputs: PipelineInputs) -> tuple[int, Iterator[PipelineInputs]]:
         None if text is None else [0, *(text_starts[first] for first in firsts[1:]), len(text)]
         for text, text_starts in zip(texts, starts)
     ]
-    return len(firsts), _slices(texts, cuts, len(firsts))
+    return len(firsts), _slices(texts, cuts, firsts)
 
 
 def _starts(text: str, item_end: re.Pattern[str]) -> list[int]:
@@ -335,55 +333,59 @@ def _starts(text: str, item_end: re.Pattern[str]) -> list[int]:
 
 
 def _slices(
-    texts: list[str | None], cuts: list[list[int] | None], count: int
-) -> Iterator[PipelineInputs]:
-    """Yield ``count`` shards one at a time, each text cut at its offsets in ``cuts``.
+    texts: list[str | None], cuts: list[list[int] | None], firsts: list[int]
+) -> Iterator[_Shard]:
+    """Yield a shard for each first item in ``firsts``, each text cut at its offsets in ``cuts``.
 
     A text's offsets are where its shards start, then its end: the first
     shard starts at the top of the text and the last runs to its end, so
-    every line is parsed by exactly one shard.
+    every line is parsed by exactly one shard.  Each slice's first line is
+    the line after those of the slices before it.
     """
-    for shard in range(count):
-        yield PipelineInputs._make(
-            None if text is None else text[text_cuts[shard] : text_cuts[shard + 1]]
-            for text, text_cuts in zip(texts, cuts)
-        )
+    lines = [1] * len(texts)
+    for shard, first in enumerate(firsts):
+        pieces = [text and text[cut[shard] : cut[shard + 1]] for text, cut in zip(texts, cuts)]
+        yield _Shard(PipelineInputs._make(pieces), first, PipelineInputs._make(lines))
+        lines = [line + (piece or "").count("\n") for line, piece in zip(lines, pieces)]
 
 
 def _type_shard(
-    shard: PipelineInputs,
+    shard: _Shard,
     retype: bool,
     config: PipelineConfig,
-    finish: Callable[[list[M2Record]], object] | None = None,
+    finish: Callable[[list[M2Record], int], object] | None = None,
 ) -> object:
     """Parse a shard's items and type them in order, each with :func:`_retype_record`
     or :func:`_classify_pair`; return the records, or what ``finish`` makes of them.
 
     This is the only place that parses items, in a worker or in the
-    parent.  Every original sentence is annotated, and then the corrected
-    CoNLL-U is parsed, before any item is typed; each item attaches its own
-    corrected sentence.
+    parent, and it numbers items and lines from the shard's origin.  Its
+    stages run in this order, and the first fault raises: the items are
+    parsed, the original CoNLL-U is parsed and every original sentence
+    annotated, the corrected CoNLL-U is parsed, each item is typed in turn
+    (attaching its own corrected sentence), and ``finish`` runs.
     """
+    texts, first, lines = shard
     if retype:
-        items = parse_m2(shard.m2)
+        items = parse_m2(texts.m2, lines.m2)
         type_item, sources = _retype_record, [record.source_tokens for record in items]
     else:
-        items = read_parallel(shard.original, shard.corrected)
+        items = read_parallel(texts.original, texts.corrected, lines.original)
         type_item, sources = _classify_pair, [src for src, _ in items]
+    count = len(sources)
+    orig_sentences = _sentences(texts.conllu_orig, lines.conllu_orig, first, count, "original")
     src_sentences = [
         _annotate(sentence, tokens, "original", index)
-        for index, (sentence, tokens) in enumerate(
-            zip(_sentences(shard.conllu_orig, len(sources), "original"), sources)
-        )
+        for index, (sentence, tokens) in enumerate(zip(orig_sentences, sources), first)
     ]
-    cor_sentences = _sentences(shard.conllu_cor, len(sources), "corrected")
+    cor_sentences = _sentences(texts.conllu_cor, lines.conllu_cor, first, count, "corrected")
     records = [
         type_item(item, src_sentence, cor_sentence, config, index)
         for index, (item, src_sentence, cor_sentence) in enumerate(
-            zip(items, src_sentences, cor_sentences)
+            zip(items, src_sentences, cor_sentences), first
         )
     ]
-    return records if finish is None else finish(records)
+    return records if finish is None else finish(records, first)
 
 
 # --- typing one item ------------------------------------------------------

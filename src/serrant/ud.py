@@ -29,7 +29,8 @@ splits the text into lines in chunks of several hundred rows, each cut
 after blank lines (:data:`BLANK_LINES`), to keep the memory the line
 strings take small.  A text cut after any run of blank lines parses,
 piece by piece, into the sentences of the whole, and a piece fails when
-the whole does; ``pipeline`` cuts the shards of ``--jobs`` there too.
+the whole does, on the same line when it is given the number of its
+first line; ``pipeline`` cuts the shards of ``--jobs`` there too.
 
 A small rule-plus-lexicon annotator (:func:`fallback_annotate`) provides
 annotations for tests and demos when no parser output is available.  It is
@@ -163,8 +164,8 @@ BLANK_LINES = re.compile(r"\n(?:[^\S\n]*\n)+")
 _RANGE_OR_EMPTY_NODE = re.compile("[0-9]+[-.][0-9]+")
 
 
-def parse_conllu(text: str) -> list[AnnotatedSentence]:
-    """Parse CoNLL-U text into sentences.
+def parse_conllu(text: str, first_line: int = 1) -> list[AnnotatedSentence]:
+    """Parse CoNLL-U text into sentences; ``first_line`` is the number of its first line.
 
     Lines split on ``\\n`` only, and whitespace-only lines are blank.
     Comment lines before a block's first row are skipped, and a comment
@@ -184,16 +185,17 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
     line strings stay a small part of the memory the sentences take.
 
     Raises:
-        ConlluParseError: carrying the offending 1-based line number.
+        ConlluParseError: carrying the offending line's number, counted
+            from ``first_line``.
     """
     sentences: list[AnnotatedSentence] = []
     feats_by_value: dict[str, dict[str, str]] = {}
     deprel_by_value: dict[str, str] = {}
     rows: list[tuple] = []  # the open sentence's words, and the line of each
     node_rows = False  # whether the open block holds a multiword-range or empty-node row
-    for first_line, lines in _chunks(text):
+    for chunk_line, lines in _chunks(text, first_line):
         # the added blank line ends the text's last block; a chunk's own end in it
-        for lineno, line in enumerate(chain(lines, [""]), first_line):
+        for lineno, line in enumerate(chain(lines, [""]), chunk_line):
             if not line or line.isspace():  # blank, "\r" included
                 if rows:
                     forms, lemmas, upos, feats, heads, deprels, linenos = zip(*rows)
@@ -246,13 +248,14 @@ def parse_conllu(text: str) -> list[AnnotatedSentence]:
     return sentences
 
 
-def _chunks(text: str) -> Iterator[tuple[int, list[str]]]:
+def _chunks(text: str, first_line: int) -> Iterator[tuple[int, list[str]]]:
     """Cut ``text`` after the first blank lines past every ``_CHUNK_CHARS`` characters.
 
-    Yields the 1-based number of each piece's first line, and its lines.
-    No block of non-blank lines spans two pieces.
+    Yields the number of each piece's first line, counted from
+    ``first_line`` for the first, and its lines.  No block of non-blank
+    lines spans two pieces.
     """
-    start, first_line = 0, 1
+    start = 0
     while True:
         blank = BLANK_LINES.search(text, start + _CHUNK_CHARS)
         end = len(text) if blank is None else blank.end() - 1

@@ -459,7 +459,7 @@ def test_jobs_agree_on_an_extra_block(sharded, capfd):
     assert (code, err) == (
         1,
         f"serrant: original annotations: {SHARDED_PAIRS + 1} sentences"
-        f" for {SHARDED_PAIRS} inputs\n",
+        f" for {SHARDED_PAIRS} inputs from input 0\n",
     )
 
 
@@ -474,16 +474,24 @@ def test_jobs_agree_on_a_form_mismatch_in_a_middle_sentence(sharded, capfd):
 
 
 def test_jobs_agree_that_the_original_side_fails_first(sharded, capfd):
+    # within a shard the original CoNLL-U is parsed before a corrected sentence is attached,
+    # and of two shards that fail, the first in input order gives the error
     tmp_path, texts = sharded
     orig_blocks = _blocks(texts["conllu_orig"])
     _set_column(orig_blocks, 60, 3, "BLORP")
     texts["conllu_orig"] = _join(orig_blocks)
-    cor_blocks = _blocks(texts["conllu_cor"])
-    _set_column(cor_blocks, 2, 1, "zzz")
-    texts["conllu_cor"] = _join(cor_blocks)
-    code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
     line = _first_row_line(orig_blocks, 60)
-    assert (code, err) == (1, f"serrant: line {line}: unknown UPOS tag 'BLORP'\n")
+    cor_blocks = _blocks(texts["conllu_cor"])
+    for index, error in [
+        (60, f"line {line}: unknown UPOS tag 'BLORP'"),
+        (2, "corrected sentence 2: annotation form 'zzz' != surface token "),
+    ]:
+        blocks = list(cor_blocks)
+        _set_column(blocks, index, 1, "zzz")
+        texts["conllu_cor"] = _join(blocks)
+        code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
+        assert (code, err[: len("serrant: ") + len(error)]) == (1, f"serrant: {error}")
+        assert err.count("\n") == 1
 
 
 def test_jobs_agree_that_a_missing_corrected_file_beats_a_bad_original(
@@ -498,7 +506,9 @@ def test_jobs_agree_that_a_missing_corrected_file_beats_a_bad_original(
     parsed = []
     parse_conllu = pipeline.parse_conllu
     monkeypatch.setattr(
-        pipeline, "parse_conllu", lambda text: parsed.append(text) or parse_conllu(text)
+        pipeline,
+        "parse_conllu",
+        lambda text, first_line=1: parsed.append(text) or parse_conllu(text, first_line),
     )
     code, _, err = _same_for_any_jobs(tmp_path, texts, capfd, pool=False)
     missing = str(tmp_path / "conllu_cor.in")
@@ -743,16 +753,12 @@ def _library_result(command: str, texts: dict[str, str]) -> tuple[int, str, str]
         if command == "stats":
             return 0, emit_report(type_distribution(parse_m2(texts["m2"])), "tsv"), ""
         wordlist = load_wordlist(texts["wordlist"]) if "wordlist" in texts else None
-        retype = command == "retype"
         annotations = {name: texts.get(name) for name in ("conllu_orig", "conllu_cor")}
-        if retype:
+        if command == "retype":
             inputs = PipelineInputs(m2=texts["m2"], **annotations)
         else:
             inputs = PipelineInputs(original=texts["orig"], corrected=texts["cor"], **annotations)
-        records = pipeline._type_shard(
-            inputs, retype=retype, config=PipelineConfig(wordlist=wordlist)
-        )
-        return 0, emit_m2(records), ""
+        return 0, emit_m2(run(PipelineConfig(wordlist=wordlist), inputs)), ""
     except ConfigurationError as exc:
         return 2, "", f"serrant: {exc}\n"
     except SerrantError as exc:

@@ -118,6 +118,43 @@ def test_parse_errors_carry_line_numbers(text):
     assert str(info.value.line_number) in str(info.value)
 
 
+# forms that int() reads but an M2 integer is not: the ASCII digits of CoNLL-U, with "-"
+_NOT_M2_INTEGERS = ["1_0", "+0", " 1", "0 ", "\uff11", "\u0661"]
+
+
+@pytest.mark.parametrize("value", _NOT_M2_INTEGERS)
+def test_parse_rejects_an_annotator_id_that_is_not_ascii_digits(value):
+    text = f"S a b\nA 0 1|||X|||y|||REQUIRED|||-NONE-|||{value}\n"
+    with pytest.raises(M2ParseError) as info:
+        parse_m2(text)
+    assert str(info.value) == f"line 2: non-integer annotator id {value!r}"
+
+
+# a space inside the span field makes three offsets, so " 1" and "0 " cannot be one
+@pytest.mark.parametrize("value", [v for v in _NOT_M2_INTEGERS if v.strip() == v])
+def test_parse_rejects_span_offsets_that_are_not_ascii_digits(value):
+    for span in (f"{value} 1", f"0 {value}"):
+        text = f"S a b\nA {span}|||X|||y|||REQUIRED|||-NONE-|||0\n"
+        with pytest.raises(M2ParseError) as info:
+            parse_m2(text)
+        assert str(info.value) == f"line 2: non-integer span offsets {span!r}"
+
+
+def test_parse_reads_signed_ascii_integers():
+    text = (
+        "S a\n"
+        "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n"
+        "A 0 1|||X|||y|||REQUIRED|||-NONE-|||10\n"
+    )
+    (record,) = parse_m2(text)
+    assert [(e.span.start, e.span.end, e.annotator_id) for e in record.edits] == [
+        (-1, -1, 0),
+        (0, 1, 10),
+    ]
+    with pytest.raises(M2ParseError, match="^line 2: negative annotator id -1$"):
+        parse_m2("S a\nA 0 1|||X|||y|||REQUIRED|||-NONE-|||-1\n")
+
+
 def test_parse_rejects_an_empty_type_label_on_its_line():
     text = "S a b\nA 0 1|||X|||y|||REQUIRED|||-NONE-|||0\nA 1 2||||||c|||REQUIRED|||-NONE-|||0\n"
     with pytest.raises(M2ParseError) as info:

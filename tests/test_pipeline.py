@@ -17,6 +17,7 @@ from serrant.base import load_wordlist
 from serrant.errors import (
     AttachmentError,
     ConfigurationError,
+    ConlluParseError,
     IngestionError,
     M2ParseError,
     M2ValidationError,
@@ -165,7 +166,7 @@ def test_retype_corrected_conllu_count_mismatch():
     inputs = golden_inputs(GOLDEN_FLAGSHIP[:2], m2=m2)._replace(conllu_orig=None)
     with pytest.raises(IngestionError) as info:
         run(PipelineConfig(), inputs)
-    assert str(info.value) == "corrected annotations: 2 sentences for 1 inputs"
+    assert str(info.value) == "corrected annotations: 2 sentences for 1 inputs from input 0"
 
 
 def test_retype_corrected_attach_mismatch_names_record():
@@ -340,7 +341,7 @@ def test_a_pool_that_cannot_start_leaves_the_parent_typing_shard_by_shard(
     count, shards = pipeline._cut(inputs)
     assert count > 1
     assert typed == list(shards)
-    assert inputs not in typed
+    assert inputs not in [shard.texts for shard in typed]
 
 
 def _reference_cases(corpus: str, granularity: str):
@@ -546,7 +547,7 @@ def _extra_original_line(texts):
             ("conllu_orig", "conllu_cor"),
             _comment_block_for_a_sentence,
             [19],
-            "IngestionError: original annotations: 39 sentences for 40 inputs",
+            "IngestionError: original annotations: 1 sentences for 2 inputs from input 20",
         ),
         ("classify", ("conllu_orig", "conllu_cor"), _blank_lines_around, [], None),
         ("retype", ("conllu_orig",), _blank_lines_around, [25], None),
@@ -610,7 +611,7 @@ def test_well_formed_inputs_are_typed_on_their_shards_alone(
     # each shard is typed once, and the whole corpus never
     assert in_process_pool.shards == [33 if command == "classify" else 25]
     assert len(typed) == in_process_pool.shards[0]
-    assert inputs not in typed
+    assert inputs not in [shard.texts for shard in typed]
 
 
 def test_an_empty_type_label_fails_on_its_line_for_any_worker_count(monkeypatch, in_process_pool):
@@ -621,3 +622,182 @@ def test_an_empty_type_label_fails_on_its_line_for_any_worker_count(monkeypatch,
             run(PipelineConfig(), PipelineInputs(m2=m2), worker_count)
         assert str(info.value) == "line 4: empty type label"
     assert in_process_pool.shards == [2]
+
+
+# --- faults: each is named by its place in the whole input, and typed once -----
+
+
+def _block_line(text: str, index: int) -> int:
+    """The number of the first line of block ``index`` of M2 or CoNLL-U text."""
+    return sum(block.count("\n") + 2 for block in text.split("\n\n")[:index]) + 1
+
+
+def _change_line(text: str, index: int, change) -> str:
+    lines = text.split("\n")
+    lines[index] = change(lines[index])
+    return "\n".join(lines)
+
+
+def _change_block(text: str, index: int, change) -> str:
+    """``text``, ending in one line end, with block ``index`` changed."""
+    blocks = text.rstrip("\n").split("\n\n")
+    blocks[index] = change(blocks[index])
+    return "\n\n".join(blocks) + "\n"
+
+
+def _set_first_row(column: int, value: str):
+    """A change of a CoNLL-U block: ``value`` in ``column`` of its first row."""
+
+    def change(block: str) -> str:
+        row, _, rest = block.partition("\n")
+        cols = row.split("\t")
+        cols[column] = value
+        return "\n".join(["\t".join(cols), rest]) if rest else "\t".join(cols)
+
+    return change
+
+
+# the field of each side's text and CoNLL-U, and the side's name in messages
+_SIDES = {"original": ("original", "conllu_orig"), "corrected": ("corrected", "conllu_cor")}
+
+
+def _with_fault(inputs: PipelineInputs, fault: str, item: int, side: str):
+    """``inputs`` with one ``fault`` at ``item``, and the class and message of its error."""
+    text_field, conllu_field = _SIDES[side]
+    if fault == "nbsp":
+        text = _change_line(getattr(inputs, text_field), item, lambda line: line + "\xa0")
+        message = f"{side} text line {item + 1}: unsupported whitespace character U+00A0"
+        return inputs._replace(**{text_field: text}), IngestionError, message
+    if fault == "empty-label":
+        empty = "A 0 0||||||x|||REQUIRED|||-NONE-|||0"
+        m2 = _change_block(inputs.m2, item, lambda block: f"{block}\n{empty}")
+        line = _block_line(m2, item) + m2.split("\n\n")[item].rstrip("\n").count("\n")
+        return inputs._replace(m2=m2), M2ParseError, f"line {line}: empty type label"
+    if fault == "overlap":
+        spans = "\n".join(f"A 0 1|||UNK|||{c}|||REQUIRED|||-NONE-|||7" for c in "xy")
+        m2 = _change_block(inputs.m2, item, lambda block: f"{block}\n{spans}")
+        message = f"record {item}: overlapping edit spans at 0"
+        return inputs._replace(m2=m2), M2ValidationError, message
+    conllu = getattr(inputs, conllu_field)
+    if fault == "unknown-upos":
+        conllu = _change_block(conllu, item, _set_first_row(3, "BLORP"))
+        message = f"line {_block_line(conllu, item)}: unknown UPOS tag 'BLORP'"
+        return inputs._replace(**{conllu_field: conllu}), ConlluParseError, message
+    assert fault == "form"
+    surface = getattr(inputs, text_field).split("\n")[item].split(" ")[0]
+    conllu = _change_block(conllu, item, _set_first_row(1, "zzz"))
+    message = f"{side} sentence {item}: annotation form 'zzz' != surface token {surface!r}"
+    message += " at index 0"
+    return inputs._replace(**{conllu_field: conllu}), AttachmentError, message
+
+
+def _fault_inputs(corpus: SyntheticCorpus, fault: str) -> PipelineInputs:
+    """The clean inputs a fault goes into: the M2 faults retype, the others classify."""
+    if fault in ("empty-label", "overlap"):
+        return PipelineInputs(m2=corpus.untyped_m2(), conllu_orig=corpus.conllu_orig)
+    return PipelineInputs(
+        original=corpus.orig_text,
+        corrected=corpus.cor_text,
+        conllu_orig=corpus.conllu_orig,
+        conllu_cor=corpus.conllu_cor,
+    )
+
+
+def _error_of(config: PipelineConfig, inputs: PipelineInputs, worker_count: int):
+    with pytest.raises(SerrantError) as info:
+        run(config, inputs, worker_count)
+    return type(info.value), str(info.value)
+
+
+_FAULTS = ["nbsp", "empty-label", "unknown-upos", "form", "overlap"]
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    data=st.data(),
+    size=st.integers(1, 30),
+    seed=st.integers(0, 1000),
+    fault=st.sampled_from(_FAULTS),
+    side=st.sampled_from(sorted(_SIDES)),
+    shard_chars=st.integers(50, 5000),
+)
+def test_one_fault_gives_its_own_error_for_any_shard_budget_and_worker_count(
+    in_process_pool, monkeypatch, data, size, seed, fault, side, shard_chars
+):
+    monkeypatch.setattr(pipeline, "_SHARD_CHARS", shard_chars)
+    corpus = SyntheticCorpus(size, seed)
+    item = data.draw(st.integers(0, size - 1), label="item")
+    inputs, error, message = _with_fault(_fault_inputs(corpus, fault), fault, item, side)
+    for worker_count in (1, 2, 4):
+        assert _error_of(PipelineConfig(), inputs, worker_count) == (error, message)
+
+
+def _shard_of(inputs: PipelineInputs, item: int) -> int:
+    """The index of the shard of ``inputs`` that holds ``item``."""
+    firsts = [shard.first for shard in pipeline._cut(inputs)[1]]
+    return sum(first <= item for first in firsts) - 1
+
+
+@pytest.mark.parametrize(
+    "early, late",
+    [
+        # a corrected sentence that does not attach, before a text line the first stage rejects
+        (("form", "corrected"), ("nbsp", "original")),
+        (("unknown-upos", "corrected"), ("nbsp", "corrected")),
+        # a record whose edits do not apply, before a line the M2 parse rejects
+        (("overlap", "original"), ("empty-label", "original")),
+        (("form", "corrected"), ("unknown-upos", "original")),
+    ],
+)
+def test_of_two_faults_a_shard_apart_the_first_in_input_order_is_raised(
+    in_process_pool, early, late
+):
+    corpus = SyntheticCorpus(40, seed=5)
+    inputs = _fault_inputs(corpus, early[0])
+    inputs, error, message = _with_fault(inputs, *early[:1], 12, early[1])
+    inputs, *_ = _with_fault(inputs, late[0], 30, late[1])
+    # one shard or more between them, at the budget of in_process_pool
+    assert _shard_of(inputs, 30) - _shard_of(inputs, 12) >= 2
+    for worker_count in (1, 2, 4):
+        assert _error_of(PipelineConfig(), inputs, worker_count) == (error, message)
+
+
+def test_of_two_faults_in_one_item_the_first_in_stage_order_is_raised(in_process_pool):
+    corpus = SyntheticCorpus(40, seed=5)
+    inputs = _fault_inputs(corpus, "form")
+    inputs, *_ = _with_fault(inputs, "form", 20, "corrected")
+    inputs, *_ = _with_fault(inputs, "unknown-upos", 20, "original")
+    inputs, error, message = _with_fault(inputs, "nbsp", 20, "corrected")
+    for worker_count in (1, 2, 4):
+        assert _error_of(PipelineConfig(), inputs, worker_count) == (error, message)
+
+
+@pytest.mark.parametrize("plan", ["serial", "pool", "broken-pool"])
+def test_a_faulty_input_is_typed_once(in_process_pool, monkeypatch, plan):
+    corpus = SyntheticCorpus(40, seed=7)
+    inputs, error, message = _with_fault(_fault_inputs(corpus, "form"), "form", 25, "corrected")
+    shards = list(pipeline._cut(inputs)[1])
+    failing = _shard_of(inputs, 25)
+    assert 0 < failing < len(shards) - 1
+    if plan == "broken-pool":
+        in_process_pool.error = BrokenProcessPool("a worker died")
+    typed = []
+    type_shard = pipeline._type_shard
+
+    def recording(shard, **kwargs):
+        typed.append(shard)
+        return type_shard(shard, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_type_shard", recording)
+    assert _error_of(PipelineConfig(), inputs, 1 if plan == "serial" else 2) == (error, message)
+    # each shard of the plan at most once, never the whole corpus, and in the parent
+    # nothing after the shard that fails
+    assert all(typed.count(shard) == 1 for shard in typed)
+    assert all(shard in shards for shard in typed)
+    assert inputs not in [shard.texts for shard in typed]
+    assert shards[failing] in typed
+    if plan != "pool":
+        assert typed == shards[: failing + 1]
+    assert in_process_pool.workers == ([] if plan == "serial" else [2])

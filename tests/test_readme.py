@@ -1,9 +1,13 @@
-"""The README's library examples run and print what the README says."""
+"""The README's library examples run and print what the README says, and its
+safeguards paragraph names what the combination rules decide."""
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
+
+from serrant.combine import _PAIR, _RULES, TENSE_LEMMAS, UNRELIABLE_TAGS
+from serrant.sercl import render
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -43,3 +47,22 @@ def test_library_use_examples_print_what_the_readme_shows(tmp_path, monkeypatch,
     assert capsys.readouterr().out == m2
     exec(compile(low_level, "README.md", "exec"), {})
     assert capsys.readouterr().out == "1 2 R:Modal\n"
+
+
+def test_the_safeguards_paragraph_names_what_each_rule_row_decides():
+    (paragraph,) = [p for p in _section("Type labels").split("\n\n") if p.startswith("Safeguards")]
+    text = " ".join(paragraph.split())
+    for tag in UNRELIABLE_TAGS:
+        assert re.search(rf"\b{tag}\b", text), tag
+    for lemma in TENSE_LEMMAS:
+        assert re.search(rf"\b{lemma} ", text), lemma
+    assert 'the word "will"' in text
+    # the rows that have a test and a body of their own: Other, Propn, Aux, Verb:Tense, Modal
+    bodies = {
+        body if isinstance(body, str) else render(body)
+        for _, test, body in _RULES
+        if test is not None and body is not _PAIR
+    }
+    assert len(bodies) == 5
+    for body in bodies:
+        assert f"`{body}`" in text, body
