@@ -20,23 +20,23 @@ loaded set.  Both commands work on shards: a shard is a
 :class:`PipelineInputs` of slices of the input texts that hold a
 contiguous run of items (sentence pairs, or M2 records), with the CoNLL-U
 lines that annotate them.  ``run(config, inputs, worker_count=1)`` cuts
-every text at the same items, after line ends of parallel text and after
-blank lines of M2 and CoNLL-U, into shards of about :data:`_SHARD_CHARS`
-characters, and types them one at a time in this process, or on worker
-processes when ``worker_count``, the number of shards and the number of
-usable cores are all above 1.  Only :func:`_type_shard` parses items, in
-a worker or in the parent.  A ``finish`` step given to ``run`` turns each
-shard's records into what the caller keeps (the command line keeps M2
-text and label counts) where the shard was typed, so no run need hold the
-records of the whole corpus.
+every text at the same items, at each line of parallel text, each M2
+sentence line and each CoNLL-U block that holds a sentence, into shards
+of about :data:`_SHARD_CHARS` characters, and types them one at a time
+in this process, or on worker processes when ``worker_count``, the
+number of shards and the number of usable cores are all above 1.  Only
+:func:`_type_shard` parses items, in a worker or in the parent.  A
+``finish`` step given to ``run`` turns each shard's records into what the
+caller keeps (the command line keeps M2 text and label counts) where the
+shard was typed, so no run need hold the records of the whole corpus.
 
 Each shard knows where it starts: the index of its first item, and the
 number of the first line of each of its texts.  So every error names the
 item or the line of the whole input, and every input is typed once.  The
 error a run raises is the first fault of the first shard that holds one,
 in input order; within a shard, the first in :func:`_type_shard`'s stage
-order.  When the texts hold different numbers of items, the cut cannot be
-trusted, and the whole corpus is one shard.  When the pool cannot start
+order.  When the texts hold different numbers of items, an input is at
+fault, and the whole corpus is one shard.  When the pool cannot start
 (on a platform without named semaphores too) or breaks (a worker dies),
 the parent cuts the inputs again and types those shards one at a time
 itself, so it still holds one shard's sentences and records at a time.
@@ -59,7 +59,7 @@ from .combine import SerrantType, build_context, combine
 from .errors import AttachmentError, ConfigurationError, IngestionError, M2ValidationError
 from .m2 import M2Edit, M2Record, apply_edits, parse_m2, read_parallel
 from .sercl import ARROW_ASCII, ARROW_UNICODE, GRANULARITIES, GRANULARITY_UPOS, classify_sercl
-from .ud import BLANK_LINES, AnnotatedSentence, attach, fallback_annotate, parse_conllu
+from .ud import AnnotatedSentence, attach, fallback_annotate, parse_conllu
 
 
 class PipelineConfig(NamedTuple):
@@ -277,9 +277,15 @@ def _run_in_worker(shard: _Shard) -> object:
 # whatever the worker count: a pool costs more than it saves there.
 _SHARD_CHARS = 500_000
 
-# where the next item starts: after a line end of parallel text, and after
-# blank lines in M2 and CoNLL-U
-_LINE_END = re.compile("\n")
+# Where the items of each text start, and so where the cut may fall: at each
+# line of parallel text, at the sentence line of each M2 record, and at each
+# CoNLL-U block whose first word, past comments, ranges and empty nodes, has id
+# 1.  Each is three patterns: the blank lines before the first item that hold
+# none, what comes before each later item, and the start of an item.  In a text
+# its parser accepts, they find exactly the items it parses.
+_M2_ITEM = ("", r"\n", r"S(?: |\r?(?m:$))")
+_CONLLU_ITEM = (r"(?:[^\S\n]*\n)*", r"\n(?:[^\S\n]*\n)+", r"(?:#.*\n|[0-9]+[-.][0-9]+\t.*\n)*0*1\t")
+_ITEMS = (("", r"\n", r"[\s\S]"),) * 2 + (_M2_ITEM, _CONLLU_ITEM, _CONLLU_ITEM)
 
 
 def _cut(inputs: PipelineInputs) -> tuple[int, Iterator[_Shard]]:
@@ -290,20 +296,18 @@ def _cut(inputs: PipelineInputs) -> tuple[int, Iterator[_Shard]]:
     first item, and the number of the first line of each slice, counted
     from the slices before it.  The characters of all texts count, and
     each shard starts at the first item whose texts start at or past its
-    share of them.  Nothing is parsed: an item is a line of parallel text,
-    or a block of M2 or CoNLL-U text.  A block that is not one item (a
-    CoNLL-U block that holds no word, M2 records not separated by blank
-    lines) makes the counts of two texts disagree.  When the whole texts
-    disagree, the plan is one shard, the whole corpus, which then fails as
-    a single pass does; otherwise the count check of the shard that holds
-    the block fails.
+    share of them.  Nothing is parsed: each text is cut at the first line
+    of an item (:data:`_ITEMS`), which its parser counts as one item
+    wherever the text is well formed.  So when the texts hold the same
+    number of items, each shard's slices hold the same items; when they
+    do not, an input is at fault, and the plan is one shard, the whole
+    corpus, which then fails as a single pass does.
     """
     texts = list(inputs)
-    item_ends = (_LINE_END, _LINE_END, BLANK_LINES, BLANK_LINES, BLANK_LINES)
-    starts = [None if text is None else _starts(text, end) for text, end in zip(texts, item_ends)]
+    starts = [None if text is None else _starts(text, item) for text, item in zip(texts, _ITEMS)]
     given = [text_starts for text_starts in starts if text_starts is not None]
     counts = {len(text_starts) for text_starts in given}
-    if len(counts) != 1:  # the cut cannot be trusted: one shard, the whole corpus
+    if len(counts) != 1:  # an input is at fault: one shard, the whole corpus
         return 1, iter([_Shard(inputs, 0, PipelineInputs(1, 1, 1, 1, 1))])
     count = counts.pop()
     total = sum(len(text) for text in texts if text is not None)
@@ -316,7 +320,8 @@ def _cut(inputs: PipelineInputs) -> tuple[int, Iterator[_Shard]]:
         bisect_left(range(count), total * share // shares, key=chars_before)
         for share in range(shares)
     }
-    firsts = sorted(firsts - {count})  # a share past the last item's start starts no shard
+    # a share past the last item's start starts no shard; a text of no item is one shard
+    firsts = sorted(firsts - {count}) or [0]
     cuts = [
         None if text is None else [0, *(text_starts[first] for first in firsts[1:]), len(text)]
         for text, text_starts in zip(texts, starts)
@@ -324,12 +329,12 @@ def _cut(inputs: PipelineInputs) -> tuple[int, Iterator[_Shard]]:
     return len(firsts), _slices(texts, cuts, firsts)
 
 
-def _starts(text: str, item_end: re.Pattern[str]) -> list[int]:
-    """Where the items of ``text`` start: at 0, and after each ``item_end`` that text follows."""
-    starts = [0, *(match.end() for match in item_end.finditer(text))]
-    if starts[-1] == len(text):
-        starts.pop()
-    return starts
+def _starts(text: str, item: tuple[str, str, str]) -> list[int]:
+    """Where the items of ``text`` start, found with ``item``'s patterns (see :data:`_ITEMS`)."""
+    top, before, first = item
+    lead = re.match(top, text).end()
+    starts = [match.end() for match in re.compile(rf"{before}(?={first})").finditer(text, lead)]
+    return [0, *starts] if re.compile(first).match(text, lead) else starts
 
 
 def _slices(

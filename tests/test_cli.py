@@ -753,12 +753,17 @@ def _library_result(command: str, texts: dict[str, str]) -> tuple[int, str, str]
         if command == "stats":
             return 0, emit_report(type_distribution(parse_m2(texts["m2"])), "tsv"), ""
         wordlist = load_wordlist(texts["wordlist"]) if "wordlist" in texts else None
+        retype = command == "retype"
         annotations = {name: texts.get(name) for name in ("conllu_orig", "conllu_cor")}
-        if command == "retype":
+        if retype:
             inputs = PipelineInputs(m2=texts["m2"], **annotations)
         else:
             inputs = PipelineInputs(original=texts["orig"], corrected=texts["cor"], **annotations)
-        return 0, emit_m2(run(PipelineConfig(wordlist=wordlist), inputs)), ""
+        # one pass over the whole corpus, as one shard: not the cut the command line makes
+        whole = pipeline._Shard(inputs, 0, PipelineInputs(1, 1, 1, 1, 1))
+        config = PipelineConfig(wordlist=wordlist)
+        records = pipeline._type_shard(whole, retype=retype, config=config)
+        return 0, emit_m2(records), ""
     except ConfigurationError as exc:
         return 2, "", f"serrant: {exc}\n"
     except SerrantError as exc:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from serrant import pipeline
 from serrant.errors import IngestionError, M2ParseError, M2ValidationError
 from serrant.m2 import (
     NOOP_TYPE,
@@ -413,10 +414,59 @@ def test_emission_is_a_fixed_point(records):
 @settings(max_examples=200)
 @given(st.lists(_records(), min_size=0, max_size=6), st.lists(st.integers(0, 6), max_size=4))
 def test_joined_texts_of_parts_are_the_text_of_the_whole(records, cuts):
-    # parts may be empty, as the shard of a leading run of blank lines is
+    # parts may be empty, as the one shard of a text that holds no record is
     bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
     parts = [emit_m2(records[start:end]) for start, end in zip(bounds, bounds[1:])]
     assert "".join(join_m2(parts)) == emit_m2(records)
+
+
+_SCAN_LINES = [
+    "",
+    " ",
+    "\r",
+    "S a b",
+    "S",
+    "S\r",
+    "S a\r",
+    "Sx",
+    "A 0 1|||X|||y|||REQUIRED|||-NONE-|||0",
+    "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0",
+    "A 0 9|||X|||y|||REQUIRED|||-NONE-|||0",
+]
+
+
+def _parse_or_error(text: str):
+    try:
+        return parse_m2(text), None
+    except M2ParseError as exc:
+        return None, exc
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_SCAN_LINES), max_size=16), st.data())
+def test_record_starts_cut_like_parse(lines, data):
+    # the cut of --jobs: at each sentence line, one record each
+    text = "\n".join(lines)
+    starts = pipeline._starts(text, pipeline._M2_ITEM)
+    whole, error = _parse_or_error(text)
+    if error is None:
+        assert len(starts) == len(whole)
+    cuts = sorted(data.draw(st.sets(st.sampled_from(starts)))) if starts else []
+    firsts = [0] + [cut for cut in cuts if cut > 0]
+    pieces, piece_error = [], None
+    for offset, end in zip(firsts, firsts[1:] + [len(text)]):
+        records, piece_error = _parse_or_error(text[offset:end])
+        if piece_error is not None:
+            break
+        pieces.extend(records)
+    # a piece fails exactly when the whole fails, on the same line of the text
+    assert (piece_error is None) == (error is None)
+    if error is None:
+        assert pieces == whole
+    else:
+        line_shift = text.count("\n", 0, offset)
+        assert piece_error.line_number + line_shift == error.line_number
+        assert str(piece_error).split(": ", 1)[1] == str(error).split(": ", 1)[1]
 
 
 def test_read_parallel_pairs_lines():

@@ -538,22 +538,34 @@ def _extra_original_line(texts):
     texts["orig"] += "one more line\n"
 
 
+def _not_separated_and_comment_block(texts):
+    _m2_records_not_separated(texts)
+    _comment_block_added(texts)
+
+
+def _m2_blank_lines_first_and_comment_block(texts):
+    texts["m2"] = "\n \n" + texts["m2"]
+    _comment_block_added(texts)
+
+
 @pytest.mark.parametrize(
     "command, conllu, change, shards, error",
     [
-        ("classify", ("conllu_orig", "conllu_cor"), _comment_block_added, [], None),
+        ("classify", ("conllu_orig", "conllu_cor"), _comment_block_added, [34], None),
         (
             "classify",
             ("conllu_orig", "conllu_cor"),
             _comment_block_for_a_sentence,
-            [19],
-            "IngestionError: original annotations: 1 sentences for 2 inputs from input 20",
+            [],
+            "IngestionError: original annotations: 39 sentences for 40 inputs from input 0",
         ),
-        ("classify", ("conllu_orig", "conllu_cor"), _blank_lines_around, [], None),
+        ("classify", ("conllu_orig", "conllu_cor"), _blank_lines_around, [33], None),
         ("retype", ("conllu_orig",), _blank_lines_around, [25], None),
         ("retype", (), _blank_lines_around, [8], None),
         ("retype", (), _m2_records_not_separated, [8], None),
-        ("retype", ("conllu_orig",), _m2_records_not_separated, [], None),
+        ("retype", ("conllu_orig",), _m2_records_not_separated, [25], None),
+        ("retype", ("conllu_orig",), _not_separated_and_comment_block, [25], None),
+        ("retype", ("conllu_orig",), _m2_blank_lines_first_and_comment_block, [25], None),
         (
             "classify",
             (),
@@ -571,10 +583,12 @@ def _extra_original_line(texts):
         "blank-lines-around-m2-alone",
         "m2-records-not-separated",
         "m2-records-not-separated-with-conllu",
+        "m2-records-not-separated-and-comment-only-block",
+        "m2-blank-lines-first-and-comment-only-block",
         "different-line-counts",
     ],
 )
-def test_a_cut_that_does_not_hold_gives_the_serial_result(
+def test_irregular_blocks_give_the_serial_result(
     in_process_pool, command, conllu, change, shards, error
 ):
     texts = _cut_texts()
@@ -582,13 +596,23 @@ def test_a_cut_that_does_not_hold_gives_the_serial_result(
     config, inputs = _cut_run(texts, command, conllu)
     serial = _records_or_error(config, inputs, 1)
     assert _records_or_error(config, inputs, 2) == serial
-    # [] when the cut fails and no pool starts; a leading blank run is an item of no record;
-    # a shard that fails is read, and the run stops, once four more are queued
+    # blocks of no item and records run together are cut where their items start;
+    # [] when the texts hold different numbers of items, and no pool starts
     assert in_process_pool.shards == shards
     if error is None:
         assert len(serial) == 40
     else:
         assert serial == error
+
+
+def test_a_text_of_no_item_is_typed_as_one_shard(in_process_pool):
+    m2 = "\n \nA 0 1|||X|||y|||REQUIRED|||-NONE-|||0\n"
+    for worker_count in (1, 2):
+        with pytest.raises(M2ParseError) as info:
+            run(PipelineConfig(), PipelineInputs(m2=m2), worker_count)
+        assert str(info.value) == "line 3: annotation line before any sentence line"
+    assert run(PipelineConfig(), PipelineInputs(m2="\n \n"), 2) == []
+    assert in_process_pool.workers == []
 
 
 @pytest.mark.parametrize(
@@ -627,9 +651,9 @@ def test_an_empty_type_label_fails_on_its_line_for_any_worker_count(monkeypatch,
 # --- faults: each is named by its place in the whole input, and typed once -----
 
 
-def _block_line(text: str, index: int) -> int:
-    """The number of the first line of block ``index`` of M2 or CoNLL-U text."""
-    return sum(block.count("\n") + 2 for block in text.split("\n\n")[:index]) + 1
+def _line_of(text: str, part: str) -> int:
+    """The number of the line of ``text`` that holds the first ``part``."""
+    return text.count("\n", 0, text.index(part)) + 1
 
 
 def _change_line(text: str, index: int, change) -> str:
@@ -649,10 +673,12 @@ def _set_first_row(column: int, value: str):
     """A change of a CoNLL-U block: ``value`` in ``column`` of its first row."""
 
     def change(block: str) -> str:
-        row, _, rest = block.partition("\n")
-        cols = row.split("\t")
+        lines = block.split("\n")
+        row = next(index for index, line in enumerate(lines) if "\t" in line)
+        cols = lines[row].split("\t")
         cols[column] = value
-        return "\n".join(["\t".join(cols), rest]) if rest else "\t".join(cols)
+        lines[row] = "\t".join(cols)
+        return "\n".join(lines)
 
     return change
 
@@ -671,8 +697,7 @@ def _with_fault(inputs: PipelineInputs, fault: str, item: int, side: str):
     if fault == "empty-label":
         empty = "A 0 0||||||x|||REQUIRED|||-NONE-|||0"
         m2 = _change_block(inputs.m2, item, lambda block: f"{block}\n{empty}")
-        line = _block_line(m2, item) + m2.split("\n\n")[item].rstrip("\n").count("\n")
-        return inputs._replace(m2=m2), M2ParseError, f"line {line}: empty type label"
+        return inputs._replace(m2=m2), M2ParseError, f"line {_line_of(m2, empty)}: empty type label"
     if fault == "overlap":
         spans = "\n".join(f"A 0 1|||UNK|||{c}|||REQUIRED|||-NONE-|||7" for c in "xy")
         m2 = _change_block(inputs.m2, item, lambda block: f"{block}\n{spans}")
@@ -681,7 +706,7 @@ def _with_fault(inputs: PipelineInputs, fault: str, item: int, side: str):
     conllu = getattr(inputs, conllu_field)
     if fault == "unknown-upos":
         conllu = _change_block(conllu, item, _set_first_row(3, "BLORP"))
-        message = f"line {_block_line(conllu, item)}: unknown UPOS tag 'BLORP'"
+        message = f"line {_line_of(conllu, 'BLORP')}: unknown UPOS tag 'BLORP'"
         return inputs._replace(**{conllu_field: conllu}), ConlluParseError, message
     assert fault == "form"
     surface = getattr(inputs, text_field).split("\n")[item].split(" ")[0]
@@ -691,15 +716,18 @@ def _with_fault(inputs: PipelineInputs, fault: str, item: int, side: str):
     return inputs._replace(**{conllu_field: conllu}), AttachmentError, message
 
 
-def _fault_inputs(corpus: SyntheticCorpus, fault: str) -> PipelineInputs:
-    """The clean inputs a fault goes into: the M2 faults retype, the others classify."""
+def _fault_inputs(corpus: SyntheticCorpus, fault: str, lead: str = "") -> PipelineInputs:
+    """The clean inputs a fault goes into: the M2 faults retype, the others classify.
+
+    ``lead`` goes before each M2 and CoNLL-U text: blank lines, which hold no item.
+    """
     if fault in ("empty-label", "overlap"):
-        return PipelineInputs(m2=corpus.untyped_m2(), conllu_orig=corpus.conllu_orig)
+        return PipelineInputs(m2=lead + corpus.untyped_m2(), conllu_orig=lead + corpus.conllu_orig)
     return PipelineInputs(
         original=corpus.orig_text,
         corrected=corpus.cor_text,
-        conllu_orig=corpus.conllu_orig,
-        conllu_cor=corpus.conllu_cor,
+        conllu_orig=lead + corpus.conllu_orig,
+        conllu_cor=lead + corpus.conllu_cor,
     )
 
 
@@ -722,15 +750,26 @@ _FAULTS = ["nbsp", "empty-label", "unknown-upos", "form", "overlap"]
     fault=st.sampled_from(_FAULTS),
     side=st.sampled_from(sorted(_SIDES)),
     shard_chars=st.integers(50, 5000),
+    lead=st.sampled_from(["", "\n \n"]),
 )
 def test_one_fault_gives_its_own_error_for_any_shard_budget_and_worker_count(
-    in_process_pool, monkeypatch, data, size, seed, fault, side, shard_chars
+    in_process_pool, monkeypatch, data, size, seed, fault, side, shard_chars, lead
 ):
     monkeypatch.setattr(pipeline, "_SHARD_CHARS", shard_chars)
     corpus = SyntheticCorpus(size, seed)
     item = data.draw(st.integers(0, size - 1), label="item")
-    inputs, error, message = _with_fault(_fault_inputs(corpus, fault), fault, item, side)
+    inputs, error, message = _with_fault(_fault_inputs(corpus, fault, lead), fault, item, side)
     for worker_count in (1, 2, 4):
+        assert _error_of(PipelineConfig(), inputs, worker_count) == (error, message)
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_blank_lines_before_the_first_item_shift_no_item_number(in_process_pool, fault):
+    corpus = SyntheticCorpus(40, seed=5)
+    inputs = _fault_inputs(corpus, fault, "\n \n")
+    inputs, error, message = _with_fault(inputs, fault, 30, "corrected")
+    assert _shard_of(inputs, 30) > 0
+    for worker_count in (1, 2):
         assert _error_of(PipelineConfig(), inputs, worker_count) == (error, message)
 
 

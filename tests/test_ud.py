@@ -238,6 +238,7 @@ _SCAN_LINES = [
     "#",
     "1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_",
     "1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\r",
+    "01\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_",
     "2\tb\tb\tNOUN\t_\t_\t1\tdep\t_\t_",
     "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_",
     "1.1\tx\t_\t_\t_\t_\t_\t_\t_\t_",
@@ -257,12 +258,12 @@ def _parse_or_error(text: str):
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(_SCAN_LINES), max_size=24), st.data())
 def test_sentence_starts_cut_like_parse(lines, data):
-    # the cut of --jobs: after each run of blank lines
+    # the cut of --jobs: at each block that holds a sentence, one item each
     text = "\n".join(lines)
-    starts = pipeline._starts(text, ud.BLANK_LINES)
+    starts = pipeline._starts(text, pipeline._CONLLU_ITEM)
     whole, error = _parse_or_error(text)
-    if error is None:  # a block that holds no word is a start, but no sentence
-        assert len(starts) >= len(whole)
+    if error is None:
+        assert len(starts) == len(whole)
     for offset in starts:
         assert offset == 0 or text[offset - 1] == "\n"
     cuts = sorted(data.draw(st.sets(st.sampled_from(starts)))) if starts else []
