@@ -12,7 +12,10 @@ configuration errors (argparse reports usage errors with 2 as well).  The
 This is the one module that reads input files; the library takes their
 texts.  A command reads every input file it is given, in flag order,
 before it checks a setting or parses a text, so a missing, unreadable or
-non-UTF-8 file is the first error reported.
+non-UTF-8 file is the first error reported.  It is also the one module
+that knows the files' paths: an input error is written as
+``serrant: PATH:LINE: message``, with the path given for the input the
+library names by its role (see :mod:`serrant.errors`).
 
 Output is UTF-8 whatever the locale: standard output gets the same bytes
 as ``--out``.  ``classify`` and ``retype`` type their input shard by shard
@@ -34,7 +37,7 @@ import gc
 import os
 import sys
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 from .base import load_wordlist
@@ -48,6 +51,9 @@ _GRANULARITY_FLAGS = {"upos": GRANULARITY_UPOS, "upos-feats": GRANULARITY_UPOS_F
 _ARROW_FLAGS = {"ascii": ARROW_ASCII, "unicode": ARROW_UNICODE}
 
 WORDLIST_ENV = "SERRANT_WORDLIST"
+
+# the flags whose name is not that of the input they give (a PipelineInputs field)
+_FLAGS = {"original": "orig", "corrected": "cor"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,8 +141,9 @@ def read_input(path: str | None) -> str | None:
 
     Raises:
         OSError: when the file cannot be read.
-        IngestionError: naming the path, the first byte that is not UTF-8
-            and its 1-based line, when the file does not decode.
+        IngestionError: naming the path, the 1-based line of the first
+            byte that is not UTF-8, and the byte, when the file does not
+            decode.
     """
     if path is None:
         return None
@@ -145,9 +152,8 @@ def read_input(path: str | None) -> str | None:
             return handle.read()
         except UnicodeDecodeError as exc:
             line = exc.object.count(b"\n", 0, exc.start) + 1
-            raise IngestionError(
-                f"{path}: not valid UTF-8: byte 0x{exc.object[exc.start]:02x} on line {line}"
-            ) from None
+            byte = exc.object[exc.start]
+            raise IngestionError(f"not valid UTF-8: byte 0x{byte:02x}", path, line) from None
 
 
 def _annotations(args: argparse.Namespace) -> dict[str, str | None]:
@@ -169,13 +175,16 @@ def _config(args: argparse.Namespace) -> PipelineConfig:
 def _run_classify(args: argparse.Namespace) -> int:
     original, corrected = read_input(args.orig), read_input(args.cor)
     inputs = PipelineInputs(original=original, corrected=corrected, **_annotations(args))
-    _write_outputs(run(_config(args), inputs, args.jobs, finish=_finish), args)
-    return 0
+    return _type_and_write(args, inputs, args.jobs)
 
 
 def _run_retype(args: argparse.Namespace) -> int:
-    inputs = PipelineInputs(m2=read_input(args.m2), **_annotations(args))
-    _write_outputs(run(_config(args), inputs, finish=_finish), args)
+    return _type_and_write(args, PipelineInputs(m2=read_input(args.m2), **_annotations(args)))
+
+
+def _type_and_write(args: argparse.Namespace, inputs: PipelineInputs, jobs: int = 1) -> int:
+    """Type ``inputs`` on up to ``jobs`` processes, with the settings of ``args``, and write."""
+    _write_outputs(_named_by_path(args, run, _config(args), inputs, jobs, finish=_finish), args)
     return 0
 
 
@@ -183,18 +192,30 @@ def _run_stats(args: argparse.Namespace) -> int:
     text = read_input(args.m2)
     if args.annotator is not None and args.annotator < 0:
         raise ConfigurationError(f"annotator id must be >= 0, got {args.annotator}")
-    records = parse_m2(text)
+    records = _named_by_path(args, parse_m2, text)
     distribution = type_distribution(records, annotator_filter=args.annotator)
     _write_stdout([emit_report(distribution, args.report_format)])
     return 0
 
 
-def _finish(records: list[M2Record], first: int) -> tuple[str, Counter[str]]:
-    """The M2 text and label counts of a shard whose first record is ``first``.
+def _named_by_path(args: argparse.Namespace, call: Callable, *arguments, **options):
+    """``call(*arguments, **options)``, whose errors name the file given for the input they name.
 
-    They are made where the shard was typed.
+    The library names an input by its :class:`PipelineInputs` field; the
+    file is the one given with the flag of that name, ``--orig`` for
+    ``original`` and ``--cor`` for ``corrected``.
     """
-    return emit_m2(records, first), type_distribution(records)
+    try:
+        return call(*arguments, **options)
+    except SerrantError as exc:
+        if exc.source in PipelineInputs._fields:
+            exc.source = getattr(args, _FLAGS.get(exc.source, exc.source), None) or exc.source
+        raise
+
+
+def _finish(records: list[M2Record]) -> tuple[str, Counter[str]]:
+    """The M2 text and label counts of a shard, made where it was typed."""
+    return emit_m2(records), type_distribution(records)
 
 
 def _write_outputs(parts: list[tuple[str, Counter[str]]], args: argparse.Namespace) -> None:

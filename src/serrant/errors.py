@@ -4,6 +4,12 @@ All errors raised on bad input derive from :class:`SerrantError` so callers
 can catch one type at the boundary.  :class:`ConfigurationError` is kept
 separate in spirit: it signals a bad run configuration (missing resource,
 invalid option combination) rather than bad data.
+
+Every class takes the one constructor of :class:`SerrantError`: a message,
+and where the fault is, the input it is in and the 1-based number of its
+line.  The library names an input by its :class:`~serrant.pipeline.PipelineInputs`
+field (``original``, ``corrected``, ``m2``, ``conllu_orig``, ``conllu_cor``);
+the command line names it by its path.
 """
 
 from __future__ import annotations
@@ -12,48 +18,35 @@ from __future__ import annotations
 class SerrantError(Exception):
     """Base class for all input and processing errors.
 
-    Errors cross process boundaries (``--jobs`` workers), so every subclass
-    pickles as its class, its message and its attributes, whatever its
-    constructor takes.
+    ``str()`` gives ``SOURCE:LINE: message``, the form of the GNU Coding
+    Standards' error messages, with the parts that are ``None`` left out,
+    and the message alone when both are.  Every subclass takes this
+    constructor, so each pickles as it is, also across ``--jobs`` workers.
     """
 
-    def __reduce__(self):
-        return _restore, (type(self), self.args, self.__dict__)
+    def __init__(self, message: str, source: str | None = None, line: int | None = None) -> None:
+        super().__init__(message, source, line)
+        self.message, self.source, self.line = message, source, line
+
+    def __str__(self) -> str:
+        where = "".join(f"{part}:" for part in (self.source, self.line) if part is not None)
+        return f"{where} {self.message}" if where else self.message
 
 
-class _LineError(SerrantError):
-    """An error on one line of an input text.  ``line_number`` is 1-based."""
-
-    def __init__(self, line_number: int, message: str) -> None:
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
-
-class M2ParseError(_LineError):
-    """Malformed M2 text.  ``line_number`` is 1-based."""
+class M2ParseError(SerrantError):
+    """Malformed M2 text."""
 
 
 class M2ValidationError(SerrantError):
-    """A record violates the M2 invariants.  ``record_index`` is 0-based."""
-
-    def __init__(self, record_index: int, message: str) -> None:
-        super().__init__(f"record {record_index}: {message}")
-        self.record_index = record_index
+    """A record violates the M2 invariants."""
 
 
-class ConlluParseError(_LineError):
-    """Malformed CoNLL-U text.  ``line_number`` is 1-based."""
+class ConlluParseError(SerrantError):
+    """Malformed CoNLL-U text."""
 
 
 class AttachmentError(SerrantError):
-    """Annotation forms do not match the surface tokens.
-
-    ``index`` is the first divergent token position (0-based).
-    """
-
-    def __init__(self, index: int, message: str) -> None:
-        super().__init__(message)
-        self.index = index
+    """Annotation forms do not match the surface tokens."""
 
 
 class IngestionError(SerrantError):
@@ -66,10 +59,3 @@ class AnnotationMissingError(SerrantError):
 
 class ConfigurationError(SerrantError):
     """The run configuration is invalid or incomplete."""
-
-
-def _restore(cls: type[SerrantError], args: tuple, state: dict) -> SerrantError:
-    error = cls.__new__(cls)
-    error.args = args
-    error.__dict__.update(state)
-    return error

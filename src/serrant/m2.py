@@ -14,10 +14,12 @@ M2 and parallel text share one line rule (:func:`_lines`): lines end at
 ``\\n``, one ``\\r`` before a line end is dropped, so CRLF files read like
 LF files, and any other whitespace or line-break character (a lone
 ``\\r``, a tab, NBSP, U+2028, ...) anywhere in the text is an error naming
-its line, such as ``line 3: unsupported whitespace character U+0009`` for
-M2.  Tokens on ``S`` lines and in correction fields are separated by single
-spaces.  So every record :func:`parse_m2` returns is one :func:`emit_m2`
-writes back.
+its line, such as ``m2:3: unsupported whitespace character U+0009``.
+Every error :func:`parse_m2` raises names the input ``m2`` and a line,
+and every one :func:`read_parallel` raises ``original`` or ``corrected``
+(see :mod:`serrant.errors`).  Tokens on ``S`` lines and in correction
+fields are separated by single spaces.  So every record :func:`parse_m2`
+returns is one :func:`emit_m2` writes back.
 
 Canonical emission rules, chosen to match the most common usage of the
 format: deletions carry an empty correction field, the no-edit sentinel
@@ -41,8 +43,7 @@ correction tuple.
 from __future__ import annotations
 
 import re
-from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import IngestionError, M2ParseError, M2ValidationError, SerrantError
 
@@ -101,8 +102,8 @@ def parse_m2(text: str, first_line: int = 1) -> list[M2Record]:
             malformed lines, annotations appearing before any sentence
             line, empty tokens (two spaces in a row), non-integer or
             out-of-range offsets, an empty type label, or a negative
-            annotator id.  The error carries the line's number, counted
-            from ``first_line``.
+            annotator id.  The error names the input ``m2`` and the
+            line's number, counted from ``first_line``.
     """
     records: list[M2Record] = []
     tokens: tuple[str, ...] | None = None
@@ -118,7 +119,7 @@ def parse_m2(text: str, first_line: int = 1) -> list[M2Record]:
         tokens = None
         edits = []
 
-    for lineno, line in enumerate(_lines(text, M2ParseError, first_line), first_line):
+    for lineno, line in enumerate(_lines(text, M2ParseError, "m2", first_line), first_line):
         if not line.strip():
             close()
             continue
@@ -127,10 +128,10 @@ def parse_m2(text: str, first_line: int = 1) -> list[M2Record]:
             tokens = _parse_sentence_line(line, lineno)
         elif line.startswith("A "):
             if tokens is None:
-                raise M2ParseError(lineno, "annotation line before any sentence line")
+                raise M2ParseError("annotation line before any sentence line", "m2", lineno)
             edits.append(_parse_annotation_line(line, lineno, len(tokens), labels, corrections))
         else:
-            raise M2ParseError(lineno, f"unrecognised line {line!r}")
+            raise M2ParseError(f"unrecognised line {line!r}", "m2", lineno)
     close()
     return records
 
@@ -140,7 +141,7 @@ def _parse_sentence_line(line: str, lineno: int) -> tuple[str, ...]:
         return ()
     toks = tuple(line[2:].split(" "))
     if any(not t for t in toks):
-        raise M2ParseError(lineno, "empty token on sentence line")
+        raise M2ParseError("empty token on sentence line", "m2", lineno)
     return toks
 
 
@@ -154,18 +155,18 @@ def _parse_annotation_line(
     """Parse one ``A`` line, sharing its label and correction through the two dicts."""
     fields = line[2:].split("|||")
     if len(fields) != 6:
-        raise M2ParseError(lineno, f"expected 6 |||-separated fields, got {len(fields)}")
+        raise M2ParseError(f"expected 6 |||-separated fields, got {len(fields)}", "m2", lineno)
     offsets = fields[0].split(" ")
     if len(offsets) != 2:
-        raise M2ParseError(lineno, f"expected two span offsets, got {fields[0]!r}")
+        raise M2ParseError(f"expected two span offsets, got {fields[0]!r}", "m2", lineno)
     try:
         start, end = _integer(offsets[0]), _integer(offsets[1])
     except ValueError:
-        raise M2ParseError(lineno, f"non-integer span offsets {fields[0]!r}") from None
+        raise M2ParseError(f"non-integer span offsets {fields[0]!r}", "m2", lineno) from None
     if not ((start, end) == (-1, -1) or 0 <= start <= end <= n_tokens):
-        raise M2ParseError(lineno, f"span {start} {end} out of range for {n_tokens} tokens")
+        raise M2ParseError(f"span {start} {end} out of range for {n_tokens} tokens", "m2", lineno)
     if not fields[1]:
-        raise M2ParseError(lineno, "empty type label")
+        raise M2ParseError("empty type label", "m2", lineno)
     correction = corrections.get(fields[2])
     if correction is None:
         if fields[2] in ("", _FLAG_NONE):
@@ -173,14 +174,14 @@ def _parse_annotation_line(
         else:
             correction = tuple(fields[2].split(" "))
             if any(not t for t in correction):
-                raise M2ParseError(lineno, "empty token in correction field")
+                raise M2ParseError("empty token in correction field", "m2", lineno)
         corrections[fields[2]] = correction
     try:
         annotator = _integer(fields[5])
     except ValueError:
-        raise M2ParseError(lineno, f"non-integer annotator id {fields[5]!r}") from None
+        raise M2ParseError(f"non-integer annotator id {fields[5]!r}", "m2", lineno) from None
     if annotator < 0:
-        raise M2ParseError(lineno, f"negative annotator id {annotator}")
+        raise M2ParseError(f"negative annotator id {annotator}", "m2", lineno)
     label = labels.setdefault(fields[1], fields[1])
     return M2Edit(EditSpan(start, end, correction), label, annotator)
 
@@ -196,11 +197,8 @@ def _integer(text: str) -> int:
     raise ValueError(text)
 
 
-def emit_m2(records: Sequence[M2Record], first: int = 0) -> str:
+def emit_m2(records: Sequence[M2Record]) -> str:
     """Render records canonically.  Empty input renders as an empty string.
-
-    ``first`` is the index of the first record, which error messages count
-    from: a shard of a larger corpus passes the index of its first record.
 
     Each record is checked as its lines are written, in one pass: its
     source tokens, then for each edit in turn its span, correction, type
@@ -208,8 +206,7 @@ def emit_m2(records: Sequence[M2Record], first: int = 0) -> str:
     fault found is the one raised.
 
     Raises:
-        M2ValidationError: naming the record's 0-based index, counted from
-            ``first``, when a record violates the format invariants
+        M2ValidationError: when a record violates the format invariants
             (tokens containing whitespace, correction tokens containing
             the field separator, a correction or type label ending in
             ``|``, an empty type label or one holding the field separator,
@@ -218,22 +215,24 @@ def emit_m2(records: Sequence[M2Record], first: int = 0) -> str:
             annotator ids).  Records from
             :func:`parse_m2` always pass, so the checks guard records that
             callers build by hand and labels that carry input FEATS values.
+            The error names no input or line: a caller that knows where
+            the records came from names them, as ``pipeline`` does.
     """
     lines: list[str] = []
     labels: set[str] = set()  # the labels checked so far, each checked once
     flags = f"|||{_FLAG_REQUIRED}|||{_FLAG_NONE}|||"  # the two fixed fields of an A line
-    for index, (source_tokens, edits) in enumerate(records, first):
+    for source_tokens, edits in records:
         # Joined with spaces and split on whitespace, tokens come back unchanged
         # exactly when none is empty and none holds whitespace (str.split and
         # str.isspace share one definition of whitespace).
         source = " ".join(source_tokens)
         if source.split() != list(source_tokens):
             bad = next(tok for tok in source_tokens if tok.split() != [tok])
-            raise M2ValidationError(index, f"invalid source token {bad!r}")
+            raise M2ValidationError(f"invalid source token {bad!r}")
         lines.append(f"S {source}" if source else "S")
         for (start, end, tokens), label, annotator_id in edits:
             if not ((start, end) == (-1, -1) or 0 <= start <= end <= len(source_tokens)):
-                raise M2ValidationError(index, f"span {start} {end} out of range")
+                raise M2ValidationError(f"span {start} {end} out of range")
             correction = " ".join(tokens)
             # A field ends at the first "|||", so a trailing "|" would move into the
             # next field, and parse_m2 reads a lone -NONE- as a deletion.
@@ -244,7 +243,7 @@ def emit_m2(records: Sequence[M2Record], first: int = 0) -> str:
                 or correction == _FLAG_NONE
             ):
                 bad = next((t for t in tokens if t.split() != [t] or "|||" in t), tokens[-1])
-                raise M2ValidationError(index, f"invalid correction token {bad!r}")
+                raise M2ValidationError(f"invalid correction token {bad!r}")
             if label not in labels:
                 # the line rule of parse_m2 would reject any whitespace but the space
                 if (
@@ -254,10 +253,10 @@ def emit_m2(records: Sequence[M2Record], first: int = 0) -> str:
                     or "\n" in label
                     or _OTHER_SPACE.search(label)
                 ):
-                    raise M2ValidationError(index, f"invalid type label {label!r}")
+                    raise M2ValidationError(f"invalid type label {label!r}")
                 labels.add(label)
             if annotator_id < 0:
-                raise M2ValidationError(index, f"negative annotator id {annotator_id}")
+                raise M2ValidationError(f"negative annotator id {annotator_id}")
             if not correction and label == NOOP_TYPE:
                 correction = _FLAG_NONE
             lines.append(f"A {start} {end}|||{label}|||{correction}{flags}{annotator_id}")
@@ -295,31 +294,29 @@ def read_parallel(
 
     Raises:
         IngestionError: when a line holds any other whitespace or line
-            break character (the message names the side, the line, counted
-            from ``first_line``, and the character), or when the two texts
-            have different line counts (the message reports both counts).
+            break character (naming its text, ``original`` or
+            ``corrected``, its line, counted from ``first_line``, and the
+            character), or when the two texts have different line counts
+            (naming the longer text at its first line the other lacks, and
+            both counts).
     """
-    orig_lines = _lines(original, partial(_text_error, "original"), first_line)
-    cor_lines = _lines(corrected, partial(_text_error, "corrected"), first_line)
+    orig_lines = _lines(original, IngestionError, "original", first_line)
+    cor_lines = _lines(corrected, IngestionError, "corrected", first_line)
     if len(orig_lines) != len(cor_lines):
-        raise IngestionError(
-            f"parallel texts differ in length: {len(orig_lines)} original lines"
-            f" vs {len(cor_lines)} corrected lines"
-        )
+        counts = f"{len(orig_lines)} original lines vs {len(cor_lines)} corrected lines"
+        longer = "original" if len(orig_lines) > len(cor_lines) else "corrected"
+        line = first_line + min(len(orig_lines), len(cor_lines))
+        raise IngestionError(f"parallel texts differ in length: {counts}", longer, line)
     # with no other whitespace left, str.split() splits on runs of spaces
     return [(tuple(o.split()), tuple(c.split())) for o, c in zip(orig_lines, cor_lines)]
-
-
-def _text_error(side: str, line: int, message: str) -> IngestionError:
-    return IngestionError(f"{side} text line {line}: {message}")
 
 
 # whitespace other than the space and the line break
 _OTHER_SPACE = re.compile(r"[^\S \n]")
 
 
-def _lines(text: str, error: Callable[[int, str], SerrantError], first_line: int) -> list[str]:
-    """Split ``text``, whose first line is numbered ``first_line``, into lines.
+def _lines(text: str, error: type[SerrantError], source: str, first_line: int) -> list[str]:
+    """Split the text of input ``source``, whose first line is ``first_line``, into lines.
 
     This is the one line rule of text and M2 input.
 
@@ -327,9 +324,9 @@ def _lines(text: str, error: Callable[[int, str], SerrantError], first_line: int
     the text included, is dropped.  A final line end adds no empty line.
 
     Raises:
-        SerrantError: ``error(line, message)``, naming the number of the
-            line of the first whitespace or line-break character other
-            than the space and the line end.
+        SerrantError: an ``error`` naming ``source`` and the line of the
+            first whitespace or line-break character other than the space
+            and the line end.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
@@ -338,7 +335,7 @@ def _lines(text: str, error: Callable[[int, str], SerrantError], first_line: int
     bad = _OTHER_SPACE.search(text)
     if bad is not None:
         line = text.count("\n", 0, bad.start()) + first_line
-        raise error(line, f"unsupported whitespace character U+{ord(bad.group()):04X}")
+        raise error(f"unsupported whitespace character U+{ord(bad.group()):04X}", source, line)
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()

@@ -30,9 +30,11 @@ number of shards and the number of usable cores are all above 1.  Only
 caller keeps (the command line keeps M2 text and label counts) where the
 shard was typed, so no run need hold the records of the whole corpus.
 
-Each shard knows where it starts: the index of its first item, and the
-number of the first line of each of its texts.  So every error names the
-item or the line of the whole input, and every input is typed once.  The
+Each shard knows where it starts: the number of the first line of each
+of its texts.  So every error names an input by its :class:`PipelineInputs`
+field and a line of the whole text: the parsers name the line at fault,
+and :func:`_type_shard` names the first line of an item that fails as a
+whole, on the error path only.  Every input is typed once.  The
 error a run raises is the first fault of the first shard that holds one,
 in input order; within a shard, the first in :func:`_type_shard`'s stage
 order.  When the texts hold different numbers of items, an input is at
@@ -56,7 +58,8 @@ from typing import NamedTuple
 from .alignment import Edit, align, merge
 from .base import classify_base
 from .combine import SerrantType, build_context, combine
-from .errors import AttachmentError, ConfigurationError, IngestionError, M2ValidationError
+from .errors import AttachmentError, ConfigurationError, IngestionError
+from .errors import M2ValidationError, SerrantError
 from .m2 import M2Edit, M2Record, apply_edits, parse_m2, read_parallel
 from .sercl import ARROW_ASCII, ARROW_UNICODE, GRANULARITIES, GRANULARITY_UPOS, classify_sercl
 from .ud import AnnotatedSentence, attach, fallback_annotate, parse_conllu
@@ -102,7 +105,7 @@ def run(
     config: PipelineConfig,
     inputs: PipelineInputs,
     worker_count: int = 1,
-    finish: Callable[[list[M2Record], int], object] | None = None,
+    finish: Callable[[list[M2Record]], object] | None = None,
 ) -> list:
     """Run one full pass and return the resulting records, or what ``finish`` made of them.
 
@@ -110,8 +113,8 @@ def run(
     the parent cuts every text at the same items, without parsing any,
     into shards of about :data:`_SHARD_CHARS` characters (see :func:`_cut`),
     and slices each shard's texts only when that shard is typed.  With
-    ``finish``, each shard's records and the index of its first record go
-    to ``finish(records, first)`` in the process that typed them, and
+    ``finish``, each shard's records go to ``finish(records)`` in the
+    process that typed them, and
     ``run`` returns what it gave for each shard, in order, instead of the
     records; the records and the sentences of a shard are then dropped once
     it is finished.
@@ -123,8 +126,8 @@ def run(
     pool cannot start (on a platform without named semaphores too) or a
     worker dies.  Output is identical for any worker count and any shard
     plan.  On bad input, the error raised is that of the first shard, in
-    input order, that fails, and each shard names the items and lines of
-    the whole input, so the error is the same for any worker count;
+    input order, that fails, and each shard names the lines of the whole
+    input, so the error is the same for any worker count;
     shards after it are not typed, or their results are dropped.
     """
     if worker_count < 1:
@@ -170,33 +173,28 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _sentences(
-    conllu: str | None, line: int, first: int, count: int, which: str
-) -> list[AnnotatedSentence] | list[None]:
-    """Parse the sentences of inputs ``first`` on from CoNLL-U text whose first line is ``line``.
+def _sentences(shard: _Shard, field: str, items: str, count: int) -> list:
+    """The sentences of the shard's CoNLL-U text ``field``, one for each of ``count`` items.
 
-    Gives ``None`` for each of the ``count`` inputs when there is no text.
+    Gives ``None`` for each item when there is no text.  When the counts
+    differ, the error names the text with more, ``field`` or the items'
+    text ``items``, at its first item the other lacks.
     """
-    if conllu is None:
+    text = getattr(shard.texts, field)
+    if text is None:
         return [None] * count
-    sentences = parse_conllu(conllu, line)
+    sentences = parse_conllu(text, getattr(shard.lines, field), field)
     if len(sentences) != count:
-        raise IngestionError(
-            f"{which} annotations: {len(sentences)} sentences for {count} inputs from input {first}"
-        )
+        side = "original" if field == "conllu_orig" else "corrected"
+        longer = field if len(sentences) > count else items
+        error = IngestionError(f"{side} annotations: {len(sentences)} sentences for {count} inputs")
+        raise _located(error, shard, longer, min(len(sentences), count))
     return sentences
 
 
-def _annotate(
-    sentence: AnnotatedSentence | None, tokens: tuple[str, ...], which: str, index: int
-) -> AnnotatedSentence:
+def _annotate(sentence: AnnotatedSentence | None, tokens: tuple[str, ...]) -> AnnotatedSentence:
     """Attach ``sentence`` to ``tokens``, or annotate them with the fallback annotator."""
-    if sentence is None:
-        return fallback_annotate(tokens)
-    try:
-        return attach(sentence, tokens)
-    except AttachmentError as exc:
-        raise AttachmentError(exc.index, f"{which} sentence {index}: {exc}") from None
+    return fallback_annotate(tokens) if sentence is None else attach(sentence, tokens)
 
 
 # --- shards ---------------------------------------------------------------
@@ -207,13 +205,11 @@ _Pair = tuple[tuple[str, ...], tuple[str, ...]]
 class _Shard(NamedTuple):
     """A contiguous run of items: the slices of the texts that hold them, and where they start.
 
-    ``first`` is the index of the first item in the whole input, and
     ``lines`` holds the number of the first line of each slice in its text
     (1 where there is no text).
     """
 
     texts: PipelineInputs
-    first: int
     lines: PipelineInputs
 
 
@@ -277,38 +273,39 @@ def _run_in_worker(shard: _Shard) -> object:
 # whatever the worker count: a pool costs more than it saves there.
 _SHARD_CHARS = 500_000
 
-# Where the items of each text start, and so where the cut may fall: at each
+# Where the items of each text start, by its field: where the cut may fall, and
+# the first line an error names for an item at fault.  Items start at each
 # line of parallel text, at the sentence line of each M2 record, and at each
 # CoNLL-U block whose first word, past comments, ranges and empty nodes, has id
 # 1.  Each is three patterns: the blank lines before the first item that hold
 # none, what comes before each later item, and the start of an item.  In a text
 # its parser accepts, they find exactly the items it parses.
+_TEXT_ITEM = ("", r"\n", r"[\s\S]")
 _M2_ITEM = ("", r"\n", r"S(?: |\r?(?m:$))")
 _CONLLU_ITEM = (r"(?:[^\S\n]*\n)*", r"\n(?:[^\S\n]*\n)+", r"(?:#.*\n|[0-9]+[-.][0-9]+\t.*\n)*0*1\t")
-_ITEMS = (("", r"\n", r"[\s\S]"),) * 2 + (_M2_ITEM, _CONLLU_ITEM, _CONLLU_ITEM)
+_ITEMS = PipelineInputs(_TEXT_ITEM, _TEXT_ITEM, _M2_ITEM, _CONLLU_ITEM, _CONLLU_ITEM)
 
 
 def _cut(inputs: PipelineInputs) -> tuple[int, Iterator[_Shard]]:
     """Cut every text at the same items into shards of about :data:`_SHARD_CHARS` characters.
 
     Returns the number of shards, and an iterator that slices each shard's
-    texts when it is reached and gives it its origin: the index of its
-    first item, and the number of the first line of each slice, counted
-    from the slices before it.  The characters of all texts count, and
-    each shard starts at the first item whose texts start at or past its
-    share of them.  Nothing is parsed: each text is cut at the first line
-    of an item (:data:`_ITEMS`), which its parser counts as one item
-    wherever the text is well formed.  So when the texts hold the same
-    number of items, each shard's slices hold the same items; when they
-    do not, an input is at fault, and the plan is one shard, the whole
-    corpus, which then fails as a single pass does.
+    texts when it is reached and gives it its origin: the number of the
+    first line of each slice, counted from the slices before it.  The
+    characters of all texts count, and each shard starts at the first item
+    whose texts start at or past its share of them.  Nothing is parsed:
+    each text is cut at the first line of an item (:data:`_ITEMS`), which
+    its parser counts as one item wherever the text is well formed.  So
+    when the texts hold the same number of items, each shard's slices hold
+    the same items; when they do not, an input is at fault, and the plan
+    is one shard, the whole corpus, which then fails as a single pass does.
     """
     texts = list(inputs)
     starts = [None if text is None else _starts(text, item) for text, item in zip(texts, _ITEMS)]
     given = [text_starts for text_starts in starts if text_starts is not None]
     counts = {len(text_starts) for text_starts in given}
     if len(counts) != 1:  # an input is at fault: one shard, the whole corpus
-        return 1, iter([_Shard(inputs, 0, PipelineInputs(1, 1, 1, 1, 1))])
+        return 1, iter([_Shard(inputs, PipelineInputs(1, 1, 1, 1, 1))])
     count = counts.pop()
     total = sum(len(text) for text in texts if text is not None)
     shares = -(-total // _SHARD_CHARS)
@@ -326,7 +323,7 @@ def _cut(inputs: PipelineInputs) -> tuple[int, Iterator[_Shard]]:
         None if text is None else [0, *(text_starts[first] for first in firsts[1:]), len(text)]
         for text, text_starts in zip(texts, starts)
     ]
-    return len(firsts), _slices(texts, cuts, firsts)
+    return len(firsts), _slices(texts, cuts, len(firsts))
 
 
 def _starts(text: str, item: tuple[str, str, str]) -> list[int]:
@@ -334,13 +331,13 @@ def _starts(text: str, item: tuple[str, str, str]) -> list[int]:
     top, before, first = item
     lead = re.match(top, text).end()
     starts = [match.end() for match in re.compile(rf"{before}(?={first})").finditer(text, lead)]
-    return [0, *starts] if re.compile(first).match(text, lead) else starts
+    return [lead, *starts] if re.compile(first).match(text, lead) else starts
 
 
 def _slices(
-    texts: list[str | None], cuts: list[list[int] | None], firsts: list[int]
+    texts: list[str | None], cuts: list[list[int] | None], count: int
 ) -> Iterator[_Shard]:
-    """Yield a shard for each first item in ``firsts``, each text cut at its offsets in ``cuts``.
+    """Yield ``count`` shards, each text cut at its offsets in ``cuts``.
 
     A text's offsets are where its shards start, then its end: the first
     shard starts at the top of the text and the last runs to its end, so
@@ -348,9 +345,9 @@ def _slices(
     the line after those of the slices before it.
     """
     lines = [1] * len(texts)
-    for shard, first in enumerate(firsts):
+    for shard in range(count):
         pieces = [text and text[cut[shard] : cut[shard + 1]] for text, cut in zip(texts, cuts)]
-        yield _Shard(PipelineInputs._make(pieces), first, PipelineInputs._make(lines))
+        yield _Shard(PipelineInputs._make(pieces), PipelineInputs._make(lines))
         lines = [line + (piece or "").count("\n") for line, piece in zip(lines, pieces)]
 
 
@@ -358,39 +355,70 @@ def _type_shard(
     shard: _Shard,
     retype: bool,
     config: PipelineConfig,
-    finish: Callable[[list[M2Record], int], object] | None = None,
+    finish: Callable[[list[M2Record]], object] | None = None,
 ) -> object:
     """Parse a shard's items and type them in order, each with :func:`_retype_record`
     or :func:`_classify_pair`; return the records, or what ``finish`` makes of them.
 
     This is the only place that parses items, in a worker or in the
-    parent, and it numbers items and lines from the shard's origin.  Its
-    stages run in this order, and the first fault raises: the items are
-    parsed, the original CoNLL-U is parsed and every original sentence
-    annotated, the corrected CoNLL-U is parsed, each item is typed in turn
-    (attaching its own corrected sentence), and ``finish`` runs.
+    parent, and it numbers lines from the shard's origin.  Its stages run
+    in this order, and the first fault raises: the items are parsed, the
+    original CoNLL-U is parsed and every original sentence annotated, the
+    corrected CoNLL-U is parsed, each item is typed in turn (attaching its
+    own corrected sentence), and ``finish`` runs.
+
+    The parsers name the line at fault.  A fault of a whole item names the
+    first line of the item: an attachment, that of its CoNLL-U block; any
+    other (edits that do not apply, a record of several annotators with
+    corrected CoNLL-U, a record ``finish`` rejects), that of its line of
+    original text or its M2 sentence line.
     """
-    texts, first, lines = shard
+    texts, lines = shard
     if retype:
-        items = parse_m2(texts.m2, lines.m2)
-        type_item, sources = _retype_record, [record.source_tokens for record in items]
+        items, type_item, fields = parse_m2(texts.m2, lines.m2), _retype_record, ("m2", "m2")
     else:
         items = read_parallel(texts.original, texts.corrected, lines.original)
-        type_item, sources = _classify_pair, [src for src, _ in items]
-    count = len(sources)
-    orig_sentences = _sentences(texts.conllu_orig, lines.conllu_orig, first, count, "original")
-    src_sentences = [
-        _annotate(sentence, tokens, "original", index)
-        for index, (sentence, tokens) in enumerate(zip(orig_sentences, sources), first)
-    ]
-    cor_sentences = _sentences(texts.conllu_cor, lines.conllu_cor, first, count, "corrected")
-    records = [
-        type_item(item, src_sentence, cor_sentence, config, index)
-        for index, (item, src_sentence, cor_sentence) in enumerate(
-            zip(items, src_sentences, cor_sentences), first
-        )
-    ]
-    return records if finish is None else finish(records, first)
+        type_item, fields = _classify_pair, ("original", "corrected")
+    sources = [item[0] for item in items]  # the source tokens of a record and of a pair
+    orig_sentences = _sentences(shard, "conllu_orig", fields[0], len(sources))
+    src_sentences = []
+    try:
+        for sentence, tokens in zip(orig_sentences, sources):
+            src_sentences.append(_annotate(sentence, tokens))
+    except AttachmentError as exc:
+        raise _located(exc, shard, "conllu_orig", len(src_sentences)) from None
+    cor_sentences = _sentences(shard, "conllu_cor", fields[1], len(sources))
+    records = []
+    try:
+        for item, src_sentence, cor_sentence in zip(items, src_sentences, cor_sentences):
+            records.append(type_item(item, src_sentence, cor_sentence, config))
+    except SerrantError as exc:
+        field = "conllu_cor" if isinstance(exc, AttachmentError) else fields[0]
+        raise _located(exc, shard, field, len(records)) from None
+    if finish is None:
+        return records
+    try:
+        return finish(records)
+    except SerrantError as exc:
+        # the record at fault is the first that fails alone
+        for index, record in enumerate(records):
+            try:
+                finish([record])
+            except SerrantError:
+                raise _located(exc, shard, fields[0], index) from None
+        raise
+
+
+def _located(error: SerrantError, shard: _Shard, field: str, item: int) -> SerrantError:
+    """``error`` again, naming input ``field`` at the first line of the shard's ``item``-th item.
+
+    The line is found from the item starts of the cut (:data:`_ITEMS`), on
+    the error path only.
+    """
+    text = getattr(shard.texts, field)
+    start = _starts(text, getattr(_ITEMS, field))[item]
+    line = getattr(shard.lines, field) + text.count("\n", 0, start)
+    return type(error)(error.message, field, line)
 
 
 # --- typing one item ------------------------------------------------------
@@ -401,14 +429,13 @@ def _classify_pair(
     src_sentence: AnnotatedSentence,
     cor_sentence: AnnotatedSentence | None,
     config: PipelineConfig,
-    index: int,
 ) -> M2Record:
     """Align one pair and type its edits.
 
     ``cor_sentence`` is the unattached corrected CoNLL-U sentence.
     """
     src, trg = pair
-    trg_sentence = _annotate(cor_sentence, trg, "corrected", index)
+    trg_sentence = _annotate(cor_sentence, trg)
     ops = align(src, trg, src_lemmas=src_sentence.lemmas, trg_lemmas=trg_sentence.lemmas)
     edits = merge(ops, src, trg)
     typed = _type_edits(edits, src_sentence, trg_sentence, config, config.annotator_id)
@@ -420,7 +447,6 @@ def _retype_record(
     src_sentence: AnnotatedSentence,
     cor_sentence: AnnotatedSentence | None,
     config: PipelineConfig,
-    record_index: int,
 ) -> M2Record:
     """Retype one record; ``cor_sentence`` is the unattached corrected CoNLL-U sentence."""
     source_tokens, edits = record
@@ -431,8 +457,8 @@ def _retype_record(
 
     if cor_sentence is not None and len(by_annotator) > 1:
         raise ConfigurationError(
-            f"record {record_index}: corrected annotations cannot be paired with"
-            f" {len(by_annotator)} annotators; drop the corrected CoNLL-U input"
+            f"corrected annotations cannot be paired with {len(by_annotator)} annotators;"
+            " drop the corrected CoNLL-U input"
         )
 
     new_edits = list(edits)
@@ -441,8 +467,8 @@ def _retype_record(
         try:
             cor_tokens, cor_starts = apply_edits(source_tokens, spans)
         except ValueError as exc:
-            raise M2ValidationError(record_index, str(exc)) from None
-        trg_sentence = _annotate(cor_sentence, cor_tokens, "corrected", record_index)
+            raise M2ValidationError(str(exc)) from None
+        trg_sentence = _annotate(cor_sentence, cor_tokens)
         annotator_edits = [
             Edit(span, source_tokens[span.start : span.end], cor_start)
             for span, cor_start in zip(spans, cor_starts)

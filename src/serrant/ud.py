@@ -30,7 +30,12 @@ after blank lines (:data:`BLANK_LINES`), to keep the memory the line
 strings take small.  A text cut after any run of blank lines parses,
 piece by piece, into the sentences of the whole, and a piece fails when
 the whole does, on the same line when it is given the number of its
-first line; ``pipeline`` cuts the shards of ``--jobs`` there too.
+first line.  ``pipeline`` cuts the shards of ``classify`` and ``retype``
+at the first line of each block that holds a sentence
+(``pipeline._ITEMS``), which follows blank lines, so each shard's CoNLL-U
+parses as its piece of the whole.  Every error names its input:
+``conllu``, unless the caller names it, as ``pipeline`` does with
+``conllu_orig`` and ``conllu_cor``.
 
 A small rule-plus-lexicon annotator (:func:`fallback_annotate`) provides
 annotations for tests and demos when no parser output is available.  It is
@@ -164,8 +169,10 @@ BLANK_LINES = re.compile(r"\n(?:[^\S\n]*\n)+")
 _RANGE_OR_EMPTY_NODE = re.compile("[0-9]+[-.][0-9]+")
 
 
-def parse_conllu(text: str, first_line: int = 1) -> list[AnnotatedSentence]:
-    """Parse CoNLL-U text into sentences; ``first_line`` is the number of its first line.
+def parse_conllu(text: str, first_line: int = 1, source: str = "conllu") -> list[AnnotatedSentence]:
+    """Parse the CoNLL-U text of input ``source`` into sentences.
+
+    ``first_line`` is the number of the text's first line.
 
     Lines split on ``\\n`` only, and whitespace-only lines are blank.
     Comment lines before a block's first row are skipped, and a comment
@@ -185,8 +192,8 @@ def parse_conllu(text: str, first_line: int = 1) -> list[AnnotatedSentence]:
     line strings stay a small part of the memory the sentences take.
 
     Raises:
-        ConlluParseError: carrying the offending line's number, counted
-            from ``first_line``.
+        ConlluParseError: naming ``source`` and the offending line's
+            number, counted from ``first_line``.
     """
     sentences: list[AnnotatedSentence] = []
     feats_by_value: dict[str, dict[str, str]] = {}
@@ -199,41 +206,41 @@ def parse_conllu(text: str, first_line: int = 1) -> list[AnnotatedSentence]:
             if not line or line.isspace():  # blank, "\r" included
                 if rows:
                     forms, lemmas, upos, feats, heads, deprels, linenos = zip(*rows)
-                    _check_tree(heads, linenos)
+                    _check_tree(heads, linenos, source)
                     sentences.append(AnnotatedSentence(forms, lemmas, upos, feats, heads, deprels))
                 rows, node_rows = [], False
                 continue
             if line[0] == "#":
                 if rows or node_rows:
-                    raise ConlluParseError(lineno, "comment line inside a sentence")
+                    raise ConlluParseError("comment line inside a sentence", source, lineno)
                 continue
             try:
                 token_id, form, lemma, tag, _, feats_column, head, deprel, _, _ = line.split("\t")
             except ValueError:
-                columns = line.count("\t") + 1
-                raise ConlluParseError(lineno, f"expected 10 columns, got {columns}") from None
+                got = line.count("\t") + 1
+                raise ConlluParseError(f"expected 10 columns, got {got}", source, lineno) from None
             if not (token_id.isascii() and token_id.isdigit()):
                 if "-" not in token_id and "." not in token_id:
-                    raise ConlluParseError(lineno, f"non-integer token id {token_id!r}")
+                    raise ConlluParseError(f"non-integer token id {token_id!r}", source, lineno)
                 if not _RANGE_OR_EMPTY_NODE.fullmatch(token_id):
                     raise ConlluParseError(
-                        lineno, f"malformed multiword range or empty node id {token_id!r}"
+                        f"malformed multiword range or empty node id {token_id!r}", source, lineno
                     )
                 node_rows = True
                 continue  # multiword ranges and empty nodes carry no tree structure
             if int(token_id) != len(rows) + 1:
-                raise ConlluParseError(lineno, f"token id {int(token_id)} not contiguous")
+                raise ConlluParseError(f"token id {int(token_id)} not contiguous", source, lineno)
             shared_tag = _SHARED_UPOS.get(tag)
             if shared_tag is None:
-                raise ConlluParseError(lineno, f"unknown UPOS tag {tag!r}")
+                raise ConlluParseError(f"unknown UPOS tag {tag!r}", source, lineno)
             word_feats = feats_by_value.get(feats_column)
             if word_feats is None:
                 try:
                     word_feats = feats_by_value[feats_column] = parse_feats(feats_column)
                 except ValueError as exc:
-                    raise ConlluParseError(lineno, str(exc)) from None
+                    raise ConlluParseError(str(exc), source, lineno) from None
             if not (head.isascii() and head.isdigit()):
-                raise ConlluParseError(lineno, f"non-integer head {head!r}")
+                raise ConlluParseError(f"non-integer head {head!r}", source, lineno)
             rows.append(
                 (
                     form,
@@ -266,20 +273,20 @@ def _chunks(text: str, first_line: int) -> Iterator[tuple[int, list[str]]]:
         start, first_line = end + 1, first_line + len(lines)
 
 
-def _check_tree(heads: tuple[int, ...], linenos: tuple[int, ...]) -> None:
+def _check_tree(heads: tuple[int, ...], linenos: tuple[int, ...], source: str) -> None:
     """Check that one sentence's 0-based heads form a tree, reporting the row's line."""
     n = len(heads)
     for position, head in enumerate(heads):
         if not ROOT <= head < n:
             raise ConlluParseError(
-                linenos[position], f"head {head + 1} out of range for {n} tokens"
+                f"head {head + 1} out of range for {n} tokens", source, linenos[position]
             )
         if head == position:
-            raise ConlluParseError(linenos[position], f"token {position + 1} heads itself")
-    first_line = linenos[0]
+            raise ConlluParseError(f"token {position + 1} heads itself", source, linenos[position])
+    first = linenos[0]  # the line of the sentence's first row
     root_count = heads.count(ROOT)
     if root_count != 1:
-        raise ConlluParseError(first_line, f"sentence has {root_count} roots, expected 1")
+        raise ConlluParseError(f"sentence has {root_count} roots, expected 1", source, first)
     # Walk up from each token in order until a token known to reach the
     # root, marking the tokens passed with the walk's start, then walk again
     # to mark them as reaching it.  Each token is walked past at most twice,
@@ -294,7 +301,7 @@ def _check_tree(heads: tuple[int, ...], linenos: tuple[int, ...]) -> None:
             mark[current] = start
             current = heads[current]
         if mark[current] == start:
-            raise ConlluParseError(first_line, f"dependency cycle through token {current + 1}")
+            raise ConlluParseError(f"dependency cycle through token {current + 1}", source, first)
         current = start
         while mark[current] == start:
             mark[current] = n
@@ -305,19 +312,17 @@ def attach(annotated: AnnotatedSentence, surface_tokens: tuple[str, ...] | list[
     """Check that an annotation covers exactly the given surface tokens.
 
     Raises:
-        AttachmentError: naming the first divergent token index, on a
-            length mismatch or any form mismatch.
+        AttachmentError: on a length mismatch or any form mismatch, naming
+            the first divergent token index in its message.  It names no
+            input or line: the caller knows where the sentence is.
     """
     forms = annotated.forms
     if forms == tuple(surface_tokens):
         return annotated
     for i, (have, want) in enumerate(zip(forms, surface_tokens)):
         if have != want:
-            raise AttachmentError(i, f"annotation form {have!r} != surface token {want!r} at index {i}")
-    index = min(len(forms), len(surface_tokens))
-    raise AttachmentError(
-        index, f"annotation has {len(forms)} tokens, surface has {len(surface_tokens)}"
-    )
+            raise AttachmentError(f"annotation form {have!r} != surface token {want!r} at index {i}")
+    raise AttachmentError(f"annotation has {len(forms)} tokens, surface has {len(surface_tokens)}")
 
 
 def span_head(sentence: AnnotatedSentence, start: int, end: int) -> Token:

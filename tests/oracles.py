@@ -303,33 +303,33 @@ def reference_parse_conllu(text: str) -> list[tuple[Token, ...]]:
             continue
         if raw.startswith("#"):
             if in_block:
-                raise ConlluParseError(lineno, "comment line inside a sentence")
+                raise ConlluParseError("comment line inside a sentence", "conllu", lineno)
             continue
         in_block = True
         cols = raw.rstrip("\r").split("\t")
         if len(cols) != 10:
-            raise ConlluParseError(lineno, f"expected 10 columns, got {len(cols)}")
+            raise ConlluParseError(f"expected 10 columns, got {len(cols)}", "conllu", lineno)
         if "-" in cols[0] or "." in cols[0]:
             if not _range_or_empty_node_id(cols[0]):
                 raise ConlluParseError(
-                    lineno, f"malformed multiword range or empty node id {cols[0]!r}"
+                    f"malformed multiword range or empty node id {cols[0]!r}", "conllu", lineno
                 )
             continue
         if not _ascii_integer(cols[0]):
-            raise ConlluParseError(lineno, f"non-integer token id {cols[0]!r}")
+            raise ConlluParseError(f"non-integer token id {cols[0]!r}", "conllu", lineno)
         token_id = int(cols[0])
         if token_id != len(tokens) + 1:
-            raise ConlluParseError(lineno, f"token id {token_id} not contiguous")
+            raise ConlluParseError(f"token id {token_id} not contiguous", "conllu", lineno)
         form = cols[1]
         lemma = (cols[2] if cols[2] != "_" else form).lower()
         if cols[3] not in UPOS_TAGS:
-            raise ConlluParseError(lineno, f"unknown UPOS tag {cols[3]!r}")
+            raise ConlluParseError(f"unknown UPOS tag {cols[3]!r}", "conllu", lineno)
         try:
             feats = parse_feats(cols[5])
         except ValueError as exc:
-            raise ConlluParseError(lineno, str(exc)) from None
+            raise ConlluParseError(str(exc), "conllu", lineno) from None
         if not _ascii_integer(cols[6]):
-            raise ConlluParseError(lineno, f"non-integer head {cols[6]!r}")
+            raise ConlluParseError(f"non-integer head {cols[6]!r}", "conllu", lineno)
         head = int(cols[6]) - 1  # 0 becomes ROOT
         tokens.append(Token(token_id - 1, form, lemma, cols[3], feats, head, cols[7]))
         linenos.append(lineno)
@@ -357,21 +357,24 @@ def _checked_tree(tokens: list[Token], linenos: list[int]) -> tuple[Token, ...]:
     for position, head in enumerate(heads):
         if not ROOT <= head < n:
             raise ConlluParseError(
-                linenos[position], f"head {head + 1} out of range for {n} tokens"
+                f"head {head + 1} out of range for {n} tokens", "conllu", linenos[position]
             )
         if head == position:
-            raise ConlluParseError(linenos[position], f"token {position + 1} heads itself")
+            message = f"token {position + 1} heads itself"
+            raise ConlluParseError(message, "conllu", linenos[position])
         if head == ROOT:
             root_count += 1
     if root_count != 1:
-        raise ConlluParseError(linenos[0], f"sentence has {root_count} roots, expected 1")
+        message = f"sentence has {root_count} roots, expected 1"
+        raise ConlluParseError(message, "conllu", linenos[0])
     # the first token met twice when walking to the root from each token in order
     for start in range(n):
         seen = set()
         current = start
         while current != ROOT:
             if current in seen:
-                raise ConlluParseError(linenos[0], f"dependency cycle through token {current + 1}")
+                message = f"dependency cycle through token {current + 1}"
+                raise ConlluParseError(message, "conllu", linenos[0])
             seen.add(current)
             current = heads[current]
     return tuple(tokens)

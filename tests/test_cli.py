@@ -7,6 +7,7 @@ import gc
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -256,7 +257,7 @@ def test_retype_rejects_unappliable_edits(tmp_path, m2):
     path.write_text(m2, encoding="utf-8")
     done = run_module("retype", "--m2", str(path))
     assert done.returncode == 1
-    assert done.stderr.startswith("serrant: record 0: ")
+    assert done.stderr.startswith(f"serrant: {path}:1: ")  # the record's sentence line
     assert "Traceback" not in done.stderr
 
 
@@ -271,7 +272,7 @@ def test_classify_rejects_a_correction_that_would_not_read_back(
     cor.write_text("the x|\n" + "a dog ran\n" * 15, encoding="utf-8")
     assert main(["classify", "--orig", str(orig), "--cor", str(cor), "--jobs", jobs]) == 1
     out, err = capsys.readouterr()
-    assert (out, err) == ("", "serrant: record 0: invalid correction token 'x|'\n")
+    assert (out, err) == ("", f"serrant: {orig}:1: invalid correction token 'x|'\n")
 
 
 def test_classify_rejects_a_label_that_would_not_read_back(tmp_path, capsys):
@@ -291,7 +292,8 @@ def test_classify_rejects_a_label_that_would_not_read_back(tmp_path, capsys):
     argv += ["--granularity", "upos-feats", "--out", str(out)]
     assert main(argv) == 1
     label = "R:Adj:a\u00a0b->Adv:c"
-    assert capsys.readouterr().err == f"serrant: record 0: invalid type label {label!r}\n"
+    error = f"serrant: {tmp_path / 'orig.txt'}:1: invalid type label {label!r}\n"
+    assert capsys.readouterr().err == error
     assert not out.exists()
 
 
@@ -438,7 +440,8 @@ def test_jobs_agree_on_a_bad_row_in_the_last_shard(sharded, capfd):
     line = _first_row_line(blocks, 62)
     assert line > texts["conllu_cor"].count("\n") * 7 // 8
     code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
-    assert (code, err) == (1, f"serrant: line {line}: unknown UPOS tag 'BLORP'\n")
+    path = tmp_path / "conllu_cor.in"  # the file given with --conllu-cor
+    assert (code, err) == (1, f"serrant: {path}:{line}: unknown UPOS tag 'BLORP'\n")
 
 
 def test_jobs_agree_on_an_arrow_in_a_feature_value(sharded, capfd):
@@ -448,18 +451,21 @@ def test_jobs_agree_on_an_arrow_in_a_feature_value(sharded, capfd):
     texts["conllu_cor"] = _join(blocks)
     line = _first_row_line(blocks, 30)
     code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
-    assert (code, err) == (1, f"serrant: line {line}: arrow in feature value 'a->b'\n")
+    path = tmp_path / "conllu_cor.in"
+    assert (code, err) == (1, f"serrant: {path}:{line}: arrow in feature value 'a->b'\n")
 
 
 def test_jobs_agree_on_an_extra_block(sharded, capfd):
     tmp_path, texts = sharded
-    blocks = _blocks(texts["conllu_orig"])
-    texts["conllu_orig"] = _join(blocks + blocks[:1])
+    blocks = _blocks(texts["conllu_orig"]) + _blocks(texts["conllu_orig"])[:1]
+    texts["conllu_orig"] = _join(blocks)
     code, _, err = _same_for_any_jobs(tmp_path, texts, capfd, pool=False)
+    # the CoNLL-U file holds more items: the first line of the sentence no text line has
+    line = _first_row_line(blocks, SHARDED_PAIRS)
     assert (code, err) == (
         1,
-        f"serrant: original annotations: {SHARDED_PAIRS + 1} sentences"
-        f" for {SHARDED_PAIRS} inputs from input 0\n",
+        f"serrant: {tmp_path / 'conllu_orig.in'}:{line}: original annotations:"
+        f" {SHARDED_PAIRS + 1} sentences for {SHARDED_PAIRS} inputs\n",
     )
 
 
@@ -470,7 +476,9 @@ def test_jobs_agree_on_a_form_mismatch_in_a_middle_sentence(sharded, capfd):
     texts["conllu_cor"] = _join(blocks)
     code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
     assert code == 1
-    assert err.startswith("serrant: corrected sentence 37: annotation form 'zzz' != surface token ")
+    # the first line of the block
+    prefix = f"serrant: {tmp_path / 'conllu_cor.in'}:{_first_row_line(blocks, 37)}: "
+    assert err.startswith(f"{prefix}annotation form 'zzz' != surface token ")
 
 
 def test_jobs_agree_that_the_original_side_fails_first(sharded, capfd):
@@ -482,9 +490,10 @@ def test_jobs_agree_that_the_original_side_fails_first(sharded, capfd):
     texts["conllu_orig"] = _join(orig_blocks)
     line = _first_row_line(orig_blocks, 60)
     cor_blocks = _blocks(texts["conllu_cor"])
+    cor_line = _first_row_line(cor_blocks, 2)
     for index, error in [
-        (60, f"line {line}: unknown UPOS tag 'BLORP'"),
-        (2, "corrected sentence 2: annotation form 'zzz' != surface token "),
+        (60, f"{tmp_path / 'conllu_orig.in'}:{line}: unknown UPOS tag 'BLORP'"),
+        (2, f"{tmp_path / 'conllu_cor.in'}:{cor_line}: annotation form 'zzz' != surface token "),
     ]:
         blocks = list(cor_blocks)
         _set_column(blocks, index, 1, "zzz")
@@ -508,7 +517,7 @@ def test_jobs_agree_that_a_missing_corrected_file_beats_a_bad_original(
     monkeypatch.setattr(
         pipeline,
         "parse_conllu",
-        lambda text, first_line=1: parsed.append(text) or parse_conllu(text, first_line),
+        lambda text, *args: parsed.append(text) or parse_conllu(text, *args),
     )
     code, _, err = _same_for_any_jobs(tmp_path, texts, capfd, pool=False)
     missing = str(tmp_path / "conllu_cor.in")
@@ -683,7 +692,8 @@ def test_a_label_rejected_in_a_late_shard_names_its_record(tmp_path, capfd, smal
         path.write_text(separator.join(items) + separator, encoding="utf-8")
         argv += [f"--{name.replace('_', '-')}", str(path)]
     label = "R:Adj:a\u00a0b->Adv:c"
-    error = f"serrant: record 36: invalid type label {label!r}\n"
+    # the line of the pair in the file given with --orig
+    error = f"serrant: {tmp_path / 'orig'}:37: invalid type label {label!r}\n"
     out = tmp_path / "out.m2"
     capfd.readouterr()
     assert main([*argv, "--out", str(out), "--report", str(tmp_path / "report.tsv")]) == 1
@@ -747,8 +757,11 @@ def _cli_result(tmp_path, capfd, command: str, texts: dict[str, str]) -> tuple[i
     return (code, *capfd.readouterr())
 
 
-def _library_result(command: str, texts: dict[str, str]) -> tuple[int, str, str]:
-    """What the library makes of the same texts given as strings, as exit code, output, error."""
+def _library_result(command: str, texts: dict[str, str], tmp_path) -> tuple[int, str, str]:
+    """What the library makes of the same texts given as strings, as exit code, output, error.
+
+    An error names the file :func:`_cli_result` writes the text it names to.
+    """
     try:
         if command == "stats":
             return 0, emit_report(type_distribution(parse_m2(texts["m2"])), "tsv"), ""
@@ -760,14 +773,18 @@ def _library_result(command: str, texts: dict[str, str]) -> tuple[int, str, str]
         else:
             inputs = PipelineInputs(original=texts["orig"], corrected=texts["cor"], **annotations)
         # one pass over the whole corpus, as one shard: not the cut the command line makes
-        whole = pipeline._Shard(inputs, 0, PipelineInputs(1, 1, 1, 1, 1))
+        whole = pipeline._Shard(inputs, PipelineInputs(1, 1, 1, 1, 1))
         config = PipelineConfig(wordlist=wordlist)
         records = pipeline._type_shard(whole, retype=retype, config=config)
         return 0, emit_m2(records), ""
-    except ConfigurationError as exc:
-        return 2, "", f"serrant: {exc}\n"
     except SerrantError as exc:
-        return 1, "", f"serrant: {exc}\n"
+        if exc.source is not None:
+            exc.source = tmp_path / f"{_FILE_NAMES.get(exc.source, exc.source)}.in"
+        return 2 if isinstance(exc, ConfigurationError) else 1, "", f"serrant: {exc}\n"
+
+
+# the file name _cli_result gives each input, where it is not the input's field name
+_FILE_NAMES = {"original": "orig", "corrected": "cor"}
 
 
 def _misc_holds_a_carriage_return(conllu: str) -> str:
@@ -837,7 +854,8 @@ def _line_ending_cases() -> list:
 
 
 def _whitespace_error(line: int, char: str) -> str:
-    return f"serrant: line {line}: unsupported whitespace character U+{ord(char[0]):04X}\n"
+    """The error on ``line`` of the M2 file, whose path goes in for ``{m2}``."""
+    return f"serrant: {{m2}}:{line}: unsupported whitespace character U+{ord(char[0]):04X}\n"
 
 
 @pytest.mark.parametrize("command, texts, error", _line_ending_cases())
@@ -845,8 +863,8 @@ def test_the_command_line_reads_files_as_the_library_reads_texts(
     tmp_path, capfd, command, texts, error
 ):
     result = _cli_result(tmp_path, capfd, command, texts)
-    assert result == _library_result(command, texts)
-    assert (result[0], result[2]) == (1 if error else 0, error)
+    assert result == _library_result(command, texts, tmp_path)
+    assert (result[0], result[2]) == (1 if error else 0, error.format(m2=tmp_path / "m2.in"))
 
 
 def test_a_lone_carriage_return_in_the_text_is_rejected(sharded, capfd):
@@ -857,7 +875,7 @@ def test_a_lone_carriage_return_in_the_text_is_rejected(sharded, capfd):
     code, _, err = _same_for_any_jobs(tmp_path, texts, capfd)
     assert (code, err) == (
         1,
-        "serrant: original text line 5: unsupported whitespace character U+000D\n",
+        f"serrant: {tmp_path / 'orig.in'}:5: unsupported whitespace character U+000D\n",
     )
 
 
@@ -874,8 +892,78 @@ def test_jobs_agree_on_input_that_is_not_utf8(sharded, capfd, name):
     texts["wordlist"] = "cat\ndog\nhouse\n"
     texts[name] = _not_utf8(texts[name], 3)
     code, _, err = _same_for_any_jobs(tmp_path, texts, capfd, pool=False)
-    message = f"serrant: {tmp_path / name}.in: not valid UTF-8: byte 0xff on line 3\n"
+    message = f"serrant: {tmp_path / name}.in:3: not valid UTF-8: byte 0xff\n"
     assert (code, err) == (1, message)
+
+
+def _located(err: str) -> tuple[Path, int]:
+    """The PATH and LINE of a ``serrant: PATH:LINE: message`` line."""
+    match = re.fullmatch(r"serrant: (.+?):([0-9]+): .+\n", err)
+    assert match is not None, err
+    return Path(match[1]), int(match[2])
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    data=st.data(),
+    name=st.sampled_from(["orig", "cor", "conllu_orig", "conllu_cor"]),
+    shard_chars=st.integers(50, 5000),
+    jobs=st.sampled_from([1, 2, 4]),
+)
+def test_a_byte_that_is_not_utf8_is_named_by_its_file_and_line(
+    tmp_path, capfd, monkeypatch, data, name, shard_chars, jobs
+):
+    monkeypatch.setattr(pipeline, "_SHARD_CHARS", shard_chars)
+    corpus = SyntheticCorpus(12, seed=17)
+    texts = {
+        "orig": corpus.orig_text,
+        "cor": corpus.cor_text,
+        "conllu_orig": corpus.conllu_orig,
+        "conllu_cor": corpus.conllu_cor,
+    }
+    line = data.draw(st.integers(1, texts[name].count("\n")), label="line")
+    texts[name] = _not_utf8(texts[name], line)
+    code, _, err = _run_jobs(tmp_path, texts, jobs, capfd)
+    path, named = _located(err)
+    assert (code, path, named) == (1, tmp_path / f"{name}.in", line)
+    assert b"\xff" in path.read_bytes().split(b"\n")[named - 1]
+
+
+def test_each_error_names_the_path_given_on_the_command_line(tmp_path, capfd):
+    corpus = SyntheticCorpus(8, seed=13)
+    folder = tmp_path / "in put"
+    folder.mkdir()
+    files = {
+        "o.txt": corpus.orig_text,
+        "c.txt": corpus.cor_text,
+        "o.conllu": corpus.conllu_orig,
+        "c.conllu": _change_first_column(corpus.conllu_cor, 5, 3, "BLORP"),
+        "bad.m2": "S a b\nA 0 1|||X|||y|||REQUIRED|||-NONE-|||0\n\nS c\nA 0 1|||Y|||z|||REQUIRED\n",
+    }
+    for name, text in files.items():
+        (folder / name).write_text(text, encoding="utf-8")
+    paths = {name: str(folder / name) for name in files}
+    classify = ["classify", "--orig", paths["o.txt"], "--cor", paths["c.txt"]]
+    classify += ["--conllu-orig", paths["o.conllu"], "--conllu-cor", paths["c.conllu"]]
+    for argv, path, line in [
+        (classify, paths["c.conllu"], _line_of(files["c.conllu"], "BLORP")),
+        (["stats", "--m2", paths["bad.m2"]], paths["bad.m2"], 5),
+    ]:
+        capfd.readouterr()
+        assert main(argv) == 1
+        assert _located(capfd.readouterr().err) == (Path(path), line)
+
+
+def _change_first_column(conllu: str, index: int, column: int, value: str) -> str:
+    blocks = _blocks(conllu)
+    _set_column(blocks, index, column, value)
+    return _join(blocks)
+
+
+def _line_of(text: str, part: str) -> int:
+    return text.count("\n", 0, text.index(part)) + 1
 
 
 BOM = b"\xef\xbb\xbf"
@@ -914,7 +1002,7 @@ def test_a_byte_order_mark_leaves_an_m2_input_as_it_was(golden, tmp_path, capfd,
     # the mark moves no byte or line of the UTF-8 error message
     m2.write_bytes(BOM + _not_utf8(m2.read_text(encoding="utf-8"), 2))
     assert main([command, "--m2", str(m2)]) == 1
-    assert capfd.readouterr().err == f"serrant: {m2}: not valid UTF-8: byte 0xff on line 2\n"
+    assert capfd.readouterr().err == f"serrant: {m2}:2: not valid UTF-8: byte 0xff\n"
 
 
 @pytest.mark.parametrize("command", ["retype", "stats"])
@@ -922,7 +1010,7 @@ def test_m2_that_is_not_utf8_is_exit_1(tmp_path, capfd, command):
     path = tmp_path / "in.m2"
     path.write_bytes(_not_utf8(SyntheticCorpus(4, seed=3).untyped_m2(), 2))
     assert main([command, "--m2", str(path)]) == 1
-    assert capfd.readouterr().err == f"serrant: {path}: not valid UTF-8: byte 0xff on line 2\n"
+    assert capfd.readouterr().err == f"serrant: {path}:2: not valid UTF-8: byte 0xff\n"
 
 
 @pytest.mark.parametrize("command", ["retype", "stats"])
@@ -930,9 +1018,9 @@ def test_an_empty_type_label_is_exit_1_in_the_library_and_on_the_command_line(
     tmp_path, capfd, command
 ):
     texts = {"m2": "S a b\nA 0 1||||||c|||REQUIRED|||-NONE-|||0\n"}
-    expected = (1, "", "serrant: line 2: empty type label\n")
+    expected = (1, "", f"serrant: {tmp_path / 'm2.in'}:2: empty type label\n")
     assert _cli_result(tmp_path, capfd, command, texts) == expected
-    assert _library_result(command, texts) == expected
+    assert _library_result(command, texts, tmp_path) == expected
 
 
 _FIELD_VALUES = ["", "_", "0", "1", "99", "-1", "x y", "BLORP", "NOUN", "a=b", "a", "1-2", "1.1", "#"]
@@ -989,7 +1077,9 @@ def test_fuzzed_inputs_fail_cleanly_and_alike_for_any_jobs(
     code, _, err = _same_for_any_jobs(tmp_path, texts, capfd, pool=plan_holds)
     assert code in (0, 1, 2)
     assert (code == 0) == (err == "")
-    assert err == "" or err.startswith("serrant: ")
+    if err:  # every input error names one of the files and a line of it
+        path, line = _located(err)
+        assert path.parent == tmp_path and 1 <= line <= path.read_bytes().count(b"\n") + 1
 
 
 # --- M2 bytes through retype and stats ----------------------------------------
@@ -1042,7 +1132,7 @@ def test_fuzzed_m2_fails_cleanly_in_retype_and_stats(tmp_path, capfd, data, gran
         _, err = capfd.readouterr()
         assert code in (0, 1, 2)
         assert (code == 0) == (err == "")
-        assert err == "" or err.startswith("serrant: ")
+        assert err == "" or _located(err)[0] == path
         assert "Traceback" not in err
         results[command] = code, err
     if results["stats"][0] != 0:  # stats fails only when the file does not read or parse

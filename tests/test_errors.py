@@ -1,4 +1,4 @@
-"""Error types: every ``SerrantError`` survives a pickle round trip.
+"""Error types: one constructor, one format, and every ``SerrantError`` survives pickle.
 
 ``--jobs`` workers hand their errors to the parent through pickle, so an
 error that cannot be rebuilt would surface as a broken process pool.
@@ -21,25 +21,40 @@ from serrant.errors import (
     SerrantError,
 )
 
-CASES = [
-    (SerrantError("plain"), "plain", {}),
-    (M2ParseError(7, "unrecognised line"), "line 7: unrecognised line", {"line_number": 7}),
-    (M2ValidationError(3, "bad span"), "record 3: bad span", {"record_index": 3}),
-    (ConlluParseError(2733, "unknown UPOS 'X'"), "line 2733: unknown UPOS 'X'", {"line_number": 2733}),
-    (AttachmentError(4, "form 'a' != 'b'"), "form 'a' != 'b'", {"index": 4}),
-    (IngestionError("2 lines vs 1"), "2 lines vs 1", {}),
-    (AnnotationMissingError("no sentence"), "no sentence", {}),
-    (ConfigurationError("bad option"), "bad option", {}),
+CLASSES = [
+    SerrantError,
+    M2ParseError,
+    M2ValidationError,
+    ConlluParseError,
+    AttachmentError,
+    IngestionError,
+    AnnotationMissingError,
+    ConfigurationError,
+]
+
+# the constructor's arguments, and what str() gives: SOURCE:LINE: message
+WHERE = [
+    (("unknown UPOS tag 'X'", "conllu_cor", 2733), "conllu_cor:2733: unknown UPOS tag 'X'"),
+    (("not valid UTF-8", "data/cor.txt"), "data/cor.txt: not valid UTF-8"),
+    (("bad option",), "bad option"),
 ]
 
 
-@pytest.mark.parametrize(
-    "error, message, fields", CASES, ids=[type(error).__name__ for error, _, _ in CASES]
-)
-def test_error_survives_pickle(error, message, fields):
+@pytest.mark.parametrize("arguments, message", WHERE, ids=["source-and-line", "source", "neither"])
+@pytest.mark.parametrize("cls", CLASSES, ids=[cls.__name__ for cls in CLASSES])
+def test_error_survives_pickle(cls, arguments, message):
+    error = cls(*arguments)
     copy = pickle.loads(pickle.dumps(error))
-    assert type(copy) is type(error)
+    assert type(copy) is cls
     assert str(copy) == message == str(error)
     assert copy.args == error.args
-    for name, value in fields.items():
-        assert getattr(copy, name) == value
+    source, line = (*arguments[1:], None, None)[:2]
+    assert (copy.message, copy.source, copy.line) == (arguments[0], source, line)
+
+
+def test_a_source_set_after_construction_is_written_and_pickled():
+    # the command line names the file of an input the library names by its role
+    error = AttachmentError("annotation form 'zzz' != surface token 'a' at index 0", "conllu_cor", 9)
+    error.source = "cor.conllu"
+    copy = pickle.loads(pickle.dumps(error))
+    assert str(copy) == str(error) == "cor.conllu:9: annotation form 'zzz' != surface token 'a' at index 0"

@@ -115,8 +115,8 @@ def test_parse_tolerates_extra_blank_lines():
 def test_parse_errors_carry_line_numbers(text):
     with pytest.raises(M2ParseError) as info:
         parse_m2(text)
-    assert info.value.line_number >= 1
-    assert str(info.value.line_number) in str(info.value)
+    assert info.value.source == "m2" and info.value.line >= 1
+    assert str(info.value).startswith(f"m2:{info.value.line}: ")
 
 
 # forms that int() reads but an M2 integer is not: the ASCII digits of CoNLL-U, with "-"
@@ -128,7 +128,7 @@ def test_parse_rejects_an_annotator_id_that_is_not_ascii_digits(value):
     text = f"S a b\nA 0 1|||X|||y|||REQUIRED|||-NONE-|||{value}\n"
     with pytest.raises(M2ParseError) as info:
         parse_m2(text)
-    assert str(info.value) == f"line 2: non-integer annotator id {value!r}"
+    assert str(info.value) == f"m2:2: non-integer annotator id {value!r}"
 
 
 # a space inside the span field makes three offsets, so " 1" and "0 " cannot be one
@@ -138,7 +138,7 @@ def test_parse_rejects_span_offsets_that_are_not_ascii_digits(value):
         text = f"S a b\nA {span}|||X|||y|||REQUIRED|||-NONE-|||0\n"
         with pytest.raises(M2ParseError) as info:
             parse_m2(text)
-        assert str(info.value) == f"line 2: non-integer span offsets {span!r}"
+        assert str(info.value) == f"m2:2: non-integer span offsets {span!r}"
 
 
 def test_parse_reads_signed_ascii_integers():
@@ -152,7 +152,7 @@ def test_parse_reads_signed_ascii_integers():
         (-1, -1, 0),
         (0, 1, 10),
     ]
-    with pytest.raises(M2ParseError, match="^line 2: negative annotator id -1$"):
+    with pytest.raises(M2ParseError, match="^m2:2: negative annotator id -1$"):
         parse_m2("S a\nA 0 1|||X|||y|||REQUIRED|||-NONE-|||-1\n")
 
 
@@ -160,14 +160,14 @@ def test_parse_rejects_an_empty_type_label_on_its_line():
     text = "S a b\nA 0 1|||X|||y|||REQUIRED|||-NONE-|||0\nA 1 2||||||c|||REQUIRED|||-NONE-|||0\n"
     with pytest.raises(M2ParseError) as info:
         parse_m2(text)
-    assert str(info.value) == "line 3: empty type label"
+    assert str(info.value) == "m2:3: empty type label"
 
 
 def test_parse_error_line_number_points_at_offender():
     text = "S a b\nA 0 1|||X|||y|||REQUIRED|||-NONE-|||0\nA bad\n"
     with pytest.raises(M2ParseError) as info:
         parse_m2(text)
-    assert info.value.line_number == 3
+    assert (info.value.source, info.value.line) == ("m2", 3)
 
 
 def test_emit_canonical_output():
@@ -248,7 +248,8 @@ def test_emit_blocks_joined_by_single_blank_line():
 def test_emit_rejects_malformed_records(record):
     with pytest.raises(M2ValidationError) as info:
         emit_m2([record])
-    assert info.value.record_index == 0
+    # a caller that knows where the record came from names its input and line
+    assert (info.value.source, info.value.line) == (None, None)
 
 
 # trailing "|" in correction tokens is covered by the per-character rule below
@@ -266,7 +267,7 @@ def test_emit_names_a_label_or_correction_that_would_read_back_differently(
     record = M2Record(("a",), (M2Edit(EditSpan(0, 1, correction), label, 0),))
     with pytest.raises(M2ValidationError) as info:
         emit_m2([record])
-    assert str(info.value) == f"record 0: {message}"
+    assert str(info.value) == message
 
 
 def _edit(start, end, correction=("x",), label="T", annotator_id=0):
@@ -281,30 +282,30 @@ def _edit(start, end, correction=("x",), label="T", annotator_id=0):
     [
         (
             [M2Record(("a b",), (_edit(0, 2),))],
-            "record 0: invalid source token 'a b'",
+            "invalid source token 'a b'",
         ),
         (
             [M2Record(("a",), (_edit(0, 2, ("x|||y",)),))],
-            "record 0: span 0 2 out of range",
+            "span 0 2 out of range",
         ),
         (
             [M2Record(("a",), (_edit(0, 1, ("x|||y",), label="T|"),))],
-            "record 0: invalid correction token 'x|||y'",
+            "invalid correction token 'x|||y'",
         ),
         (
             [M2Record(("a",), (_edit(0, 1, label="T\t", annotator_id=-1),))],
-            "record 0: invalid type label 'T\\t'",
+            "invalid type label 'T\\t'",
         ),
         (
             [M2Record(("a",), (_edit(0, 1, label="T|"), _edit(0, 2)))],
-            "record 0: invalid type label 'T|'",
+            "invalid type label 'T|'",
         ),
         (
             [
                 M2Record(("a",), (_edit(0, 1, annotator_id=-1),)),
                 M2Record(("a b",), (_edit(0, 2),)),
             ],
-            "record 0: negative annotator id -1",
+            "negative annotator id -1",
         ),
     ],
 )
@@ -357,9 +358,9 @@ def test_emit_token_checks_match_the_per_character_rule():
         with pytest.raises(M2ValidationError) as info:
             emit_m2([record])
         if bad_source is not None:
-            assert str(info.value) == f"record 0: invalid source token {bad_source!r}"
+            assert str(info.value) == f"invalid source token {bad_source!r}"
         else:
-            assert str(info.value) == f"record 0: invalid correction token {bad_correction!r}"
+            assert str(info.value) == f"invalid correction token {bad_correction!r}"
 
 
 _token = st.text(
@@ -465,7 +466,7 @@ def test_record_starts_cut_like_parse(lines, data):
         assert pieces == whole
     else:
         line_shift = text.count("\n", 0, offset)
-        assert piece_error.line_number + line_shift == error.line_number
+        assert piece_error.line + line_shift == error.line
         assert str(piece_error).split(": ", 1)[1] == str(error).split(": ", 1)[1]
 
 
@@ -477,8 +478,13 @@ def test_read_parallel_pairs_lines():
 def test_read_parallel_counts_mismatch():
     with pytest.raises(IngestionError) as info:
         read_parallel("a\nb\n", "a\n")
-    message = str(info.value)
-    assert "2" in message and "1" in message
+    # the longer text, at its first line the other lacks
+    assert str(info.value) == (
+        "original:2: parallel texts differ in length: 2 original lines vs 1 corrected lines"
+    )
+    with pytest.raises(IngestionError) as info:
+        read_parallel("a\n", "a\nb\nc\n", first_line=7)
+    assert (info.value.source, info.value.line) == ("corrected", 8)
 
 
 def test_read_parallel_crlf_matches_lf():
@@ -494,9 +500,7 @@ def test_read_parallel_rejects_other_whitespace(char, side):
     texts[side] = f"a b\nc{char}d\ne\n"
     with pytest.raises(IngestionError) as info:
         read_parallel(texts["original"], texts["corrected"])
-    assert str(info.value) == (
-        f"{side} text line 2: unsupported whitespace character U+{ord(char):04X}"
-    )
+    assert str(info.value) == f"{side}:2: unsupported whitespace character U+{ord(char):04X}"
 
 
 # "\r\r" before a line end leaves one lone "\r"
@@ -515,7 +519,7 @@ def test_read_parallel_rejects_other_whitespace(char, side):
 def test_parse_m2_rejects_other_whitespace_on_its_line(template, line, char):
     with pytest.raises(M2ParseError) as info:
         parse_m2(template.format(char))
-    assert str(info.value) == f"line {line}: unsupported whitespace character U+{ord(char[0]):04X}"
+    assert str(info.value) == f"m2:{line}: unsupported whitespace character U+{ord(char[0]):04X}"
 
 
 def test_apply_edits_replacement():

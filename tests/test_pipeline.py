@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import gc
+import itertools
 import pickle
 from concurrent.futures.process import BrokenProcessPool
 
@@ -103,7 +104,10 @@ def test_classify_attach_mismatch_names_sentence():
     )
     with pytest.raises(AttachmentError) as info:
         run(golden_config(), inputs)
-    assert "original sentence 0" in str(info.value)
+    # the first line of the CoNLL-U block of the sentence
+    assert str(info.value) == (
+        "conllu_orig:1: annotation form 'pen' != surface token 'pencil' at index 3"
+    )
 
 
 def test_retype_recovers_classified_labels():
@@ -166,7 +170,9 @@ def test_retype_corrected_conllu_count_mismatch():
     inputs = golden_inputs(GOLDEN_FLAGSHIP[:2], m2=m2)._replace(conllu_orig=None)
     with pytest.raises(IngestionError) as info:
         run(PipelineConfig(), inputs)
-    assert str(info.value) == "corrected annotations: 2 sentences for 1 inputs from input 0"
+    # the CoNLL-U text holds more items: the first line of its sentence the M2 lacks
+    line = _block_line(inputs.conllu_cor, 1)
+    assert str(info.value) == f"conllu_cor:{line}: corrected annotations: 2 sentences for 1 inputs"
 
 
 def test_retype_corrected_attach_mismatch_names_record():
@@ -174,8 +180,7 @@ def test_retype_corrected_attach_mismatch_names_record():
     m2 = "S I werk for pen\nA 1 2|||UNK|||work|||REQUIRED|||-NONE-|||0\n"
     with pytest.raises(AttachmentError) as info:
         run(golden_config(), golden_inputs(GOLDEN_FLAGSHIP[:1], m2=m2))
-    assert str(info.value).startswith("corrected sentence 0: annotation form")
-    assert info.value.index == 3
+    assert str(info.value) == "conllu_cor:1: annotation form 'Pen' != surface token 'pen' at index 3"
 
 
 def test_m2_input_is_retyped_whatever_the_worker_count():
@@ -264,7 +269,8 @@ def test_retype_shard_errors_are_the_serial_errors(
     assert in_process_pool.shards == [104 if both_conllu else 77]
     assert type(sharded.value) is type(serial.value)
     assert str(sharded.value) == str(serial.value)
-    assert str(serial.value).startswith(f"record {late}: ")
+    # the sentence line of the record
+    assert (serial.value.source, serial.value.line) == ("m2", _block_line(m2, late))
 
 
 def test_parallel_run_matches_serial_run():
@@ -557,7 +563,7 @@ def _m2_blank_lines_first_and_comment_block(texts):
             ("conllu_orig", "conllu_cor"),
             _comment_block_for_a_sentence,
             [],
-            "IngestionError: original annotations: 39 sentences for 40 inputs from input 0",
+            "IngestionError: original:40: original annotations: 39 sentences for 40 inputs",
         ),
         ("classify", ("conllu_orig", "conllu_cor"), _blank_lines_around, [33], None),
         ("retype", ("conllu_orig",), _blank_lines_around, [25], None),
@@ -571,7 +577,7 @@ def _m2_blank_lines_first_and_comment_block(texts):
             (),
             _extra_original_line,
             [],
-            "IngestionError: parallel texts differ in length:"
+            "IngestionError: original:41: parallel texts differ in length:"
             " 41 original lines vs 40 corrected lines",
         ),
     ],
@@ -610,7 +616,7 @@ def test_a_text_of_no_item_is_typed_as_one_shard(in_process_pool):
     for worker_count in (1, 2):
         with pytest.raises(M2ParseError) as info:
             run(PipelineConfig(), PipelineInputs(m2=m2), worker_count)
-        assert str(info.value) == "line 3: annotation line before any sentence line"
+        assert str(info.value) == "m2:3: annotation line before any sentence line"
     assert run(PipelineConfig(), PipelineInputs(m2="\n \n"), 2) == []
     assert in_process_pool.workers == []
 
@@ -644,16 +650,26 @@ def test_an_empty_type_label_fails_on_its_line_for_any_worker_count(monkeypatch,
     for worker_count in (1, 2):
         with pytest.raises(M2ParseError) as info:
             run(PipelineConfig(), PipelineInputs(m2=m2), worker_count)
-        assert str(info.value) == "line 4: empty type label"
+        assert str(info.value) == "m2:4: empty type label"
     assert in_process_pool.shards == [2]
 
 
-# --- faults: each is named by its place in the whole input, and typed once -----
+# --- faults: each names its input and line, and is typed once -------------------
 
 
 def _line_of(text: str, part: str) -> int:
     """The number of the line of ``text`` that holds the first ``part``."""
     return text.count("\n", 0, text.index(part)) + 1
+
+
+def _block_line(text: str, index: int) -> int:
+    """The number of the first line of the ``index``-th run of non-blank lines of ``text``."""
+    lines = text.split("\n")
+    return [
+        number
+        for number, line in enumerate(lines, 1)
+        if line.strip() and (number == 1 or not lines[number - 2].strip())
+    ][index]
 
 
 def _change_line(text: str, index: int, change) -> str:
@@ -688,32 +704,80 @@ _SIDES = {"original": ("original", "conllu_orig"), "corrected": ("corrected", "c
 
 
 def _with_fault(inputs: PipelineInputs, fault: str, item: int, side: str):
-    """``inputs`` with one ``fault`` at ``item``, and the class and message of its error."""
+    """``inputs`` with one ``fault`` at ``item``, and the class and ``SOURCE:LINE: message`` of its error.
+
+    The line is found in the changed text: the line that holds the fault,
+    or the first line of the item or block at fault; for a count mismatch,
+    the first item of the longer text that the other lacks.
+    """
     text_field, conllu_field = _SIDES[side]
     if fault == "nbsp":
         text = _change_line(getattr(inputs, text_field), item, lambda line: line + "\xa0")
-        message = f"{side} text line {item + 1}: unsupported whitespace character U+00A0"
+        message = f"{text_field}:{item + 1}: unsupported whitespace character U+00A0"
         return inputs._replace(**{text_field: text}), IngestionError, message
+    if fault == "lines":  # a line of one text dropped: the other is longer
+        lines = getattr(inputs, text_field).split("\n")
+        del lines[item]
+        inputs = inputs._replace(**{text_field: "\n".join(lines)})
+        counts = [text.count("\n") for text in (inputs.original, inputs.corrected)]
+        other = "corrected" if text_field == "original" else "original"
+        message = f"{other}:{min(counts) + 1}: parallel texts differ in length:"
+        message += f" {counts[0]} original lines vs {counts[1]} corrected lines"
+        return inputs, IngestionError, message
     if fault == "empty-label":
         empty = "A 0 0||||||x|||REQUIRED|||-NONE-|||0"
         m2 = _change_block(inputs.m2, item, lambda block: f"{block}\n{empty}")
-        return inputs._replace(m2=m2), M2ParseError, f"line {_line_of(m2, empty)}: empty type label"
+        return inputs._replace(m2=m2), M2ParseError, f"m2:{_line_of(m2, empty)}: empty type label"
     if fault == "overlap":
         spans = "\n".join(f"A 0 1|||UNK|||{c}|||REQUIRED|||-NONE-|||7" for c in "xy")
         m2 = _change_block(inputs.m2, item, lambda block: f"{block}\n{spans}")
-        message = f"record {item}: overlapping edit spans at 0"
+        message = f"m2:{_block_line(m2, item)}: overlapping edit spans at 0"
         return inputs._replace(m2=m2), M2ValidationError, message
     conllu = getattr(inputs, conllu_field)
     if fault == "unknown-upos":
         conllu = _change_block(conllu, item, _set_first_row(3, "BLORP"))
-        message = f"line {_line_of(conllu, 'BLORP')}: unknown UPOS tag 'BLORP'"
+        message = f"{conllu_field}:{_line_of(conllu, 'BLORP')}: unknown UPOS tag 'BLORP'"
         return inputs._replace(**{conllu_field: conllu}), ConlluParseError, message
+    if fault == "dropped-block":  # one CoNLL-U sentence fewer than the items
+        blocks = conllu.rstrip("\n").split("\n\n")
+        del blocks[item]
+        count = len(blocks) + 1
+        message = f"{text_field}:{count}: {side} annotations: {count - 1} sentences for {count} inputs"
+        inputs = inputs._replace(**{conllu_field: "\n\n".join(blocks) + "\n"})
+        return inputs, IngestionError, message
     assert fault == "form"
     surface = getattr(inputs, text_field).split("\n")[item].split(" ")[0]
     conllu = _change_block(conllu, item, _set_first_row(1, "zzz"))
-    message = f"{side} sentence {item}: annotation form 'zzz' != surface token {surface!r}"
-    message += " at index 0"
+    message = f"{conllu_field}:{_block_line(conllu, item)}: annotation form 'zzz'"
+    message += f" != surface token {surface!r} at index 0"
     return inputs._replace(**{conllu_field: conllu}), AttachmentError, message
+
+
+def _holds_fault(inputs: PipelineInputs, fault: str, message: str) -> bool:
+    """Whether line LINE of input SOURCE, as ``message`` names them, holds ``fault``.
+
+    That is the line the fault is on, or the first line of the item or
+    block at fault; for a count mismatch, the first item of the longer
+    text that the other lacks.
+    """
+    source, line, _ = message.split(":", 2)
+    lines = getattr(inputs, source).split("\n")
+    row = lines[int(line) - 1]
+    block = "\n".join(itertools.takewhile(str.strip, lines[int(line) - 1 :]))
+    starts_block = int(line) == 1 or not lines[int(line) - 2].strip()
+    if fault in ("nbsp", "empty-label", "unknown-upos"):
+        return {"nbsp": "\xa0", "empty-label": "||||||", "unknown-upos": "\tBLORP\t"}[fault] in row
+    if fault == "form":
+        return starts_block and "\tzzz\t" in block
+    if fault == "overlap":
+        return starts_block and row.startswith("S ") and block.count("|||7") == 2
+    if fault == "lines":
+        other = inputs.corrected if source == "original" else inputs.original
+        return int(line) == other.count("\n") + 1 <= len(lines)
+    assert fault == "dropped-block"
+    conllu = inputs.conllu_orig if source == "original" else inputs.conllu_cor
+    sentences = sum("\t" in block for block in conllu.split("\n\n"))
+    return int(line) == sentences + 1 <= len(lines)
 
 
 def _fault_inputs(corpus: SyntheticCorpus, fault: str, lead: str = "") -> PipelineInputs:
@@ -737,11 +801,13 @@ def _error_of(config: PipelineConfig, inputs: PipelineInputs, worker_count: int)
     return type(info.value), str(info.value)
 
 
-_FAULTS = ["nbsp", "empty-label", "unknown-upos", "form", "overlap"]
+_FAULTS = ["nbsp", "lines", "empty-label", "unknown-upos", "form", "dropped-block", "overlap"]
+# the faults that leave every text the same number of items, so that the cut holds
+_CUT_FAULTS = [fault for fault in _FAULTS if fault not in ("lines", "dropped-block")]
 
 
 @settings(
-    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(
     data=st.data(),
@@ -759,11 +825,23 @@ def test_one_fault_gives_its_own_error_for_any_shard_budget_and_worker_count(
     corpus = SyntheticCorpus(size, seed)
     item = data.draw(st.integers(0, size - 1), label="item")
     inputs, error, message = _with_fault(_fault_inputs(corpus, fault, lead), fault, item, side)
+    assert _holds_fault(inputs, fault, message)
     for worker_count in (1, 2, 4):
         assert _error_of(PipelineConfig(), inputs, worker_count) == (error, message)
 
 
-@pytest.mark.parametrize("fault", _FAULTS)
+def test_a_record_finish_rejects_names_the_line_of_its_pair():
+    # one shard of 40 pairs: the record is found among the shard's, not at its top
+    corpus = SyntheticCorpus(40, seed=5)
+    corrected = _change_line(corpus.cor_text, 25, lambda line: line + " x|")
+    inputs = PipelineInputs(original=corpus.orig_text, corrected=corrected)
+    assert pipeline._cut(inputs)[0] == 1
+    with pytest.raises(M2ValidationError) as info:
+        run(PipelineConfig(), inputs, finish=emit_m2)
+    assert str(info.value) == "original:26: invalid correction token 'x|'"
+
+
+@pytest.mark.parametrize("fault", _CUT_FAULTS)
 def test_blank_lines_before_the_first_item_shift_no_item_number(in_process_pool, fault):
     corpus = SyntheticCorpus(40, seed=5)
     inputs = _fault_inputs(corpus, fault, "\n \n")
@@ -774,9 +852,12 @@ def test_blank_lines_before_the_first_item_shift_no_item_number(in_process_pool,
 
 
 def _shard_of(inputs: PipelineInputs, item: int) -> int:
-    """The index of the shard of ``inputs`` that holds ``item``."""
-    firsts = [shard.first for shard in pipeline._cut(inputs)[1]]
-    return sum(first <= item for first in firsts) - 1
+    """The index of the shard of ``inputs`` that holds ``item``, counted in the original CoNLL-U."""
+    counts = [
+        sum("\t" in block for block in shard.texts.conllu_orig.split("\n\n"))
+        for shard in pipeline._cut(inputs)[1]
+    ]
+    return sum(first <= item for first in itertools.accumulate(counts, initial=0)) - 1
 
 
 @pytest.mark.parametrize(

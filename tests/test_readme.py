@@ -66,3 +66,11 @@ def test_the_safeguards_paragraph_names_what_each_rule_row_decides():
     assert len(bodies) == 5
     for body in bodies:
         assert f"`{body}`" in text, body
+
+
+def test_every_error_example_names_a_file_and_a_line():
+    # one format for every input error: serrant: SOURCE:LINE: message
+    examples = re.findall(r"`(serrant: [^`]*)`", README)
+    assert len(examples) >= 8
+    for example in examples:
+        assert re.match(r"serrant: [^:\s]+:(?:[0-9]+|N|LINE): \S", example), example

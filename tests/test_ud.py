@@ -109,21 +109,25 @@ def _row(token_id: str, head: str) -> str:
 def test_parse_errors_carry_line_numbers(line, expected_lineno):
     with pytest.raises(ConlluParseError) as info:
         parse_conllu(line)
-    assert info.value.line_number == expected_lineno
+    assert (info.value.source, info.value.line) == ("conllu", expected_lineno)
+    assert str(info.value) == f"conllu:{expected_lineno}: {info.value.message}"
+    with pytest.raises(ConlluParseError) as named:
+        parse_conllu(line, 41, "conllu_cor")
+    assert str(named.value) == f"conllu_cor:{expected_lineno + 40}: {info.value.message}"
 
 
 @pytest.mark.parametrize("token_id", ["x-1", "1-2.1"])
 def test_parse_names_a_malformed_range_or_empty_node_id(token_id):
     with pytest.raises(ConlluParseError) as info:
         parse_conllu(f"{token_id}\tx\t_\t_\t_\t_\t_\t_\t_\t_\n")
-    assert str(info.value) == f"line 1: malformed multiword range or empty node id {token_id!r}"
+    assert str(info.value) == f"conllu:1: malformed multiword range or empty node id {token_id!r}"
 
 
 def test_parse_error_line_number_skips_earlier_sentences():
     text = BASIC + "\n" + "1\tx\tx\tNOPE\t_\t_\t0\troot\t_\t_\n"
     with pytest.raises(ConlluParseError) as info:
         parse_conllu(text)
-    assert info.value.line_number == 6
+    assert info.value.line == 6
 
 
 def test_parse_rejects_rootless_sentence():
@@ -186,7 +190,7 @@ def test_cycle_check_names_the_token_the_full_walk_names():
             cycles += 1
             with pytest.raises(ConlluParseError) as info:
                 parse_conllu(text)
-            assert str(info.value) == f"line 1: dependency cycle through token {expected + 1}"
+            assert str(info.value) == f"conllu:1: dependency cycle through token {expected + 1}"
     assert 300 < cycles < 2700
 
 
@@ -222,9 +226,9 @@ def test_a_deep_chain_parses_and_a_cycle_at_its_end_fails_as_the_reference_does(
         parse_conllu(text)
     with pytest.raises(ConlluParseError) as expected:
         reference_parse_conllu(text)
-    got = (info.value.line_number, str(info.value))
-    assert got == (expected.value.line_number, str(expected.value))
-    assert got == (1, f"line 1: dependency cycle through token {token}")
+    got = (info.value.line, str(info.value))
+    assert got == (expected.value.line, str(expected.value))
+    assert got == (1, f"conllu:1: dependency cycle through token {token}")
 
 
 _SCAN_LINES = [
@@ -281,7 +285,7 @@ def test_sentence_starts_cut_like_parse(lines, data):
         assert pieces == whole
     else:
         line_shift = text.count("\n", 0, offset)
-        assert piece_error.line_number + line_shift == error.line_number
+        assert piece_error.line + line_shift == error.line
         assert str(piece_error).split(": ", 1)[1] == str(error).split(": ", 1)[1]
 
 
@@ -377,7 +381,7 @@ def _tokens_or_error(parse, text: str):
     try:
         return [tuple(sentence) for sentence in parse(text)], None
     except ConlluParseError as exc:
-        return None, (exc.line_number, str(exc))
+        return None, (exc.line, str(exc))
 
 
 @settings(max_examples=400, deadline=None)
@@ -425,8 +429,8 @@ def test_malformed_feats_fail_on_their_own_line_after_a_cached_value():
     bad = BASIC.replace("Tense=Pres|VerbForm=Fin", "Tense=Pres|VerbForm")
     with pytest.raises(ConlluParseError) as info:
         parse_conllu(BASIC + "\n" + bad + "\n" + bad)
-    assert info.value.line_number == 9
-    assert str(info.value) == "line 9: malformed feature pair 'VerbForm'"
+    assert info.value.line == 9
+    assert str(info.value) == "conllu:9: malformed feature pair 'VerbForm'"
 
 
 def test_synthetic_conllu_round_trips():
@@ -448,14 +452,15 @@ def test_attach_reports_first_divergence():
     sentence = parse_conllu(BASIC)[0]
     with pytest.raises(AttachmentError) as info:
         attach(sentence, ("The", "cat", "sleep"))
-    assert info.value.index == 1
+    assert str(info.value) == "annotation form 'cats' != surface token 'cat' at index 1"
+    assert (info.value.source, info.value.line) == (None, None)  # the caller locates it
 
 
 def test_attach_reports_length_mismatch():
     sentence = parse_conllu(BASIC)[0]
     with pytest.raises(AttachmentError) as info:
         attach(sentence, ("The", "cats"))
-    assert info.value.index == 2
+    assert str(info.value) == "annotation has 3 tokens, surface has 2"
 
 
 TREE = AnnotatedSentence(
