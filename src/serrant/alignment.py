@@ -73,8 +73,8 @@ def align(
     # The table's backtrace always takes a shared suffix as matches: a free
     # match costs no more than deleting, inserting or transposing into it.
     # So the suffix skips the table and leads the reversed operation list.
-    # Operations here, and edits in merge, are built with tuple.__new__,
-    # which skips the named tuples' Python-level constructors.
+    # Operations here, and edits in merge, are built with tuple.__new__, which skips
+    # the named tuples' Python-level constructors (CHANGES.md verdict row `alignment` builds).
     new, Op = tuple.__new__, AlignmentOp
     ops: list[AlignmentOp] = []
     while n and m and src[n - 1] == trg[m - 1]:

@@ -58,7 +58,7 @@ _FLAGS = {"original": "orig", "corrected": "cor"}
 
 def main(argv: list[str] | None = None) -> int:
     # A run builds no reference cycles, so the collector would only walk the
-    # growing heap again and again.
+    # growing heap again and again (CHANGES.md verdict row `gc.disable()`).
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -11,8 +11,7 @@ once, and rejects edits that are empty or lack an annotation; the base
 cascade, the SErCl classifier and :func:`combine` all read that one
 :class:`EditContext`.  :class:`EditContext` and :class:`SerrantType` are
 named tuples, and every tag or tag-pair body is a shared
-:class:`~serrant.sercl.SerclType` rendered through the bounded caches of
-:mod:`serrant.sercl`.
+:class:`~serrant.sercl.SerclType` from :func:`~serrant.sercl.shared_type`.
 
 Bodies come from :data:`_RULES`, the combination rules as one ordered
 table: the first row that matches an edit's base and head tags picks the
@@ -104,7 +103,7 @@ def _side(
     if sentence is None:
         raise AnnotationMissingError(f"no annotation for the {which} sentence")
     head = span_head(sentence, start, end)  # rejects a span outside the sentence
-    if end - start == 1:  # most spans: the head is the span's one token
+    if end - start == 1:  # the head is the one token (CHANGES.md verdict row `combine._side`)
         return (head,), head
     return tuple(map(sentence.token, range(start, end))), head
 

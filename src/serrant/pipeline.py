@@ -258,7 +258,7 @@ def _start_worker(task: _Task) -> None:
     A shard builds no reference cycles, so workers skip the collector.
     """
     global _worker_task
-    gc.disable()
+    gc.disable()  # kept: CHANGES.md verdict row `gc.disable()`
     _worker_task = task
 
 

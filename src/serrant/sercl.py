@@ -15,12 +15,11 @@ lowercased spelling.  One-sided types never carry qualifiers, since there
 is no second head to disagree with.
 
 Types are shared values: :func:`classify_sercl` and :func:`shared_type`
-hand out one :class:`SerclType` per tag and qualifier strings, and
-:func:`render` keeps the text of the types it rendered, each from a cache
-of at most :data:`_SHARED_SIZE` entries.  Both are named tuples, and a
-:class:`SerclSide` hashes and compares as its ``(tag, qualifiers)`` pair,
-so the caches key on the sides themselves.  The side's constructor checks
-the values callers build; ``_make``, ``_replace`` and unpickling go
+hand out one :class:`SerclType` per tag and qualifier strings, from a cache
+of at most :data:`_SHARED_SIZE` entries.  Types and sides are named tuples,
+and a :class:`SerclSide` hashes and compares as its ``(tag, qualifiers)``
+pair, so the cache keys on the sides themselves.  The side's constructor
+checks the values callers build; ``_make``, ``_replace`` and unpickling go
 through it.
 """
 
@@ -120,27 +119,23 @@ def render(sercl: SerclType) -> str:
 
     ``SerrantType.render`` swaps in the unicode arrow where a run asks for it.
     """
-    return _rendered(sercl.left, sercl.right)
-
-
-# The most types shared_type and render each hold, least recently used
-# first out (about 1.2 MB for both when full, with one qualifier a side):
-# at ``upos`` the 17 tags and the absent side make 324 pairs, and at
-# ``upos+feats`` each qualifier is an input FEATS value.
-_SHARED_SIZE = 1 << 10
-
-# one side of a type as the caches key it: a SerclSide, or its tag and
-# qualifiers as a plain pair, which hashes and compares equal to it
-_Side = tuple[str | None, tuple[str, ...]]
-
-
-@lru_cache(maxsize=_SHARED_SIZE)
-def _rendered(left: SerclSide, right: SerclSide) -> str:
-    """The text of a type, kept for the last :data:`_SHARED_SIZE` types rendered."""
+    left, right = sercl
     text = render_side(left)
     return text if left == right else f"{text}{ARROW_ASCII}{render_side(right)}"
 
 
+# The most types shared_type holds, least recently used first out (about
+# 0.65 MB when full, with one qualifier a side): at ``upos`` the 17 tags and
+# the absent side make 324 pairs, and at ``upos+feats`` each qualifier is an
+# input FEATS value.
+_SHARED_SIZE = 1 << 10
+
+# one side of a type as the cache keys it: a SerclSide, or its tag and
+# qualifiers as a plain pair, which hashes and compares equal to it
+_Side = tuple[str | None, tuple[str, ...]]
+
+
+# kept for speed: CHANGES.md verdict row `sercl.shared_type`
 @lru_cache(maxsize=_SHARED_SIZE)
 def shared_type(left: _Side, right: _Side) -> SerclType:
     """The one :class:`SerclType` of two sides, kept for the last :data:`_SHARED_SIZE` asked."""

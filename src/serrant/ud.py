@@ -42,7 +42,7 @@ annotations for tests and demos when no parser output is available.  It is
 deliberately crude and not meant for accuracy-bearing use.  It reads one
 lexicon, :data:`DEFAULT_LEXICON`, and memoises the analysis of each form, at
 the start of a sentence or after it, for at most :data:`_MEMO_SIZE` entries
-(about 2 MB).
+(about 2.6 MB).
 """
 
 from __future__ import annotations
@@ -114,19 +114,14 @@ class AnnotatedSentence(_Columns):
 
     def token(self, index: int) -> Token:
         """Word ``index`` as a :class:`Token`."""
-        # tuple.__new__ skips the named tuple's Python-level __new__, which
-        # costs more than the rest of this call
-        return tuple.__new__(
-            Token,
-            (
-                index,
-                self.forms[index],
-                self.lemmas[index],
-                self.upos[index],
-                self.feats[index],
-                self.heads[index],
-                self.deprels[index],
-            ),
+        return Token(
+            index,
+            self.forms[index],
+            self.lemmas[index],
+            self.upos[index],
+            self.feats[index],
+            self.heads[index],
+            self.deprels[index],
         )
 
     @property
@@ -159,7 +154,7 @@ def parse_feats(value: str) -> dict[str, str]:
 
 # Characters per chunk before the cut at the next blank lines: several
 # hundred rows, so that a chunk's line strings stay a small part of the
-# memory its sentences take.
+# memory its sentences take (CHANGES.md verdict row `parse_conllu` chunking).
 _CHUNK_CHARS = 1 << 15
 # a run of lines that ``str.isspace`` calls blank, with the line break before
 # it: blocks of CoNLL-U and M2 end at one
@@ -438,7 +433,7 @@ _SINGULAR = {"Number": "Sing"}
 _NO_FEATS: dict[str, str] = {}
 
 # The most forms whose analysis the memo holds; the least recently used one
-# goes first.
+# goes first (CHANGES.md verdict row `ud._analyse`).
 _MEMO_SIZE = 1 << 13
 
 

@@ -1,11 +1,18 @@
-"""The README's library examples run and print what the README says, and its
-safeguards paragraph names what the combination rules decide."""
+"""The README's library examples run and print what the README says, its
+safeguards paragraph names what the combination rules decide, and the cache
+figures it quotes are those of the code."""
 
 from __future__ import annotations
 
+import importlib
+import os
+import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import serrant
 from serrant.combine import _PAIR, _RULES, TENSE_LEMMAS, UNRELIABLE_TAGS
 from serrant.sercl import render
 
@@ -74,3 +81,62 @@ def test_every_error_example_names_a_file_and_a_line():
     assert len(examples) >= 8
     for example in examples:
         assert re.match(r"serrant: [^:\s]+:(?:[0-9]+|N|LINE): \S", example), example
+
+
+def _package_caches() -> dict[str, object]:
+    """Every function of the package that carries an ``lru_cache``, by qualified name."""
+    caches = {}
+    for module in pkgutil.iter_modules(serrant.__path__):
+        if module.name != "__main__":
+            values = vars(importlib.import_module(f"serrant.{module.name}")).values()
+            caches.update(
+                (f"{value.__module__}.{value.__qualname__}", value)
+                for value in values
+                if hasattr(value, "cache_info")
+            )
+    return caches
+
+
+# how to fill each cache with distinct entries, as the README counts them:
+# one qualifier a side for a SErCl type, a new lowercase form for the memo
+_FILLS = {
+    "serrant.sercl.shared_type": "shared_type(('ADJ', (f'a{i}',)), ('ADV', (f'b{i}',)))",
+    "serrant.ud._analyse": "_analyse(f'w{i}', False)",
+}
+
+
+def _megabytes_when_full(name: str) -> float:
+    """What filling cache ``name`` allocates in a fresh interpreter, whose free lists are empty."""
+    module, function = name.rsplit(".", 1)
+    fill = (
+        "import tracemalloc\n"
+        f"from {module} import {function}\n"
+        "tracemalloc.start()\n"
+        f"for i in range({function}.cache_info().maxsize):\n"
+        f"    {_FILLS[name]}\n"
+        "print(tracemalloc.get_traced_memory()[0] / 1e6)\n"
+    )
+    src = str(Path(serrant.__file__).parent.parent)
+    return float(
+        subprocess.run(
+            [sys.executable, "-c", fill],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+    )
+
+
+def test_every_cache_figure_is_that_of_the_code():
+    # a cache resized, added or deleted without the README, or the reverse, fails here
+    text = " ".join(README.split())
+    quoted = re.findall(r"a cache of at most ([0-9,]+) \w+, which takes about ([0-9.]+) MB", text)
+    sizes = {int(size.replace(",", "")): float(megabytes) for size, megabytes in quoted}
+    caches = _package_caches()
+    assert sorted(caches) == sorted(_FILLS)
+    assert sorted(sizes) == sorted(cache.cache_info().maxsize for cache in caches.values())
+    for name, cache in caches.items():
+        megabytes = sizes[cache.cache_info().maxsize]
+        taken = _megabytes_when_full(name)
+        assert abs(taken - megabytes) <= 0.1 * megabytes, (name, taken)
